@@ -1,6 +1,7 @@
 #include "exp/aggregator.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 namespace wakeup::exp {
 
@@ -87,14 +88,12 @@ CellStats Aggregator::finalize(std::uint64_t ci_resamples, std::uint64_t ci_seed
     stats.latency = util::Summary::of(latency);
     stats.collisions = util::Summary::of(collisions);
     stats.silences = util::Summary::of(silences);
-    stats.rounds_mean_ci =
-        util::BootstrapCI::of_mean(throughput, ci_level, ci_resamples, ci_seed);
+    std::tie(stats.rounds_mean_ci, stats.energy_mean_ci) =
+        util::BootstrapCI::of_means(throughput, energy_mean, ci_level, ci_resamples, ci_seed);
     stats.rounds_median_ci =
         util::BootstrapCI::of_quantile(throughput, 0.5, ci_level, ci_resamples, ci_seed);
     stats.energy_mean = util::Summary::of(energy_mean);
     stats.energy_max = util::Summary::of(energy_max);
-    stats.energy_mean_ci =
-        util::BootstrapCI::of_mean(energy_mean, ci_level, ci_resamples, ci_seed);
     return stats;
   }
   util::Sample rounds, collisions, silences, energy_mean, energy_max;
@@ -121,13 +120,14 @@ CellStats Aggregator::finalize(std::uint64_t ci_resamples, std::uint64_t ci_seed
   stats.rounds = util::Summary::of(rounds);
   stats.collisions = util::Summary::of(collisions);
   stats.silences = util::Summary::of(silences);
-  stats.rounds_mean_ci = util::BootstrapCI::of_mean(rounds, ci_level, ci_resamples, ci_seed);
+  // The samples differ in size only when some trial failed (energy counts
+  // failed trials, rounds do not); of_means then falls back to two passes.
+  std::tie(stats.rounds_mean_ci, stats.energy_mean_ci) =
+      util::BootstrapCI::of_means(rounds, energy_mean, ci_level, ci_resamples, ci_seed);
   stats.rounds_median_ci =
       util::BootstrapCI::of_quantile(rounds, 0.5, ci_level, ci_resamples, ci_seed);
   stats.energy_mean = util::Summary::of(energy_mean);
   stats.energy_max = util::Summary::of(energy_max);
-  stats.energy_mean_ci =
-      util::BootstrapCI::of_mean(energy_mean, ci_level, ci_resamples, ci_seed);
   return stats;
 }
 

@@ -293,6 +293,9 @@ SweepOutcome run_sweep_worker(const SweepSpec& spec, const SweepOptions& options
   // fresh fleets clear the directory up front (run_sweep_fleet).
   std::vector<std::uint8_t> completed(cells.size(), 0);
   for (const std::string& path : list_manifest_paths(options.out_dir)) {
+    // A peer starting at the same moment may have created its shard but not
+    // yet written the header; such a shard holds no records yet.
+    if (std::filesystem::is_empty(path)) continue;
     const ManifestData data = load_manifest(path);
     if (data.header.base_seed != header.base_seed ||
         data.header.grid_hash != header.grid_hash || data.header.cells != header.cells) {
@@ -331,9 +334,10 @@ SweepOutcome run_sweep_worker(const SweepSpec& spec, const SweepOptions& options
         capped = true;
         break;
       }
-      // Renew the rest of the chunk before each cell so one long cell
-      // cannot expire the lease under us mid-chunk.
-      ledger.extend(worker, {c, chunk.end}, options.lease_ttl_ms);
+      // Renew the rest of the chunk before each later cell so one long cell
+      // cannot expire the lease under us mid-chunk.  The claim itself just
+      // wrote the lease for the first cell.
+      if (c > chunk.begin) ledger.extend(worker, {c, chunk.end}, options.lease_ttl_ms);
       const CellRecord record = run_cell(spec, cells[c], options, options.pool);
       writer.append(record);
       ledger.mark_done(worker, c);

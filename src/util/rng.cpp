@@ -2,23 +2,6 @@
 
 namespace wakeup::util {
 
-std::uint64_t Rng::uniform(std::uint64_t bound) noexcept {
-  if (bound == 0) return 0;
-  // Lemire's nearly-divisionless method with rejection for exact uniformity.
-  std::uint64_t x = gen_.next();
-  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      x = gen_.next();
-      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::int64_t Rng::uniform_range(std::int64_t lo, std::int64_t hi) noexcept {
   if (lo >= hi) return lo;
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1ULL;

@@ -96,8 +96,24 @@ class Rng {
 
   [[nodiscard]] std::uint64_t next_u64() noexcept { return gen_.next(); }
 
-  /// Uniform integer in [0, bound). bound == 0 returns 0.
-  [[nodiscard]] std::uint64_t uniform(std::uint64_t bound) noexcept;
+  /// Uniform integer in [0, bound). bound == 0 returns 0.  Inline so hot
+  /// draw loops (bootstrap resampling) keep the generator state in registers.
+  [[nodiscard]] std::uint64_t uniform(std::uint64_t bound) noexcept {
+    if (bound == 0) return 0;
+    // Lemire's nearly-divisionless method with rejection for exact uniformity.
+    std::uint64_t x = gen_.next();
+    __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (lo < threshold) {
+        x = gen_.next();
+        m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   [[nodiscard]] std::int64_t uniform_range(std::int64_t lo, std::int64_t hi) noexcept;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace wakeup::util {
@@ -116,9 +117,17 @@ struct BootstrapCI {
   [[nodiscard]] static BootstrapCI of_mean(const Sample& sample, double level,
                                            std::uint64_t resamples, std::uint64_t seed);
 
+  /// {of_mean(a, ...), of_mean(b, ...)}, bit for bit.  When the samples
+  /// have one size the two calls would draw the same resample indices, so
+  /// they share one draw pass.
+  [[nodiscard]] static std::pair<BootstrapCI, BootstrapCI> of_means(const Sample& a,
+                                                                    const Sample& b, double level,
+                                                                    std::uint64_t resamples,
+                                                                    std::uint64_t seed);
+
   /// Same percentile bootstrap for the p-quantile of a sample (`mean` holds
   /// the point estimate, i.e. sample.quantile(p)).  The sweep aggregator
-  /// uses p = 0.5 for median CIs alongside of_mean.
+  /// uses p = 0.5 for median CIs alongside the mean CIs.
   [[nodiscard]] static BootstrapCI of_quantile(const Sample& sample, double p, double level,
                                                std::uint64_t resamples, std::uint64_t seed);
 };

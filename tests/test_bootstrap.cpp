@@ -1,8 +1,191 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace wu = wakeup::util;
+
+namespace {
+
+// Naive reference: a full sort of the resampled statistics, and a copy +
+// nth_element + min_element per quantile resample.  The library must
+// reproduce these bit for bit, since the CIs are written to manifests.
+
+wu::BootstrapCI naive_of_mean(const wu::Sample& sample, double level, std::uint64_t resamples,
+                              std::uint64_t seed) {
+  wu::BootstrapCI ci;
+  ci.level = std::clamp(level, 0.5, 0.999);
+  ci.mean = sample.mean();
+  ci.lo = ci.hi = ci.mean;
+  const auto& values = sample.values();
+  if (values.size() < 2 || resamples == 0) return ci;
+
+  wu::Rng rng(wu::hash_words({seed, 0x424f4f54ULL /* "BOOT" */}));
+  std::vector<double> means;
+  means.reserve(resamples);
+  for (std::uint64_t r = 0; r < resamples; ++r) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      acc += values[rng.uniform(values.size())];
+    }
+    means.push_back(acc / static_cast<double>(values.size()));
+  }
+  std::sort(means.begin(), means.end());
+  const double alpha = (1.0 - ci.level) / 2.0;
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(means.size() - 1);
+    return means[static_cast<std::size_t>(pos)];
+  };
+  ci.lo = at(alpha);
+  ci.hi = at(1.0 - alpha);
+  return ci;
+}
+
+wu::BootstrapCI naive_of_quantile(const wu::Sample& sample, double p, double level,
+                                  std::uint64_t resamples, std::uint64_t seed) {
+  wu::BootstrapCI ci;
+  ci.level = std::clamp(level, 0.5, 0.999);
+  ci.mean = sample.quantile(p);
+  ci.lo = ci.hi = ci.mean;
+  const auto& values = sample.values();
+  if (values.size() < 2 || resamples == 0) return ci;
+
+  wu::Rng rng(wu::hash_words({seed, 0x51424f4f54ULL /* "QBOOT" */}));
+  const double clamped_p = std::clamp(p, 0.0, 1.0);
+  const double pos = clamped_p * static_cast<double>(values.size() - 1);
+  const auto lo_rank = static_cast<std::size_t>(pos);
+  const std::size_t hi_rank = std::min(lo_rank + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo_rank);
+  std::vector<double> draw(values.size());
+  std::vector<double> quantiles;
+  quantiles.reserve(resamples);
+  for (std::uint64_t r = 0; r < resamples; ++r) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      draw[i] = values[rng.uniform(values.size())];
+    }
+    std::nth_element(draw.begin(), draw.begin() + static_cast<std::ptrdiff_t>(lo_rank),
+                     draw.end());
+    const double lo_value = draw[lo_rank];
+    const double hi_value =
+        hi_rank == lo_rank
+            ? lo_value
+            : *std::min_element(draw.begin() + static_cast<std::ptrdiff_t>(lo_rank) + 1,
+                                draw.end());
+    quantiles.push_back(lo_value * (1.0 - frac) + hi_value * frac);
+  }
+  std::sort(quantiles.begin(), quantiles.end());
+  const double alpha = (1.0 - ci.level) / 2.0;
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(quantiles.size() - 1);
+    return quantiles[static_cast<std::size_t>(pos)];
+  };
+  ci.lo = at(alpha);
+  ci.hi = at(1.0 - alpha);
+  return ci;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_ci(const wu::BootstrapCI& got, const wu::BootstrapCI& want) {
+  EXPECT_EQ(bits(got.mean), bits(want.mean));
+  EXPECT_EQ(bits(got.lo), bits(want.lo));
+  EXPECT_EQ(bits(got.hi), bits(want.hi));
+  EXPECT_EQ(bits(got.level), bits(want.level));
+}
+
+/// Integer samples with heavy ties (the shape of per-trial round counts).
+wu::Sample tied_sample(std::size_t n, std::uint64_t seed) {
+  wu::Rng rng(seed);
+  wu::Sample s;
+  for (std::size_t i = 0; i < n; ++i) s.push(static_cast<double>(3 + rng.uniform(5)));
+  return s;
+}
+
+/// Real-valued samples of both signs, no zeros and (almost surely) no ties.
+wu::Sample real_sample(std::size_t n, std::uint64_t seed) {
+  wu::Rng rng(seed);
+  wu::Sample s;
+  for (std::size_t i = 0; i < n; ++i) s.push((rng.uniform01() - 0.4) * 1e3 + 0.125);
+  return s;
+}
+
+const std::size_t kSizes[] = {0, 1, 2, 3, 32, 48, 257};
+const double kLevels[] = {0.5, 0.95, 0.999};
+const std::uint64_t kResamples[] = {1, 2, 2000};
+
+}  // namespace
+
+TEST(BootstrapCI, OfMeanMatchesTheNaiveReferenceBitForBit) {
+  for (const std::size_t n : kSizes) {
+    for (const wu::Sample& s : {tied_sample(n, n), real_sample(n, n)}) {
+      for (const double level : kLevels) {
+        for (const std::uint64_t resamples : kResamples) {
+          SCOPED_TRACE(testing::Message() << "n=" << n << " level=" << level
+                                          << " resamples=" << resamples);
+          expect_same_ci(wu::BootstrapCI::of_mean(s, level, resamples, 77),
+                         naive_of_mean(s, level, resamples, 77));
+        }
+      }
+    }
+  }
+}
+
+TEST(BootstrapCI, OfQuantileMatchesTheNaiveReferenceBitForBit) {
+  for (const std::size_t n : kSizes) {
+    for (const wu::Sample& s : {tied_sample(n, n + 1), real_sample(n, n + 1)}) {
+      for (const double p : {0.0, 0.25, 0.5, 0.95, 1.0}) {
+        for (const double level : kLevels) {
+          for (const std::uint64_t resamples : kResamples) {
+            SCOPED_TRACE(testing::Message() << "n=" << n << " p=" << p << " level=" << level
+                                            << " resamples=" << resamples);
+            expect_same_ci(wu::BootstrapCI::of_quantile(s, p, level, resamples, 91),
+                           naive_of_quantile(s, p, level, resamples, 91));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BootstrapCI, OfMeansSharesOnePassAndFallsBackOnUnequalSizes) {
+  for (const std::size_t n : kSizes) {
+    const wu::Sample a = tied_sample(n, 5);
+    const wu::Sample b = real_sample(n, 6);
+    for (const std::uint64_t resamples : kResamples) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " resamples=" << resamples);
+      const auto [ci_a, ci_b] = wu::BootstrapCI::of_means(a, b, 0.95, resamples, 13);
+      expect_same_ci(ci_a, naive_of_mean(a, 0.95, resamples, 13));
+      expect_same_ci(ci_b, naive_of_mean(b, 0.95, resamples, 13));
+    }
+  }
+  // Unequal sizes (a cell with failed trials: energy counts them, rounds
+  // do not) take two independent passes.
+  const wu::Sample rounds = tied_sample(45, 7);
+  const wu::Sample energy = real_sample(48, 8);
+  const auto [ci_rounds, ci_energy] = wu::BootstrapCI::of_means(rounds, energy, 0.95, 2000, 21);
+  expect_same_ci(ci_rounds, naive_of_mean(rounds, 0.95, 2000, 21));
+  expect_same_ci(ci_energy, naive_of_mean(energy, 0.95, 2000, 21));
+}
+
+TEST(BootstrapCI, SelectionEdgeCases) {
+  const wu::Sample s = real_sample(48, 3);
+  // R = 1: both percentile ends are rank 0, the single resampled statistic.
+  const auto one = wu::BootstrapCI::of_mean(s, 0.95, 1, 4);
+  expect_same_ci(one, naive_of_mean(s, 0.95, 1, 4));
+  EXPECT_EQ(bits(one.lo), bits(one.hi));
+  const auto one_q = wu::BootstrapCI::of_quantile(s, 0.5, 0.95, 1, 4);
+  expect_same_ci(one_q, naive_of_quantile(s, 0.5, 0.95, 1, 4));
+  EXPECT_EQ(bits(one_q.lo), bits(one_q.hi));
+  // p = 1: lo = hi = rank n - 1, so every resample's statistic is its max.
+  const auto top = wu::BootstrapCI::of_quantile(s, 1.0, 0.95, 2000, 4);
+  expect_same_ci(top, naive_of_quantile(s, 1.0, 0.95, 2000, 4));
+  EXPECT_LE(top.hi, s.max());
+}
 
 TEST(BootstrapCI, ContainsTrueMeanForTightSample) {
   wu::Sample s;

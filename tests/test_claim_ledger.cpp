@@ -17,11 +17,13 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exp/claim_ledger.hpp"
@@ -248,12 +250,30 @@ TEST(SweepWorker, SingleWorkerDrainsAndMergeEqualsClassicRun) {
   ASSERT_TRUE(classic.completed);
 
   const std::string dir = fresh_dir("single_worker");
-  const auto outcome = we::run_sweep(spec, worker_options(dir, &pool0, 0));
+  auto options = worker_options(dir, &pool0, 0);
+  options.lease_cells = 3;
+  const auto outcome = we::run_sweep(spec, options);
   EXPECT_TRUE(outcome.drained);
   EXPECT_FALSE(outcome.completed);  // workers never write the report
   EXPECT_EQ(outcome.cells_run, 8u);
   EXPECT_TRUE(std::filesystem::exists(dir + "/manifest-0.jsonl"));
   EXPECT_FALSE(std::filesystem::exists(dir + "/manifest.jsonl"));
+
+  // One claim line per chunk, then one renewal before each later cell of
+  // it — no renewal straight after the claim that wrote the same lease.
+  std::vector<std::pair<unsigned long long, unsigned long long>> leases;
+  std::istringstream lines(slurp(dir + "/claims.jsonl"));
+  for (std::string line; std::getline(lines, line);) {
+    unsigned worker = 0;
+    unsigned long long begin = 0, end = 0;
+    if (std::sscanf(line.c_str(), "{\"kind\":\"claim\",\"worker\":%u,\"begin\":%llu,\"end\":%llu",
+                    &worker, &begin, &end) == 3) {
+      leases.emplace_back(begin, end);
+    }
+  }
+  const std::vector<std::pair<unsigned long long, unsigned long long>> expected = {
+      {0, 3}, {1, 3}, {2, 3}, {3, 6}, {4, 6}, {5, 6}, {6, 8}, {7, 8}};
+  EXPECT_EQ(leases, expected);
 
   const auto merged = we::merge_sweep(dir);
   ASSERT_TRUE(merged.completed);
@@ -308,6 +328,18 @@ TEST(SweepWorker, SameWorkerIdResumesItsOwnShard) {
   ASSERT_TRUE(merged.completed);
   EXPECT_EQ(slurp(classic.csv_path), slurp(merged.csv_path));
   EXPECT_EQ(slurp(classic.json_path), slurp(merged.json_path));
+}
+
+TEST(SweepWorker, StartsBesideAPeerShardThatHasNoHeaderYet) {
+  // Fleet workers start together: one may list a peer's shard in the gap
+  // between its creation and its header write.
+  const std::string dir = fresh_dir("headerless_peer");
+  ASSERT_TRUE(wu::ensure_directory(dir));
+  { std::ofstream peer(dir + "/manifest-5.jsonl"); }
+  wu::ThreadPool pool0(0);
+  const auto outcome = we::run_sweep(worker_spec(), worker_options(dir, &pool0, 0));
+  EXPECT_TRUE(outcome.drained);
+  EXPECT_EQ(outcome.cells_run, 8u);
 }
 
 TEST(SweepWorker, RejectsAPerTrialCsvSink) {
@@ -413,12 +445,16 @@ TEST(SweepWorker, SigkilledWorkersLeaseExpiresOthersStealAndMergeIsIdentical) {
   // one real cell into its shard through worker mode, then takes a fresh
   // 400ms lease straight from the ledger and hangs "mid-cell" until the
   // parent SIGKILLs it — a dead worker with a partial shard AND live leases
-  // on unexecuted cells.
+  // on unexecuted cells.  The victim signals over a pipe once the hang
+  // lease is on the books, so the parent never races its banked cell.
+  int ready[2];
+  ASSERT_EQ(::pipe(ready), 0);
   std::fflush(stdout);
   std::fflush(stderr);
   const pid_t victim = ::fork();
   ASSERT_GE(victim, 0);
   if (victim == 0) {
+    ::close(ready[0]);
     wu::ThreadPool pool(0);
     auto options = worker_options(dir, &pool, 2);
     options.max_cells = 1;
@@ -435,27 +471,19 @@ TEST(SweepWorker, SigkilledWorkersLeaseExpiresOthersStealAndMergeIsIdentical) {
     } catch (...) {
       ::_exit(1);
     }
+    if (::write(ready[1], "L", 1) != 1) ::_exit(1);
     std::this_thread::sleep_for(std::chrono::minutes(1));
     ::_exit(1);
   }
 
-  // Wait until the hang lease (the victim's second claim line) is on the
-  // books, so the survivors cannot drain the grid without stealing it.
-  bool leased = false;
-  for (int i = 0; i < 10000 && !leased; ++i) {
-    std::ifstream in(claims, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::size_t count = 0;
-    for (std::size_t at = 0;
-         (at = text.str().find("\"kind\":\"claim\",\"worker\":2", at)) != std::string::npos;
-         ++at) {
-      ++count;
-    }
-    leased = count >= 2;
-    if (!leased) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(leased);
+  // Block until the hang lease is on the books, so the survivors cannot
+  // drain the grid without stealing it.  A victim that failed instead
+  // exits, closing its end: read() then returns 0.
+  ::close(ready[1]);
+  char signal_byte = 0;
+  const ssize_t got = ::read(ready[0], &signal_byte, 1);
+  ::close(ready[0]);
+  ASSERT_EQ(got, 1);
 
   std::vector<pid_t> pids;
   for (std::int32_t w = 0; w < 2; ++w) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -426,7 +427,8 @@ TEST(RunFacade, RandomizedMcProtocolsRebuildPerTrial) {
   };
   spec.make_pattern = [](wu::Rng& rng) { return wm::patterns::simultaneous(128, 16, 0, rng); };
   spec.trials = 16;
-  std::size_t builds = 0;
+  // Pool workers build concurrently, so the counter must be atomic.
+  std::atomic<std::size_t> builds{0};
   auto counting = spec;
   counting.make_mc_protocol = [&builds](std::uint64_t seed) {
     ++builds;
@@ -435,6 +437,6 @@ TEST(RunFacade, RandomizedMcProtocolsRebuildPerTrial) {
   const auto out = ws::Run(counting, nullptr);
   EXPECT_EQ(out.cell.failures, 0u);
   // One cell-level construction plus one rebuild per trial.
-  EXPECT_EQ(builds, 1u + 16u);
+  EXPECT_EQ(builds.load(), 1u + 16u);
   EXPECT_GT(out.cell.rounds.max, out.cell.rounds.min);
 }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+
+#include "util/rng.hpp"
 
 namespace wu = wakeup::util;
 
@@ -125,6 +129,57 @@ TEST(Summary, P99EdgeCases) {
   EXPECT_DOUBLE_EQ(tied.p99, 7.0);
   EXPECT_DOUBLE_EQ(tied.min, 7.0);
   EXPECT_DOUBLE_EQ(tied.max, 7.0);
+}
+
+namespace {
+
+/// Naive reference: three Sample::quantile calls, each sorting its own copy.
+wu::Summary naive_summary(const wu::Sample& s) {
+  wu::Summary out;
+  out.count = s.size();
+  out.mean = s.mean();
+  out.stddev = s.stddev();
+  out.min = s.min();
+  out.median = s.median();
+  out.p95 = s.quantile(0.95);
+  out.p99 = s.quantile(0.99);
+  out.max = s.max();
+  return out;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+}  // namespace
+
+TEST(Summary, SortOnceMatchesTheNaiveReferenceBitForBit) {
+  // The empty sample first: every field stays zero.
+  const auto empty = wu::Summary::of(wu::Sample{});
+  EXPECT_EQ(empty.count, 0u);
+  for (const double field : {empty.mean, empty.stddev, empty.min, empty.median, empty.p95,
+                             empty.p99, empty.max}) {
+    EXPECT_EQ(bits(field), bits(0.0));
+  }
+  for (const std::size_t n : {0, 1, 2, 3, 32, 48, 257}) {
+    wu::Rng rng(n);
+    wu::Sample tied, real;
+    for (std::size_t i = 0; i < n; ++i) {
+      tied.push(static_cast<double>(3 + rng.uniform(5)));
+      real.push((rng.uniform01() - 0.4) * 1e3 + 0.125);
+    }
+    for (const wu::Sample& s : {tied, real}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n);
+      const auto got = wu::Summary::of(s);
+      const auto want = naive_summary(s);
+      EXPECT_EQ(got.count, want.count);
+      EXPECT_EQ(bits(got.mean), bits(want.mean));
+      EXPECT_EQ(bits(got.stddev), bits(want.stddev));
+      EXPECT_EQ(bits(got.min), bits(want.min));
+      EXPECT_EQ(bits(got.median), bits(want.median));
+      EXPECT_EQ(bits(got.p95), bits(want.p95));
+      EXPECT_EQ(bits(got.p99), bits(want.p99));
+      EXPECT_EQ(bits(got.max), bits(want.max));
+    }
+  }
 }
 
 TEST(Log2Histogram, Buckets) {
