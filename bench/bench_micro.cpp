@@ -69,6 +69,42 @@ void BM_MatrixMembershipQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_MatrixMembershipQuery);
 
+// Word-level emission as the batch engines fetch it: 8-word tiles of one
+// station's §5 schedule, cycling stations and start slots.
+void BM_MatrixScheduleWord(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const auto c = static_cast<unsigned>(state.range(1));
+  const proto::WakeupMatrixProtocol protocol(n, c, 7);
+  constexpr std::size_t kTileWords = 8;
+  std::uint64_t words[kTileWords] = {};
+  mac::StationId u = 0;
+  mac::Slot from = 0;
+  for (auto _ : state) {
+    protocol.schedule_block(u, 0, from, words, kTileWords);
+    benchmark::DoNotOptimize(words);
+    benchmark::ClobberMemory();
+    u = (u + 977) % n;
+    from += 64 * kTileWords;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kTileWords));
+}
+BENCHMARK(BM_MatrixScheduleWord)->Args({4096, 2});
+
+void BM_RandomizedFamilyWord(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const auto k = static_cast<std::uint32_t>(state.range(1));
+  const auto family = comb::make_implicit_family(comb::FamilyKind::kRandomized, n, k, 7);
+  comb::Station u = 0;
+  std::size_t from = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(family->membership_word(u, from));
+    u = (u + 977) % n;
+    from = from + 64 < family->length() ? from + 64 : 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RandomizedFamilyWord)->Args({4096, 256});
+
 void BM_SelectivityCheck(benchmark::State& state) {
   const auto fam = comb::build_randomized(1024, 16, comb::kDefaultRandomFamilyC, 3);
   util::Rng rng(5);

@@ -28,15 +28,16 @@ std::uint64_t randomized_stream_seed(std::uint64_t seed, std::uint32_t n,
   return util::hash_words({seed, kRandomFamilyTag, n, k});
 }
 
-bool randomized_member(std::uint64_t stream_seed, std::uint64_t j, std::uint64_t u,
+bool randomized_member(std::uint64_t stream_state, std::uint64_t j, std::uint64_t mixed_u,
                        double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   // One counter-RNG draw per (set, station) coordinate — same 53-bit
   // uniform-in-[0,1) construction as util::Rng::uniform01, but as a pure
   // function of the coordinates so membership is random-accessible.
-  const double draw =
-      static_cast<double>(util::hash_words({stream_seed, j, u}) >> 11) * 0x1.0p-53;
+  const std::uint64_t h =
+      util::hash_combine(util::hash_combine(stream_state, util::mix64(j)), mixed_u);
+  const double draw = static_cast<double>(h >> 11) * 0x1.0p-53;
   return draw < p;
 }
 
@@ -235,14 +236,15 @@ class ImplicitRandomized final : public ImplicitFamily {
       : ImplicitRandomized(n, detail::clamp_family_k(n, k), c, seed, 0) {}
 
   bool contains(std::size_t set_index, Station u) const noexcept override {
-    return detail::randomized_member(stream_seed_, set_index, u, p_);
+    return detail::randomized_member(stream_state_, set_index, util::mix64(u), p_);
   }
 
   std::uint64_t membership_word(Station u, std::size_t from) const override {
     const std::size_t end = from < length() ? std::min<std::size_t>(length() - from, 64) : 0;
+    const std::uint64_t mixed_u = util::mix64(u);
     std::uint64_t word = 0;
     for (std::size_t j = 0; j < end; ++j) {
-      if (detail::randomized_member(stream_seed_, from + j, u, p_)) {
+      if (detail::randomized_member(stream_state_, from + j, mixed_u, p_)) {
         word |= std::uint64_t{1} << j;
       }
     }
@@ -252,10 +254,10 @@ class ImplicitRandomized final : public ImplicitFamily {
  private:
   ImplicitRandomized(std::uint32_t n, std::uint32_t k, double c, std::uint64_t seed, int)
       : ImplicitFamily(FamilyParams{n, k}, detail::randomized_length(n, k, c), "randomized"),
-        stream_seed_(detail::randomized_stream_seed(seed, n, k)),
+        stream_state_(util::hash_words({detail::randomized_stream_seed(seed, n, k)})),
         p_(1.0 / static_cast<double>(k)) {}
 
-  std::uint64_t stream_seed_;
+  std::uint64_t stream_state_;  ///< hash_words({stream seed})
   double p_;
 };
 

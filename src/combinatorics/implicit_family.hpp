@@ -54,9 +54,13 @@ inline constexpr std::uint64_t kRandomFamilyTag = 0x52414e44464dULL;
                                                    std::uint32_t k) noexcept;
 
 /// Counter-RNG membership draw: station u belongs to set j with
-/// probability p, as a pure function of (stream_seed, j, u).
-[[nodiscard]] bool randomized_member(std::uint64_t stream_seed, std::uint64_t j,
-                                     std::uint64_t u, double p) noexcept;
+/// probability p, as a pure function of (stream_seed, j, u) — the draw is
+/// util::hash_words({stream_seed, j, u}).  Callers pass that hash's state
+/// after its first word, `stream_state` = util::hash_words({stream_seed}),
+/// and the station pre-mixed as `mixed_u` = util::mix64(u), so loops over
+/// sets or stations hoist both.
+[[nodiscard]] bool randomized_member(std::uint64_t stream_state, std::uint64_t j,
+                                     std::uint64_t mixed_u, double p) noexcept;
 
 /// Primes used by the mod-prime construction for (n, k already clamped):
 /// the first (k-1)*max(1, floor(log2 n)) + 1 primes.

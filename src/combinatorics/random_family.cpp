@@ -1,5 +1,6 @@
 #include "combinatorics/builders.hpp"
 #include "combinatorics/implicit_family.hpp"
+#include "util/rng.hpp"
 
 namespace wakeup::comb {
 
@@ -11,7 +12,7 @@ SelectiveFamily build_randomized(std::uint32_t n, std::uint32_t k, double c,
   // function of (stream seed, j, u) rather than a sequential stream, so the
   // implicit backend can re-derive any single bit in O(1) and stay
   // bit-identical to this materialization.
-  const std::uint64_t stream_seed = detail::randomized_stream_seed(seed, n, k);
+  const std::uint64_t stream_state = util::hash_words({detail::randomized_stream_seed(seed, n, k)});
   const double p = 1.0 / static_cast<double>(k);
 
   std::vector<TransmissionSet> sets;
@@ -19,7 +20,7 @@ SelectiveFamily build_randomized(std::uint32_t n, std::uint32_t k, double c,
   for (std::size_t j = 0; j < length; ++j) {
     util::DynamicBitset bits(n);
     for (std::uint32_t u = 0; u < n; ++u) {
-      if (detail::randomized_member(stream_seed, j, u, p)) bits.set(u);
+      if (detail::randomized_member(stream_state, j, util::mix64(u), p)) bits.set(u);
     }
     sets.emplace_back(std::move(bits));
   }

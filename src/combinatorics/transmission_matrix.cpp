@@ -13,12 +13,6 @@ MatrixParams MatrixParams::make(std::uint32_t n, unsigned c) {
   return p;
 }
 
-std::uint64_t MatrixParams::total_scan() const noexcept {
-  std::uint64_t total = 0;
-  for (unsigned i = 1; i <= rows; ++i) total += m(i);
-  return total;
-}
-
 std::optional<unsigned> MatrixParams::row_at(std::int64_t sigma, std::int64_t t) const noexcept {
   const std::int64_t operative = mu(sigma);
   if (t < operative) return std::nullopt;

@@ -18,6 +18,7 @@
 /// be materialized.  A dense materialization is provided for small-n
 /// verification.
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -40,11 +41,14 @@ struct MatrixParams {
 
   /// m_i = c·2^i·log n·log log n — slots a station spends on row i (1-based).
   [[nodiscard]] std::uint64_t m(unsigned i) const noexcept {
-    return static_cast<std::uint64_t>(c) * util::ipow(2, i) * rows * window;
+    return (static_cast<std::uint64_t>(c) << i) * rows * window;
   }
 
-  /// Σ_{i=1..rows} m_i — one full top-to-bottom scan.
-  [[nodiscard]] std::uint64_t total_scan() const noexcept;
+  /// Σ_{i=1..rows} m_i = c·(2^{rows+1} − 2)·log n·log log n — one full
+  /// top-to-bottom scan.
+  [[nodiscard]] std::uint64_t total_scan() const noexcept {
+    return static_cast<std::uint64_t>(c) * ((std::uint64_t{2} << rows) - 2) * rows * window;
+  }
 
   /// ρ(j) = j mod window.
   [[nodiscard]] unsigned rho(std::uint64_t col) const noexcept {
@@ -66,23 +70,40 @@ struct MatrixParams {
   [[nodiscard]] std::optional<unsigned> row_at(std::int64_t sigma, std::int64_t t) const noexcept;
 };
 
-/// Membership oracle for the seeded random matrix.  Stateless and cheap:
-/// one 64-bit hash per query.
+/// Membership oracle for the seeded random matrix.  Stateless apart from
+/// the hash prefix of each row, so one query is a few 64-bit mixes.
 class LazyTransmissionMatrix {
  public:
   LazyTransmissionMatrix(MatrixParams params, std::uint64_t seed) noexcept
-      : params_(params), seed_(seed) {}
+      : params_(params),
+        seed_(seed),
+        base_state_(util::hash_words({seed, 0x4d4154524958ULL /* "MATRIX" */})) {
+    for (unsigned row = 1; row <= kPrefixRows; ++row) {
+      row_states_[row - 1] = util::hash_combine(base_state_, util::mix64(row));
+    }
+  }
 
   [[nodiscard]] const MatrixParams& params() const noexcept { return params_; }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
-  /// Is u ∈ M_{row, col mod ℓ}?  row is 1-based (1..rows).
+  /// Is u ∈ M_{row, col mod ℓ}?  row is 1-based (1..rows).  The bit is
+  /// hash_words({seed, "MATRIX", row, col mod ℓ, u}) having its top
+  /// row + ρ bits zero.
   [[nodiscard]] bool contains(unsigned row, std::uint64_t col, Station u) const noexcept {
     const std::uint64_t j = col % params_.ell;
-    const unsigned e = row + params_.rho(j);
+    return member(row, j, params_.rho(j), util::mix64(u));
+  }
+
+  /// contains() for a column j already reduced mod ℓ, its ρ = j mod window,
+  /// and the station pre-mixed as util::mix64(u) — the per-slot step of
+  /// the schedule emitters, which advance j and ρ one slot at a time and
+  /// mix their station once.
+  [[nodiscard]] bool member(unsigned row, std::uint64_t j, unsigned rho,
+                            std::uint64_t mixed_u) const noexcept {
+    const unsigned e = row + rho;
     if (e >= 64) return false;  // probability below 2^-63 — never fires
     const std::uint64_t h =
-        util::hash_words({seed_, 0x4d4154524958ULL /* "MATRIX" */, row, j, u});
+        util::hash_combine(util::hash_combine(row_state(row), util::mix64(j)), mixed_u);
     return (h >> (64 - e)) == 0;
   }
 
@@ -93,8 +114,21 @@ class LazyTransmissionMatrix {
   }
 
  private:
+  /// Rows whose hash prefix is precomputed: MatrixParams::make gives
+  /// rows = ceil(log2 n) <= 32 for any 32-bit n.
+  static constexpr unsigned kPrefixRows = 32;
+
+  /// hash_words({seed, "MATRIX", row}): hash_words has no finalizer, so
+  /// every membership hash of `row` continues from this state.
+  [[nodiscard]] std::uint64_t row_state(unsigned row) const noexcept {
+    return row - 1 < kPrefixRows ? row_states_[row - 1]
+                                 : util::hash_combine(base_state_, util::mix64(row));
+  }
+
   MatrixParams params_;
   std::uint64_t seed_;
+  std::uint64_t base_state_;  ///< hash_words({seed, "MATRIX"})
+  std::array<std::uint64_t, kPrefixRows> row_states_{};
 };
 
 /// Fully materialized matrix for small n: rows × ℓ transmission sets.

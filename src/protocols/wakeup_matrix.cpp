@@ -1,19 +1,35 @@
 #include "protocols/wakeup_matrix.hpp"
 
+#include <algorithm>
+
 namespace wakeup::proto {
 namespace {
 
-/// Tracks the row scan incrementally (transmits() is called with strictly
-/// increasing t, so no per-slot row search is needed).  Equivalence with
-/// the declarative MatrixParams::row_at is asserted in tests.
+/// Advances a column j < ℓ and its ρ = j mod window to the next slot
+/// without dividing.
+void next_column(const comb::MatrixParams& p, std::uint64_t& col, unsigned& rho) noexcept {
+  if (++col == p.ell) {
+    col = 0;
+    rho = 0;
+  } else if (++rho == p.window) {
+    rho = 0;
+  }
+}
+
+/// Tracks the row scan and the column incrementally: transmits() is called
+/// once for every slot from the wake on (the StationRuntime contract), so
+/// no per-slot row search or division is needed.  Equivalence with the
+/// declarative MatrixParams::row_at is asserted in tests.
 class WakeupMatrixRuntime final : public StationRuntime {
  public:
   WakeupMatrixRuntime(StationId u, Slot wake, const comb::LazyTransmissionMatrix& matrix)
-      : u_(u), matrix_(matrix) {
+      : mixed_u_(util::mix64(u)), matrix_(matrix) {
     const auto& p = matrix_.params();
     operative_ = p.mu(wake);
     row_ = 1;
     row_end_ = operative_ + static_cast<Slot>(p.m(1));
+    col_ = static_cast<std::uint64_t>(operative_) % p.ell;
+    rho_ = p.rho(col_);
   }
 
   [[nodiscard]] bool transmits(Slot t) override {
@@ -27,15 +43,19 @@ class WakeupMatrixRuntime final : public StationRuntime {
       }
       row_end_ += static_cast<Slot>(p.m(row_));
     }
-    return matrix_.contains(row_, static_cast<std::uint64_t>(t), u_);
+    const bool hit = matrix_.member(row_, col_, rho_, mixed_u_);
+    next_column(p, col_, rho_);
+    return hit;
   }
 
  private:
-  StationId u_;
+  std::uint64_t mixed_u_;
   const comb::LazyTransmissionMatrix& matrix_;
   Slot operative_ = 0;
   unsigned row_ = 1;
   Slot row_end_ = 0;
+  std::uint64_t col_ = 0;  ///< the next slot mod ℓ
+  unsigned rho_ = 0;       ///< col_ mod window
 };
 
 }  // namespace
@@ -60,6 +80,10 @@ void WakeupMatrixProtocol::schedule_block(StationId u, Slot wake, Slot from,
     const Slot skipped = ((t - operative) / scan) * scan;
     row_end += skipped;  // whole scans carry no row-state change
   }
+  // Column state at the first evaluated slot, then advanced per slot.
+  std::uint64_t col = static_cast<std::uint64_t>(std::max(from, operative)) % p.ell;
+  unsigned rho = p.rho(col);
+  const std::uint64_t mixed_u = util::mix64(u);
   for (std::size_t w = 0; w < n_words; ++w) {
     std::uint64_t word = 0;
     for (unsigned j = 0; j < 64; ++j, ++t) {
@@ -68,9 +92,8 @@ void WakeupMatrixProtocol::schedule_block(StationId u, Slot wake, Slot from,
         row = row < p.rows ? row + 1 : 1;  // wrap: restart the scan
         row_end += static_cast<Slot>(p.m(row));
       }
-      if (matrix_.contains(row, static_cast<std::uint64_t>(t), u)) {
-        word |= std::uint64_t{1} << j;
-      }
+      if (matrix_.member(row, col, rho, mixed_u)) word |= std::uint64_t{1} << j;
+      next_column(p, col, rho);
     }
     out_words[w] = word;
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "combinatorics/doubling_schedule.hpp"
@@ -139,6 +140,56 @@ TEST(ImplicitFamily, RandomizedBuilderIsCounterBased) {
   for (std::size_t j = 0; j < built.length(); ++j) {
     for (wc::Station u = 0; u < 96; ++u) {
       ASSERT_EQ(implicit->contains(j, u), built.transmits(u, j)) << "j=" << j << " u=" << u;
+    }
+  }
+}
+
+namespace {
+
+/// The randomized family's draw written out from scratch, with none of the
+/// family's cached stream state or pre-mixed stations: u ∈ set j iff the
+/// 53-bit uniform from hash_words({stream seed, j, u}) falls below 1/k.
+bool reference_randomized(std::uint64_t seed, std::uint32_t n, std::uint32_t k, std::size_t j,
+                          wc::Station u) {
+  k = std::min(k, n);
+  const std::uint64_t h = wu::hash_words({wc::detail::randomized_stream_seed(seed, n, k), j, u});
+  return static_cast<double>(h >> 11) * 0x1.0p-53 < 1.0 / static_cast<double>(k);
+}
+
+}  // namespace
+
+// contains, membership_word and build_randomized against the written-out
+// draw, so a change that moved realized bits consistently in all three
+// still fails here.
+TEST(ImplicitFamily, RandomizedMatchesReferenceDraw) {
+  for (const std::uint32_t n : {64u, 4096u}) {
+    for (const std::uint32_t k : {1u, 2u, 6u, 64u, 256u}) {
+      const std::uint64_t seed = wu::hash_words({n, k, 11});
+      const auto family = wc::make_implicit_family(wc::FamilyKind::kRandomized, n, k, seed);
+      const std::size_t length = family->length();
+      for (const wc::Station u : {0u, 1u, n / 3, n - 1}) {
+        for (std::size_t j = 0; j < length; ++j) {
+          ASSERT_EQ(family->contains(j, u), reference_randomized(seed, n, k, j, u))
+              << "n=" << n << " k=" << k << " j=" << j << " u=" << u;
+        }
+        for (std::size_t from = 0; from < length; from += from + 64 < length ? 29 : 1) {
+          const std::uint64_t word = family->membership_word(u, from);
+          const std::size_t end = std::min<std::size_t>(length - from, 64);
+          for (std::size_t j = 0; j < end; ++j) {
+            ASSERT_EQ((word >> j) & 1u, reference_randomized(seed, n, k, from + j, u) ? 1u : 0u)
+                << "n=" << n << " k=" << k << " from=" << from << " u=" << u << " j=" << j;
+          }
+        }
+      }
+      if (n > 64) continue;  // the materialized builder at small n only
+      const auto built = wc::build_randomized(n, k, wc::kDefaultRandomFamilyC, seed);
+      ASSERT_EQ(built.length(), length);
+      for (std::size_t j = 0; j < length; ++j) {
+        for (wc::Station u = 0; u < n; ++u) {
+          ASSERT_EQ(built.transmits(u, j), reference_randomized(seed, n, k, j, u))
+              << "n=" << n << " k=" << k << " j=" << j << " u=" << u;
+        }
+      }
     }
   }
 }

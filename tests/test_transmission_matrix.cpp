@@ -2,10 +2,54 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "protocols/wakeup_matrix.hpp"
+#include "util/rng.hpp"
 
 namespace wc = wakeup::comb;
+namespace wp = wakeup::proto;
+namespace wm = wakeup::mac;
 namespace wu = wakeup::util;
+
+namespace {
+
+/// The §5.3 membership bit written out from scratch, with none of the
+/// oracle's cached hash prefixes or incremental columns: u ∈ M_{row, col}
+/// iff hash_words({seed, "MATRIX", row, col mod ℓ, u}) has its top
+/// e = row + ρ(col mod ℓ) bits zero, and never when e >= 64.
+bool reference_member(const wc::MatrixParams& p, std::uint64_t seed, unsigned row,
+                      std::uint64_t col, wc::Station u) {
+  const std::uint64_t j = col % p.ell;
+  const unsigned e = row + static_cast<unsigned>(j % p.window);
+  if (e >= 64) return false;
+  return (wu::hash_words({seed, 0x4d4154524958ULL, row, j, u}) >> (64 - e)) == 0;
+}
+
+/// What station u woken at `wake` transmits at slot t: nothing before
+/// µ(wake), then the reference bit of the row MatrixParams::row_at names.
+bool reference_slot(const wc::MatrixParams& p, std::uint64_t seed, wm::Slot wake, wm::Slot t,
+                    wc::Station u) {
+  const auto row = p.row_at(wake, t);
+  return row.has_value() && reference_member(p, seed, *row, static_cast<std::uint64_t>(t), u);
+}
+
+/// Block starts that exercise every incremental state: slot 0, one block
+/// before the first row boundary and before the scan's wrap, past one full
+/// scan, and straddling ℓ.
+std::vector<wm::Slot> block_starts(const wc::MatrixParams& p, wm::Slot wake) {
+  const wm::Slot mu = p.mu(wake);
+  const auto scan = static_cast<wm::Slot>(p.total_scan());
+  const auto ell = static_cast<wm::Slot>(p.ell);
+  std::vector<wm::Slot> starts = {0, mu + static_cast<wm::Slot>(p.m(1)) - 64, mu + scan - 64,
+                                  mu + scan + 5, ell - 32};
+  for (auto& from : starts) from = std::max<wm::Slot>(from, 0);
+  return starts;
+}
+
+}  // namespace
 
 TEST(MatrixParams, DerivedQuantities) {
   const auto p = wc::MatrixParams::make(1024, 2);
@@ -158,5 +202,74 @@ TEST(DenseMatrix, CellSetsAreConsistent) {
   const auto& cell = dense.cell(1, 3);
   for (wc::Station u : cell.members()) {
     EXPECT_TRUE(lazy.contains(1, 3, u));
+  }
+}
+
+TEST(LazyMatrix, ContainsMatchesReferenceFormula) {
+  for (const std::uint32_t n : {2u, 8u, 37u, 256u, 4096u}) {
+    for (const unsigned c : {1u, 2u}) {
+      const auto p = wc::MatrixParams::make(n, c);
+      const std::uint64_t seed = wu::hash_words({n, c, 31});
+      const wc::LazyTransmissionMatrix matrix(p, seed);
+      // Rows past `rows` and past the prefix table stay answerable.
+      std::vector<unsigned> rows = {33, 40, 62, 63, 64, 70};
+      for (unsigned row = 1; row <= p.rows + 1; ++row) rows.push_back(row);
+      for (const unsigned row : rows) {
+        for (std::uint64_t col : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5},
+                                  p.ell - 1, p.ell, p.ell + 3, 7 * p.ell + 11}) {
+          for (std::uint64_t step = 0; step < 8; ++step, ++col) {
+            for (const wc::Station u : {0u, 1u, n / 2, n - 1}) {
+              ASSERT_EQ(matrix.contains(row, col, u), reference_member(p, seed, row, col, u))
+                  << "n=" << n << " c=" << c << " row=" << row << " col=" << col << " u=" << u;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Both emitters of protocol wakeup(u, σ) — the word-level schedule_block
+// and the slot-level runtime — against the written-out formula, so a change
+// that moved realized bits consistently in the oracle and both emitters
+// still fails here.
+TEST(LazyMatrix, EmittersMatchReferenceFormula) {
+  for (const std::uint32_t n : {2u, 8u, 37u, 256u, 4096u}) {
+    for (const unsigned c : {1u, 2u}) {
+      const wp::WakeupMatrixProtocol protocol(n, c, 1234);
+      const auto& p = protocol.matrix().params();
+      const std::uint64_t seed = protocol.matrix().seed();
+      for (const wm::Slot wake : {0, 1, 5, 129}) {
+        const auto starts = block_starts(p, wake);
+        for (const wc::Station u : {0u, n / 3, n - 1}) {
+          for (const wm::Slot from : starts) {
+            for (const std::size_t n_words : {1u, 3u, 8u}) {
+              std::vector<std::uint64_t> words(n_words, ~std::uint64_t{0});
+              protocol.schedule_block(u, wake, from, words.data(), n_words);
+              for (std::size_t b = 0; b < 64 * n_words; ++b) {
+                const wm::Slot t = from + static_cast<wm::Slot>(b);
+                ASSERT_EQ((words[b / 64] >> (b % 64)) & 1u,
+                          reference_slot(p, seed, wake, t, u) ? 1u : 0u)
+                    << "n=" << n << " c=" << c << " wake=" << wake << " u=" << u
+                    << " from=" << from << " n_words=" << n_words << " t=" << t;
+              }
+            }
+          }
+          // The runtime is stepped through every slot, as the interpreter
+          // does, and checked inside each 8-word block.
+          auto runtime = protocol.make_runtime(u, wake);
+          const wm::Slot horizon = *std::max_element(starts.begin(), starts.end()) + 512;
+          for (wm::Slot t = wake; t < horizon; ++t) {
+            const bool bit = runtime->transmits(t);
+            const bool checked = std::any_of(starts.begin(), starts.end(), [t](wm::Slot from) {
+              return t >= from && t < from + 512;
+            });
+            if (!checked) continue;
+            ASSERT_EQ(bit, reference_slot(p, seed, wake, t, u))
+                << "n=" << n << " c=" << c << " wake=" << wake << " u=" << u << " t=" << t;
+          }
+        }
+      }
+    }
   }
 }
