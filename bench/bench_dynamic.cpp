@@ -1,12 +1,16 @@
-/// D — dynamic traffic: sustained-load slots/sec of the reference dynamic
-/// slot loop vs the word-parallel still-backlogged batch engine.
+/// D — dynamic traffic: sustained-load slots/sec of the event-driven
+/// dynamic interpreter vs the word-parallel still-backlogged batch engine.
 ///
 /// The acceptance cell is round_robin at n = 2^14 under poisson traffic —
-/// the interpreter pays one virtual transmits() per backlogged station per
-/// slot while the batch engine reads 64-slot schedule words — gated at
-/// >= 3x.  The other cells show the win across arrival shapes and the
-/// contended small-n regime where segments with live transmitters bound
-/// the word-level fast path.
+/// oblivious protocols run on the interpreter through per-packet runtimes,
+/// which keep the default next_event and so pay a virtual transmits() per
+/// backlogged station per slot, while the batch engine reads 64-slot
+/// schedule words — gated at >= 3x.  The other batch cells show the win
+/// across arrival shapes and the contended small-n regime where segments
+/// with live transmitters bound the word-level fast path.  The last rows
+/// are report-only interpreter rates of the per-packet re-contenders at the
+/// dynamic-throughput preset's shape (n = 256, k = 16, horizon 2048), which
+/// only the interpreter can run and which visit only their event slots.
 ///
 /// Usage: bench_dynamic [--quick]   (--quick shrinks horizons/trials for
 /// CI-sized runs; the gate then applies to the shrunk cells)
@@ -68,7 +72,7 @@ int main(int argc, char** argv) {
   const mac::Slot horizon = quick ? 1 << 12 : 1 << 14;
   const std::uint64_t trials = quick ? 4 : 12;
 
-  const std::vector<DynamicCell> cells = {
+  std::vector<DynamicCell> cells = {
       // The acceptance cell: big sparse universe, light memoryless load.
       {"round_robin", 1 << 14, 64, "poisson:0.2", horizon, trials, true},
       // Arrival-shape spread on the same universe.
@@ -79,6 +83,13 @@ int main(int argc, char** argv) {
       // Contended small-n regime: every slot has live transmitters.
       {"wakeup_matrix", 512, 32, "poisson:0.6", horizon, trials},
   };
+  // Interpreter-only: the re-contenders at the dynamic-throughput preset's
+  // shape, under its heaviest Poisson point and its bursty point.
+  for (const char* name : {"binary_backoff", "slotted_aloha", "adaptive_cw"}) {
+    for (const char* arrival : {"poisson:0.8", "bursty:0.4:0.05"}) {
+      cells.push_back({name, 256, 16, arrival, 2048, trials});
+    }
+  }
 
   wakeup::bench::JsonReport json("dynamic");
   json.config("quick", quick);
@@ -100,8 +111,24 @@ int main(int argc, char** argv) {
     spec.seed = 20130522;
     const auto protocol = proto::make_protocol_by_name(spec);
 
+    if (!sim::dynamic_batch_supports(*protocol)) {
+      const auto interp = measure(*protocol, /*batch=*/false, cell);
+      std::printf("%-14s %6u %4u %-16s | %13.3e %13s | %7s\n", cell.protocol.c_str(), cell.n,
+                  cell.k, cell.arrival, interp.slots_per_sec, "-", "-");
+      json.row({{"protocol", cell.protocol},
+                {"n", cell.n},
+                {"k", cell.k},
+                {"arrival", std::string(cell.arrival)},
+                {"horizon", static_cast<std::uint64_t>(cell.horizon)},
+                {"trials", cell.trials},
+                {"interp_slots_per_sec", interp.slots_per_sec},
+                {"delivered", interp.delivered},
+                {"gated", false}});
+      continue;
+    }
+
     // Bit-identity on one trial before timing — a fast batch engine that
-    // disagrees with the reference loop measures nothing.
+    // disagrees with the interpreter measures nothing.
     {
       util::Rng rng(util::hash_words({0x44594eULL, std::uint64_t{0}}));
       const auto scenario = mac::arrivals::generate(mac::ArrivalSpec::parse(cell.arrival),

@@ -33,6 +33,41 @@ double parse_param(const std::string& text, const std::string& spec) {
                               "pareto:ALPHA[:RATE] | replay)");
 }
 
+bool arrives_before(const Arrival& a, const Arrival& b) noexcept {
+  return a.wake != b.wake ? a.wake < b.wake : a.station < b.station;
+}
+
+/// Sorts by (slot, station) as a bottom-up natural merge: the maximal
+/// ascending runs are merged pairwise until one is left, O(P log r) for r
+/// runs.  Generated scenarios arrive as one ascending run per station, so
+/// r <= k; a shuffled replay degrades to an ordinary merge sort.  Packets
+/// with equal keys are equal, so the result is the one std::sort gives.
+void sort_by_arrival(std::vector<Arrival>& packets) {
+  std::vector<std::size_t> bounds = {0};
+  for (std::size_t i = 1; i < packets.size(); ++i) {
+    if (arrives_before(packets[i], packets[i - 1])) bounds.push_back(i);
+  }
+  if (bounds.size() == 1) return;  // already sorted
+  bounds.push_back(packets.size());
+
+  std::vector<Arrival> buffer(packets.size());
+  Arrival* src = packets.data();
+  Arrival* dst = buffer.data();
+  while (bounds.size() > 2) {
+    std::size_t kept = 1;
+    for (std::size_t r = 0; r + 1 < bounds.size(); r += 2) {
+      const std::size_t lo = bounds[r];
+      const std::size_t mid = bounds[r + 1];
+      const std::size_t hi = r + 2 < bounds.size() ? bounds[r + 2] : mid;
+      std::merge(src + lo, src + mid, src + mid, src + hi, dst + lo, arrives_before);
+      bounds[kept++] = hi;
+    }
+    bounds.resize(kept);
+    std::swap(src, dst);
+  }
+  if (src != packets.data()) packets.swap(buffer);
+}
+
 }  // namespace
 
 std::string ArrivalSpec::name() const {
@@ -99,9 +134,7 @@ DynamicScenario::DynamicScenario(std::uint32_t n, Slot horizon, std::vector<Arri
     if (p.wake < 0 || p.wake >= horizon_)
       throw std::invalid_argument("DynamicScenario: packet arrival outside [0, horizon)");
   }
-  std::sort(packets_.begin(), packets_.end(), [](const Arrival& a, const Arrival& b) {
-    return a.wake != b.wake ? a.wake < b.wake : a.station < b.station;
-  });
+  sort_by_arrival(packets_);
   util::DynamicBitset seen(n_);
   for (const Arrival& p : packets_) seen.set(p.station);
   for (StationId u = 0; u < n_; ++u) {

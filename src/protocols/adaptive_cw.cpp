@@ -36,6 +36,12 @@ class CwWindow {
 
   void on_delivery() { cw_ = std::max<std::uint64_t>(cw_ / 2, cw_min_); }
 
+  /// From slot t on, the first slot `transmits` must see: the pick if it is
+  /// still ahead, else the window's end (which reopens); never before t.
+  [[nodiscard]] Slot next_event(Slot t) const {
+    return std::max(t, pick_ >= t ? pick_ : window_end_);
+  }
+
  private:
   std::uint32_t cw_min_;
   std::uint64_t cw_max_;
@@ -68,6 +74,11 @@ class AdaptiveCwStation final : public DynamicStation {
         epoch_end_(config.epoch) {}
 
   void packet_start(Slot start) override { window_.open(start, penalty_); }
+
+  /// The window's next event, or the epoch's end, where feedback settles.
+  [[nodiscard]] Slot next_event(Slot t, Slot limit) override {
+    return std::min({window_.next_event(t), std::max(t, epoch_end_), limit});
+  }
 
   [[nodiscard]] bool transmits(Slot t) override { return window_.transmits(t, penalty_); }
 

@@ -1,5 +1,7 @@
 #include "protocols/backoff.hpp"
 
+#include <algorithm>
+
 #include "util/rng.hpp"
 
 namespace wakeup::proto {
@@ -58,6 +60,11 @@ class BackoffStation final : public DynamicStation {
   }
 
   void packet_start(Slot start) override { open_window(start); }
+
+  /// The pick if it is still ahead, else the window's end (which reopens).
+  [[nodiscard]] Slot next_event(Slot t, Slot limit) override {
+    return std::min(std::max(t, pick_ >= t ? pick_ : window_end_), limit);
+  }
 
   [[nodiscard]] bool transmits(Slot t) override {
     if (t >= window_end_) {

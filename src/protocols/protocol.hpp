@@ -60,17 +60,33 @@ class StationRuntime {
 /// fairness state across packets.
 ///
 /// Contract: the owner calls `packet_start(s)` whenever a new head-of-line
-/// packet begins contending at slot s (including the first), then
-/// `transmits(t)` exactly once for every slot t >= s while the station is
-/// backlogged, in strictly increasing order, with `feedback(t, ...)` after
-/// `transmits(t)`.  While the queue is empty no calls are made; the next
-/// `packet_start` resumes at a strictly later slot.
+/// packet begins contending at slot s (including the first), then visits
+/// slots t >= s in strictly increasing order while the station is
+/// backlogged: `transmits(t)`, then `feedback(t, ...)`.  The owner may skip
+/// every slot before `next_event`: a skipped slot gets no `transmits` call,
+/// and its `feedback` only when the slot was a success (another station's,
+/// so `delivered` is false) — successes are always delivered, and the owner
+/// asks `next_event` again afterwards.  While the queue is empty no calls
+/// are made; the next `packet_start` resumes at a strictly later slot.
 class DynamicStation {
  public:
   virtual ~DynamicStation() = default;
 
   /// A new head-of-line packet starts contending at slot `start`.
   virtual void packet_start(Slot start) = 0;
+
+  /// The first slot in [t, limit) at which `transmits` may return true or
+  /// a `transmits` + `feedback(kNothing, false)` pair may change state, or
+  /// `limit` when there is none (the owner visits no slot >= limit: it is
+  /// the horizon or the station's crash cutoff).  Asking changes nothing
+  /// the station does: an answer may draw its randomness ahead, but every
+  /// later call behaves as if each slot had been visited.  The owner may
+  /// ask again from a slot it already asked from.  The default, `t`, asks
+  /// for every slot.
+  [[nodiscard]] virtual Slot next_event(Slot t, Slot limit) {
+    (void)limit;
+    return t;
+  }
 
   /// Does this station transmit in slot t?
   [[nodiscard]] virtual bool transmits(Slot t) = 0;

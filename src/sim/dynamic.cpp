@@ -1,6 +1,8 @@
 #include "sim/dynamic.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -63,6 +65,32 @@ struct StationQueues {
   }
 };
 
+constexpr mac::Slot kIdle = -1;
+constexpr mac::Slot kNever = std::numeric_limits<mac::Slot>::max();
+
+/// One scenario station in the event loop.
+struct Active {
+  const std::vector<mac::Slot>* arr = nullptr;  ///< this station's arrival slots
+  std::size_t head = 0;                         ///< delivered packets
+  /// First slot at which the station no longer follows the protocol: the
+  /// horizon, an earlier crash cutoff, or 0 for a byzantine station.
+  mac::Slot end = 0;
+  /// Start of the current backlogged span; kIdle while the queue is empty.
+  mac::Slot busy_since = kIdle;
+  std::unique_ptr<proto::DynamicStation> dyn;
+
+  /// The slot to visit for an event at `event`: kNever from `end` on.
+  [[nodiscard]] mac::Slot visit(mac::Slot event) const noexcept {
+    return event < end ? event : kNever;
+  }
+  /// The next visit of a backlogged station, from slot t on.
+  [[nodiscard]] mac::Slot next_visit(mac::Slot t) const { return visit(dyn->next_event(t, end)); }
+  /// While idle, the next visit is the arrival that refills the queue.
+  [[nodiscard]] mac::Slot next_arrival() const noexcept {
+    return head < arr->size() ? visit((*arr)[head]) : kNever;
+  }
+};
+
 }  // namespace
 
 DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
@@ -80,118 +108,145 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
   }
 
   const StationQueues queues(scenario);
-
-  struct Active {
-    mac::StationId id;
-    std::size_t index;                     ///< into result arrays
-    const std::vector<mac::Slot>* arr;     ///< this station's arrival slots
-    std::size_t admitted = 0;              ///< arrivals with slot <= current t
-    std::size_t head = 0;                  ///< delivered packets
-    mac::Slot crash_cutoff = -1;           ///< silent from this slot; -1 = never
-    bool byzantine = false;                ///< never follows the protocol
-    std::unique_ptr<proto::DynamicStation> dyn;
-
-    [[nodiscard]] bool backlogged() const noexcept { return head < admitted; }
-    /// Still follows the protocol at slot t (crash is permanent, byzantine
-    /// never followed it in the first place).
-    [[nodiscard]] bool follows(mac::Slot t) const noexcept {
-      return !byzantine && (crash_cutoff < 0 || t < crash_cutoff);
-    }
-  };
-
-  std::vector<Active> stations;
-  stations.reserve(queues.ids.size());
-  for (std::size_t i = 0; i < queues.ids.size(); ++i) {
-    Active st;
-    st.id = queues.ids[i];
-    st.index = i;
+  const mac::Slot horizon = scenario.horizon();
+  const std::size_t m = queues.ids.size();
+  std::vector<Active> stations(m);
+  // next[i]: the next slot at which station i must be visited — its own
+  // next_event, or the arrival into its empty queue.
+  std::vector<mac::Slot> next(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    Active& st = stations[i];
+    const mac::StationId id = queues.ids[i];
     st.arr = &queues.slots[i];
+    st.end = horizon;
     if (plan != nullptr) {
-      st.crash_cutoff = plan->crash_cutoff(st.id);
-      st.byzantine = plan->is_byzantine(st.id);
+      // Faulty stations still accumulate arrivals — their packets strand in
+      // the backlog — but no longer drive their protocol state.
+      const mac::Slot cutoff = plan->crash_cutoff(id);
+      if (cutoff >= 0) st.end = std::min(st.end, cutoff);
+      if (plan->is_byzantine(id)) st.end = 0;
     }
-    st.dyn = protocol.make_dynamic_station(st.id);
-    if (st.dyn == nullptr) st.dyn = std::make_unique<PerPacketStation>(protocol, st.id);
-    stations.push_back(std::move(st));
+    st.dyn = protocol.make_dynamic_station(id);
+    if (st.dyn == nullptr) st.dyn = std::make_unique<PerPacketStation>(protocol, id);
+    next[i] = st.next_arrival();
   }
 
-  mac::Channel channel(mac::FeedbackModel::kNone);
-  std::vector<Active*> transmitters;
-  const mac::Slot horizon = scenario.horizon();
-  std::uint64_t silences = 0, collisions = 0, delivered = 0;
+  std::uint64_t silences = 0, collisions = 0;
+  // Slots between visits have no transmitter: silences, or collisions
+  // where the plan corrupts them.
+  const auto charge_quiet = [&](mac::Slot from, mac::Slot to) {
+    const std::uint64_t corrupt = plan != nullptr ? plan->corrupted_in(from, to) : 0;
+    collisions += corrupt;
+    silences += static_cast<std::uint64_t>(to - from) - corrupt;
+  };
+  mac::Slot quiet_from = 0;
+  // Per visited slot: the stations due, then those asked to transmit.
+  std::vector<std::size_t> due(m), asked(m);
+  // Bit i: station i is backlogged (busy_since != kIdle).
+  std::vector<std::uint64_t> busy((m + 63) / 64, 0);
 
-  for (mac::Slot t = 0; t < horizon; ++t) {
-    // Admit this slot's arrivals; a station going from empty to backlogged
-    // starts contending immediately (its packet may transmit at t).  Faulty
-    // stations still accumulate arrivals — their packets strand in the
-    // backlog — but no longer drive their protocol state.
-    for (Active& st : stations) {
-      const auto& arr = *st.arr;
-      const bool was_backlogged = st.backlogged();
-      while (st.admitted < arr.size() && arr[st.admitted] == t) ++st.admitted;
-      if (!was_backlogged && st.backlogged() && st.follows(t)) st.dyn->packet_start(t);
+  while (true) {
+    mac::Slot t = kNever;
+    for (const mac::Slot s : next) t = std::min(t, s);
+    if (t >= horizon) break;
+    charge_quiet(quiet_from, t);
+    quiet_from = t + 1;
+
+    std::size_t n_due = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      due[n_due] = i;
+      n_due += next[i] == t ? 1 : 0;
     }
 
-    transmitters.clear();
-    for (Active& st : stations) {
-      if (st.backlogged() && st.follows(t) && st.dyn->transmits(t)) {
-        transmitters.push_back(&st);
-        if (energy != EnergyModel::kOff) ++result.station_transmits[st.index];
+    // An arrival into an empty queue starts its packet, which may transmit
+    // at once; the other due stations are mid-contention.
+    std::size_t n_asked = 0, transmitters = 0, sender = 0;
+    for (std::size_t d = 0; d < n_due; ++d) {
+      const std::size_t i = due[d];
+      Active& st = stations[i];
+      if (st.busy_since == kIdle) {
+        st.busy_since = t;
+        busy[i / 64] |= std::uint64_t{1} << (i % 64);
+        st.dyn->packet_start(t);
+        next[i] = st.next_visit(t);
+        if (next[i] != t) continue;
+      }
+      asked[n_asked++] = i;
+      if (st.dyn->transmits(t)) {
+        ++transmitters;
+        sender = i;
+        if (energy != EnergyModel::kOff) ++result.station_transmits[i];
       }
     }
-    if (energy != EnergyModel::kOff) {
-      // Counted per slot, deliberately independent of the batch engine's
-      // arithmetic-span + lazy-popcount derivation (tested bit-identical).
-      // listen:all keeps every live receiver on for the whole horizon;
-      // listen:until_woken powers it only while the queue is backlogged.
-      for (const Active& st : stations) {
-        if (!st.follows(t)) continue;
-        if (energy == EnergyModel::kListenAll || st.backlogged()) {
-          ++result.station_energy[st.index];
-        }
+
+    const mac::SlotOutcome outcome = plan != nullptr
+                                         ? plan->effective_outcome(t, transmitters)
+                                         : mac::resolve_slot(transmitters);
+    if (outcome != mac::SlotOutcome::kSuccess) {
+      ++(outcome == mac::SlotOutcome::kSilence ? silences : collisions);
+      for (std::size_t a = 0; a < n_asked; ++a) {
+        Active& st = stations[asked[a]];
+        st.dyn->feedback(t, mac::ChannelFeedback::kNothing, false);
+        next[asked[a]] = st.next_visit(t + 1);
+      }
+      continue;
+    }
+
+    // A success reaches every backlogged, following station — adaptive
+    // stations count the successes they hear — and each asks again.
+    for (std::size_t w = 0; w < busy.size(); ++w) {
+      for (std::uint64_t bits = busy[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t i = 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+        Active& st = stations[i];
+        if (t >= st.end) continue;
+        st.dyn->feedback(t, mac::ChannelFeedback::kSuccess, i == sender);
+        if (i != sender) next[i] = st.next_visit(t + 1);
       }
     }
 
-    mac::SlotOutcome outcome;
-    if (plan != nullptr) {
-      outcome = plan->effective_outcome(t, transmitters.size());
-      switch (outcome) {
-        case mac::SlotOutcome::kSilence:
-          ++silences;
-          break;
-        case mac::SlotOutcome::kSuccess:
-          ++delivered;
-          break;
-        case mac::SlotOutcome::kCollision:
-          ++collisions;
-          break;
+    Active& st = stations[sender];
+    const std::vector<mac::Slot>& arr = *st.arr;
+    result.latency.push_back(static_cast<double>(t - arr[st.head] + 1));
+    ++result.delivered_per_station[sender];
+    ++st.head;
+    if (energy == EnergyModel::kListenUntilWoken) {
+      result.station_energy[sender] += static_cast<std::uint64_t>(t - st.busy_since + 1);
+    }
+    if (st.head < arr.size() && arr[st.head] <= t) {
+      // The next head-of-line packet is already queued: it re-contends
+      // from the following slot.
+      st.busy_since = t + 1;
+      next[sender] = kNever;
+      if (t + 1 < st.end) {
+        st.dyn->packet_start(t + 1);
+        next[sender] = st.next_visit(t + 1);
       }
     } else {
-      outcome = channel.transmit(transmitters.size());
+      st.busy_since = kIdle;
+      busy[sender / 64] &= ~(std::uint64_t{1} << (sender % 64));
+      next[sender] = st.next_arrival();
     }
-    const mac::ChannelFeedback fb = channel.feedback(outcome);
-    Active* winner =
-        outcome == mac::SlotOutcome::kSuccess ? transmitters.front() : nullptr;
-    for (Active& st : stations) {
-      if (st.backlogged() && st.follows(t)) st.dyn->feedback(t, fb, &st == winner);
-    }
+  }
+  charge_quiet(quiet_from, horizon);
 
-    if (winner != nullptr) {
-      result.latency.push_back(
-          static_cast<double>(t - (*winner->arr)[winner->head] + 1));
-      ++result.delivered_per_station[winner->index];
-      ++winner->head;
-      // The next head-of-line packet (if already queued) re-contends from
-      // the following slot.
-      if (winner->backlogged() && winner->follows(t + 1)) {
-        winner->dyn->packet_start(t + 1);
+  if (energy != EnergyModel::kOff) {
+    // Listen components over spans.  listen:all keeps every following
+    // receiver on until its end; listen:until_woken powers it only while
+    // the queue is backlogged — delivered packets paid their spans above,
+    // a still-backlogged head pays from its span's start to its end.
+    for (std::size_t i = 0; i < m; ++i) {
+      const Active& st = stations[i];
+      if (energy == EnergyModel::kListenAll) {
+        result.station_energy[i] = static_cast<std::uint64_t>(st.end);
+      } else if (st.busy_since != kIdle && st.busy_since < st.end) {
+        result.station_energy[i] += static_cast<std::uint64_t>(st.end - st.busy_since);
       }
     }
   }
 
-  result.silences = plan != nullptr ? silences : channel.silences();
-  result.collisions = plan != nullptr ? collisions : channel.collisions();
-  result.delivered = plan != nullptr ? delivered : channel.successes();
+  result.silences = silences;
+  result.collisions = collisions;
+  result.delivered = static_cast<std::uint64_t>(result.latency.size());
   result.backlog = result.arrivals - result.delivered;
   return result;
 }

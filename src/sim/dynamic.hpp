@@ -14,9 +14,15 @@
 ///
 /// Two engines with bit-identical results (tests/test_dynamic_engine.cpp):
 ///
-///  - `run_dynamic_interpreter` — the reference slot loop; works for every
-///    protocol, including the adaptive re-contenders
-///    (`proto::DynamicStation`).
+///  - `run_dynamic_interpreter` — the event-driven station loop; works for
+///    every protocol, including the adaptive re-contenders
+///    (`proto::DynamicStation`).  It jumps from event to event: a slot is
+///    visited only when some station's `next_event` or an arrival into an
+///    empty queue falls on it, and the skipped slots are charged in bulk.
+///    Stations keeping the default `next_event` (every oblivious protocol,
+///    through its per-packet runtimes) are visited on every backlogged
+///    slot.  The test file keeps a per-slot loop, with per-slot copies of
+///    the re-contenders, as the reference the skipping is checked against.
 ///  - `run_dynamic_batch` — the word-parallel engine for oblivious
 ///    protocols.  It generalizes the batch engines' full-resolution drain
 ///    into a *still-backlogged mask*: each scenario station owns one row of
@@ -61,9 +67,10 @@ struct DynamicResult {
   /// (the receiver stays on); kListenUntilWoken charges only backlogged
   /// slots.  Crashed stations stop paying at their cutoff; byzantine
   /// stations never followed the protocol and pay 0.  `station_transmits`
-  /// is the transmit-slot component — counted per slot by the interpreter,
-  /// by lazy row popcounts in the batch engine (independent derivations,
-  /// and the defaulted operator== below makes engine parity cover them).
+  /// is the transmit-slot component — counted at transmit events by the
+  /// interpreter, by lazy row popcounts in the batch engine (independent
+  /// derivations, and the defaulted operator== below makes engine parity
+  /// cover them).  Both engines close the listen component over spans.
   std::vector<std::uint64_t> station_energy;
   std::vector<std::uint64_t> station_transmits;
 
@@ -80,7 +87,7 @@ struct DynamicResult {
   [[nodiscard]] bool operator==(const DynamicResult&) const = default;
 };
 
-/// Reference dynamic slot loop — works for every protocol.  Protocols
+/// Event-driven dynamic loop — works for every protocol.  Protocols
 /// overriding `make_dynamic_station` carry state across packets; all others
 /// re-contend each packet on a fresh `make_runtime(u, start)`.
 ///

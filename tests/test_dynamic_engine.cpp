@@ -1,18 +1,25 @@
 /// Dynamic-traffic layer: arrival-spec grammar round-trips, scenario
 /// generation determinism, queue-conservation invariants, and — the heart
 /// of the file — bit-identity of the word-parallel still-backlogged batch
-/// engine against the reference dynamic slot loop across protocols ×
-/// arrival kinds × tile widths × forced-scalar kernels.
+/// engine against the event-driven interpreter across protocols × arrival
+/// kinds × tile widths × forced-scalar kernels, and of the interpreter's
+/// re-contenders against a per-slot reference loop.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "mac/channel.hpp"
+#include "protocols/adaptive_cw.hpp"
 #include "protocols/registry.hpp"
 #include "sim/batch_engine.hpp"
 #include "sim/dynamic.hpp"
+#include "sim/impairment_engine.hpp"
 #include "sim/run.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -161,6 +168,22 @@ TEST(DynamicScenario, ValidatesAndSortsPackets) {
                                                       : a.station < b.station;
                              }));
   EXPECT_EQ(s.stations(), (std::vector<wu::mac::StationId>{1, 3}));
+
+  // Many runs, duplicate packets, an odd run count: the same order
+  // std::sort gives.
+  std::vector<wu::mac::Arrival> shuffled;
+  wu::util::Rng rng(5);
+  for (int i = 0; i < 301; ++i) {
+    shuffled.push_back({static_cast<wu::mac::StationId>(rng.uniform(7)),
+                        static_cast<wu::mac::Slot>(rng.uniform(40))});
+  }
+  std::vector<wu::mac::Arrival> sorted = shuffled;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const wu::mac::Arrival& a, const wu::mac::Arrival& b) {
+              return a.wake != b.wake ? a.wake < b.wake : a.station < b.station;
+            });
+  EXPECT_EQ(DynamicScenario(8, 40, shuffled).packets(), sorted);
+
   EXPECT_THROW(DynamicScenario(8, 16, {{9, 0}}), std::invalid_argument);   // station >= n
   EXPECT_THROW(DynamicScenario(8, 16, {{1, 16}}), std::invalid_argument);  // slot >= horizon
   EXPECT_THROW(DynamicScenario(8, 0, {}), std::invalid_argument);          // horizon
@@ -243,6 +266,415 @@ TEST(DynamicEngine, InterpreterServesAdaptiveRecontenders) {
                  std::invalid_argument)
         << name;
   }
+}
+
+// ------------------------------------------ per-slot re-contender reference --
+//
+// A per-slot dynamic loop and per-slot bodies of the three re-contender
+// stations, seeded as the registry seeds them: every slot visits every
+// backlogged station, and energy is counted slot by slot.  The event-driven
+// interpreter skips the slots before each station's next_event; these pin
+// that it reproduces the per-slot semantics bit for bit.
+
+namespace per_slot {
+
+namespace mac = wu::mac;
+namespace proto = wu::proto;
+namespace util = wu::util;
+using proto::ChannelFeedback;
+using proto::DynamicStation;
+using proto::Slot;
+using wu::sim::DynamicResult;
+using wu::sim::EnergyModel;
+using wu::sim::ImpairmentPlan;
+
+class BackoffStation final : public DynamicStation {
+ public:
+  BackoffStation(std::uint32_t initial_window, unsigned max_window_log2, util::Rng rng)
+      : initial_window_(initial_window), max_window_log2_(max_window_log2), rng_(rng) {
+    window_ = initial_window_;
+  }
+
+  void packet_start(Slot start) override { open_window(start); }
+
+  [[nodiscard]] bool transmits(Slot t) override {
+    if (t >= window_end_) {
+      if (window_ < (std::uint64_t{1} << max_window_log2_)) window_ *= 2;
+      open_window(window_end_);
+      // Idle gaps (empty queue) can leave window_end_ far behind t; those
+      // skipped windows saw no traffic from us, so they do not double.
+      while (t >= window_end_) open_window(window_end_);
+    }
+    return t == pick_;
+  }
+
+  void feedback(Slot t, ChannelFeedback fb, bool delivered) override {
+    (void)t;
+    (void)fb;
+    if (delivered) window_ = std::max<std::uint64_t>(window_ / 2, initial_window_);
+  }
+
+ private:
+  void open_window(Slot start) {
+    window_end_ = start + static_cast<Slot>(window_);
+    pick_ = start + static_cast<Slot>(rng_.uniform(window_));
+  }
+
+  std::uint32_t initial_window_;
+  unsigned max_window_log2_;
+  std::uint64_t window_;
+  Slot window_end_ = 0;
+  Slot pick_ = 0;
+  util::Rng rng_;
+};
+
+class AlohaStation final : public DynamicStation {
+ public:
+  AlohaStation(double p, util::Rng rng) : p_(p), rng_(rng) {}
+
+  void packet_start(Slot start) override { (void)start; }
+
+  [[nodiscard]] bool transmits(Slot t) override {
+    (void)t;
+    return rng_.bernoulli(p_);
+  }
+
+ private:
+  double p_;
+  util::Rng rng_;
+};
+
+class CwWindow {
+ public:
+  CwWindow(std::uint32_t cw_min, unsigned cw_max_log2, util::Rng rng)
+      : cw_min_(std::max<std::uint32_t>(1, cw_min)),
+        cw_max_(std::uint64_t{1} << (cw_max_log2 > 30 ? 30 : cw_max_log2)),
+        cw_(cw_min_),
+        rng_(rng) {}
+
+  void open(Slot start, unsigned penalty) {
+    const std::uint64_t effective = std::min<std::uint64_t>(cw_ << penalty, cw_max_);
+    window_end_ = start + static_cast<Slot>(effective);
+    pick_ = start + static_cast<Slot>(rng_.uniform(effective));
+  }
+
+  bool transmits(Slot t, unsigned penalty) {
+    if (t >= window_end_) {
+      cw_ = std::min<std::uint64_t>(cw_ * 2, cw_max_);
+      open(window_end_, penalty);
+      while (t >= window_end_) open(window_end_, penalty);
+    }
+    return t == pick_;
+  }
+
+  void on_delivery() { cw_ = std::max<std::uint64_t>(cw_ / 2, cw_min_); }
+
+ private:
+  std::uint32_t cw_min_;
+  std::uint64_t cw_max_;
+  std::uint64_t cw_;
+  Slot window_end_ = 0;
+  Slot pick_ = 0;
+  util::Rng rng_;
+};
+
+class AdaptiveCwStation final : public DynamicStation {
+ public:
+  AdaptiveCwStation(const proto::AdaptiveCwProtocol::Config& config, util::Rng rng)
+      : config_(config),
+        window_(config.cw_min, config.cw_max_log2, rng),
+        epoch_end_(config.epoch) {}
+
+  void packet_start(Slot start) override { window_.open(start, penalty_); }
+
+  [[nodiscard]] bool transmits(Slot t) override { return window_.transmits(t, penalty_); }
+
+  void feedback(Slot t, ChannelFeedback fb, bool delivered) override {
+    if (fb == ChannelFeedback::kSuccess) {
+      ++heard_in_epoch_;
+      if (delivered) {
+        ++own_in_epoch_;
+        window_.on_delivery();
+      }
+    }
+    if (t >= epoch_end_) {
+      settle_epoch();
+      epoch_end_ = t + config_.epoch;
+    }
+  }
+
+ private:
+  void settle_epoch() {
+    if (heard_in_epoch_ >= 4) {
+      const double share =
+          static_cast<double>(own_in_epoch_) / static_cast<double>(heard_in_epoch_);
+      const double target = 1.0 / static_cast<double>(std::max<std::uint32_t>(1, config_.k));
+      if (share > target * (1.0 + config_.tolerance)) {
+        penalty_ = std::min(penalty_ + 1, 4u);
+      } else if (share < target / (1.0 + config_.tolerance) && penalty_ > 0) {
+        --penalty_;
+      }
+    }
+    own_in_epoch_ = 0;
+    heard_in_epoch_ = 0;
+  }
+
+  proto::AdaptiveCwProtocol::Config config_;
+  CwWindow window_;
+  unsigned penalty_ = 0;
+  Slot epoch_end_;
+  std::uint64_t own_in_epoch_ = 0;
+  std::uint64_t heard_in_epoch_ = 0;
+};
+
+/// The stations as the registry seeds them for (name, k, seed).
+std::unique_ptr<DynamicStation> make_station(const std::string& name, std::uint32_t k,
+                                             std::uint64_t seed, mac::StationId u) {
+  if (name == "binary_backoff") {
+    util::Rng rng(util::hash_words({seed, 0x44424f4646ULL /* "DBOFF" */, u}));
+    return std::make_unique<BackoffStation>(2, 20, rng);
+  }
+  if (name == "slotted_aloha") {
+    util::Rng rng(util::hash_words({seed, 0x44414c4f4841ULL /* "DALOHA" */, u}));
+    return std::make_unique<AlohaStation>(1.0 / static_cast<double>(k < 1 ? 1 : k), rng);
+  }
+  proto::AdaptiveCwProtocol::Config config;
+  config.k = std::max<std::uint32_t>(1, k);
+  config.seed = seed;
+  util::Rng rng(util::hash_words({seed, 0x414357ULL /* "ACW" */, u}));
+  return std::make_unique<AdaptiveCwStation>(config, rng);
+}
+
+struct StationQueues {
+  std::vector<mac::StationId> ids;            // ascending
+  std::vector<std::vector<mac::Slot>> slots;  // per station, ascending
+
+  explicit StationQueues(const mac::DynamicScenario& scenario) : ids(scenario.stations()) {
+    slots.resize(ids.size());
+    for (const mac::Arrival& p : scenario.packets()) {
+      const auto it = std::lower_bound(ids.begin(), ids.end(), p.station);
+      slots[static_cast<std::size_t>(it - ids.begin())].push_back(p.wake);
+    }
+  }
+};
+
+using StationFactory = std::function<std::unique_ptr<DynamicStation>(mac::StationId)>;
+
+DynamicResult run(const StationFactory& make_dynamic_station,
+                  const mac::DynamicScenario& scenario, const ImpairmentPlan* plan,
+                  EnergyModel energy) {
+  DynamicResult result;
+  result.horizon = scenario.horizon();
+  result.arrivals = scenario.packets_total();
+  result.stations = scenario.stations();
+  result.delivered_per_station.assign(result.stations.size(), 0);
+  if (plan != nullptr && plan->clean()) plan = nullptr;
+  if (energy != EnergyModel::kOff) {
+    result.station_energy.assign(result.stations.size(), 0);
+    result.station_transmits.assign(result.stations.size(), 0);
+  }
+
+  const StationQueues queues(scenario);
+
+  struct Active {
+    mac::StationId id;
+    std::size_t index;
+    const std::vector<mac::Slot>* arr;
+    std::size_t admitted = 0;
+    std::size_t head = 0;
+    mac::Slot crash_cutoff = -1;
+    bool byzantine = false;
+    std::unique_ptr<DynamicStation> dyn;
+
+    [[nodiscard]] bool backlogged() const noexcept { return head < admitted; }
+    [[nodiscard]] bool follows(mac::Slot t) const noexcept {
+      return !byzantine && (crash_cutoff < 0 || t < crash_cutoff);
+    }
+  };
+
+  std::vector<Active> stations;
+  stations.reserve(queues.ids.size());
+  for (std::size_t i = 0; i < queues.ids.size(); ++i) {
+    Active st;
+    st.id = queues.ids[i];
+    st.index = i;
+    st.arr = &queues.slots[i];
+    if (plan != nullptr) {
+      st.crash_cutoff = plan->crash_cutoff(st.id);
+      st.byzantine = plan->is_byzantine(st.id);
+    }
+    st.dyn = make_dynamic_station(st.id);
+    stations.push_back(std::move(st));
+  }
+
+  mac::Channel channel(mac::FeedbackModel::kNone);
+  std::vector<Active*> transmitters;
+  const mac::Slot horizon = scenario.horizon();
+  std::uint64_t silences = 0, collisions = 0, delivered = 0;
+
+  for (mac::Slot t = 0; t < horizon; ++t) {
+    for (Active& st : stations) {
+      const auto& arr = *st.arr;
+      const bool was_backlogged = st.backlogged();
+      while (st.admitted < arr.size() && arr[st.admitted] == t) ++st.admitted;
+      if (!was_backlogged && st.backlogged() && st.follows(t)) st.dyn->packet_start(t);
+    }
+
+    transmitters.clear();
+    for (Active& st : stations) {
+      if (st.backlogged() && st.follows(t) && st.dyn->transmits(t)) {
+        transmitters.push_back(&st);
+        if (energy != EnergyModel::kOff) ++result.station_transmits[st.index];
+      }
+    }
+    if (energy != EnergyModel::kOff) {
+      for (const Active& st : stations) {
+        if (!st.follows(t)) continue;
+        if (energy == EnergyModel::kListenAll || st.backlogged()) {
+          ++result.station_energy[st.index];
+        }
+      }
+    }
+
+    mac::SlotOutcome outcome;
+    if (plan != nullptr) {
+      outcome = plan->effective_outcome(t, transmitters.size());
+      switch (outcome) {
+        case mac::SlotOutcome::kSilence:
+          ++silences;
+          break;
+        case mac::SlotOutcome::kSuccess:
+          ++delivered;
+          break;
+        case mac::SlotOutcome::kCollision:
+          ++collisions;
+          break;
+      }
+    } else {
+      outcome = channel.transmit(transmitters.size());
+    }
+    const mac::ChannelFeedback fb = channel.feedback(outcome);
+    Active* winner =
+        outcome == mac::SlotOutcome::kSuccess ? transmitters.front() : nullptr;
+    for (Active& st : stations) {
+      if (st.backlogged() && st.follows(t)) st.dyn->feedback(t, fb, &st == winner);
+    }
+
+    if (winner != nullptr) {
+      result.latency.push_back(
+          static_cast<double>(t - (*winner->arr)[winner->head] + 1));
+      ++result.delivered_per_station[winner->index];
+      ++winner->head;
+      if (winner->backlogged() && winner->follows(t + 1)) {
+        winner->dyn->packet_start(t + 1);
+      }
+    }
+  }
+
+  result.silences = plan != nullptr ? silences : channel.silences();
+  result.collisions = plan != nullptr ? collisions : channel.collisions();
+  result.delivered = plan != nullptr ? delivered : channel.successes();
+  result.backlog = result.arrivals - result.delivered;
+  return result;
+}
+
+}  // namespace per_slot
+
+/// Forwards the three per-slot calls to a real station but keeps the
+/// default next_event, so the event loop visits it every backlogged slot:
+/// each station's next_event override is checked against its own per-slot
+/// behaviour.
+class EverySlotStation final : public wu::proto::DynamicStation {
+ public:
+  explicit EverySlotStation(std::unique_ptr<wu::proto::DynamicStation> inner)
+      : inner_(std::move(inner)) {}
+
+  void packet_start(wu::mac::Slot start) override { inner_->packet_start(start); }
+  [[nodiscard]] bool transmits(wu::mac::Slot t) override { return inner_->transmits(t); }
+  void feedback(wu::mac::Slot t, wu::mac::ChannelFeedback fb, bool delivered) override {
+    inner_->feedback(t, fb, delivered);
+  }
+
+ private:
+  std::unique_ptr<wu::proto::DynamicStation> inner_;
+};
+
+class EverySlotProtocol final : public wu::proto::Protocol {
+ public:
+  explicit EverySlotProtocol(wu::proto::ProtocolPtr inner) : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] std::unique_ptr<wu::proto::StationRuntime> make_runtime(
+      wu::mac::StationId u, wu::mac::Slot wake) const override {
+    return inner_->make_runtime(u, wake);
+  }
+  [[nodiscard]] std::unique_ptr<wu::proto::DynamicStation> make_dynamic_station(
+      wu::mac::StationId u) const override {
+    return std::make_unique<EverySlotStation>(inner_->make_dynamic_station(u));
+  }
+
+ private:
+  wu::proto::ProtocolPtr inner_;
+};
+
+TEST(DynamicEngine, RecontendersMatchPerSlotReference) {
+  const std::vector<std::string> arrivals = {"poisson:0.05", "poisson:0.9", "bursty:0.4:0.05",
+                                             "pareto:1.5:0.3"};
+  const std::vector<std::string> impairments = {
+      "none",           "noise:iid:0.05",  "jam:budget:16:random",
+      "crash:0.25:100", "byzantine:0.125",
+      "noise:iid:0.05+jam:budget:16:random+crash:0.25:100+byzantine:0.125"};
+  const std::vector<wu::sim::EnergyModel> energies = {wu::sim::EnergyModel::kOff,
+                                                      wu::sim::EnergyModel::kListenAll,
+                                                      wu::sim::EnergyModel::kListenUntilWoken};
+  struct Shape {
+    std::uint32_t n, k;
+  };
+  // k = 1 runs ALOHA at p = 1; short horizons make its draw-ahead hit the
+  // limit, where a later heard success must not draw again.
+  const std::vector<Shape> shapes = {{8, 1}, {64, 6}, {256, 16}};
+  const std::vector<wu::mac::Slot> horizons = {2048, 777, 130};
+
+  std::size_t configs = 0;
+  for (const std::string& name :
+       {std::string("binary_backoff"), std::string("slotted_aloha"),
+        std::string("adaptive_cw")}) {
+    for (const Shape& shape : shapes) {
+      const std::uint64_t seed = 31 + shape.k;
+      const auto protocol = make_named(name, shape.n, shape.k, seed);
+      const EverySlotProtocol every_slot(protocol);
+      const per_slot::StationFactory reference_station = [&](wu::mac::StationId u) {
+        return per_slot::make_station(name, shape.k, seed, u);
+      };
+      for (const wu::mac::Slot horizon : horizons) {
+        for (const std::string& arrival : arrivals) {
+          const DynamicScenario scenario = make_scenario(
+              ArrivalSpec::parse(arrival), shape.n, shape.k, horizon, horizon + shape.n);
+          for (const std::string& impairment : impairments) {
+            const auto plan =
+                wu::sim::compile_impairment(wu::mac::ImpairmentSpec::parse(impairment),
+                                            horizon ^ shape.k, horizon, &scenario.stations());
+            for (const wu::sim::EnergyModel energy : energies) {
+              const std::string label = name + " n=" + std::to_string(shape.n) +
+                                        " k=" + std::to_string(shape.k) + " h=" +
+                                        std::to_string(horizon) + " " + arrival + " " +
+                                        impairment + " energy=" +
+                                        wu::sim::energy_model_name(energy);
+              const auto expected = per_slot::run(reference_station, scenario, &plan, energy);
+              EXPECT_EQ(wu::sim::run_dynamic_interpreter(*protocol, scenario, &plan, energy),
+                        expected)
+                  << label;
+              EXPECT_EQ(wu::sim::run_dynamic_interpreter(every_slot, scenario, &plan, energy),
+                        expected)
+                  << label << " (every slot)";
+              ++configs;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(configs, 3u * 3u * 3u * 4u * 6u * 3u);
 }
 
 // ----------------------------------------------------------- Run facade --
