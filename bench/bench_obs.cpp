@@ -11,7 +11,7 @@
 ///      flavors, interleaved, so machine noise hits both equally).
 ///
 /// Each JSON row carries the enabled run's registry snapshot as a nested
-/// `metrics` object (cache hit counts, warm-up lengths, ...), so the perf
+/// `metrics` object (batch tiles, fetched words, ...), so the perf
 /// trajectory records what the instrumentation actually saw.
 ///
 /// Usage: bench_obs [--quick]

@@ -15,8 +15,7 @@
 ///   * run_sweep cell-sharded vs inline — the composition speedup on
 ///     multi-core hosts (reported, not gated).
 /// Bit-identity of the sharding modes and of every fleet report is
-/// asserted in-run, mirroring the TrialBatching/SimdMatrix bench
-/// contracts.  The fleet legs run FIRST: `run_sweep_fleet` forks, and the
+/// asserted in-run, mirroring the SimdMatrix bench contract.  The fleet legs run FIRST: `run_sweep_fleet` forks, and the
 /// process must not have spawned pool threads yet.
 
 #include <chrono>

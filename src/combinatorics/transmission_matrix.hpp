@@ -107,6 +107,14 @@ class LazyTransmissionMatrix {
     return (h >> (64 - e)) == 0;
   }
 
+  /// hash_words({seed, "MATRIX", row}): hash_words has no finalizer, so
+  /// every membership hash of `row` continues from this state — the
+  /// prefix all stations share at one (row, column).
+  [[nodiscard]] std::uint64_t row_state(unsigned row) const noexcept {
+    return row - 1 < kPrefixRows ? row_states_[row - 1]
+                                 : util::hash_combine(base_state_, util::mix64(row));
+  }
+
   /// Membership probability of row/column (for tests of the construction).
   [[nodiscard]] double probability(unsigned row, std::uint64_t col) const noexcept {
     const unsigned e = row + params_.rho(col % params_.ell);
@@ -117,13 +125,6 @@ class LazyTransmissionMatrix {
   /// Rows whose hash prefix is precomputed: MatrixParams::make gives
   /// rows = ceil(log2 n) <= 32 for any 32-bit n.
   static constexpr unsigned kPrefixRows = 32;
-
-  /// hash_words({seed, "MATRIX", row}): hash_words has no finalizer, so
-  /// every membership hash of `row` continues from this state.
-  [[nodiscard]] std::uint64_t row_state(unsigned row) const noexcept {
-    return row - 1 < kPrefixRows ? row_states_[row - 1]
-                                 : util::hash_combine(base_state_, util::mix64(row));
-  }
 
   MatrixParams params_;
   std::uint64_t seed_;

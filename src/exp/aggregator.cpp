@@ -1,28 +1,8 @@
 #include "exp/aggregator.hpp"
 
-#include <algorithm>
 #include <tuple>
 
 namespace wakeup::exp {
-
-namespace {
-
-/// Per-trial mean/max reduction of a result's station-energy vector.
-template <class Slot>
-void fold_energy(const std::vector<std::uint64_t>& station_energy, Slot& slot) {
-  if (station_energy.empty()) return;
-  slot.has_energy = true;
-  double sum = 0;
-  std::uint64_t max = 0;
-  for (const std::uint64_t e : station_energy) {
-    sum += static_cast<double>(e);
-    max = std::max(max, e);
-  }
-  slot.energy_mean = sum / static_cast<double>(station_energy.size());
-  slot.energy_max = static_cast<double>(max);
-}
-
-}  // namespace
 
 Aggregator::Aggregator(std::uint64_t trials, bool dynamic)
     : slots_(trials), dynamic_slots_(dynamic ? trials : 0) {}
@@ -33,7 +13,7 @@ void Aggregator::add(std::uint64_t trial, const sim::SimResult& result) {
   slot.rounds = static_cast<double>(result.rounds);
   slot.collisions = static_cast<double>(result.collisions);
   slot.silences = static_cast<double>(result.silences);
-  fold_energy(result.station_energy, slot);
+  sim::fold_energy(result.station_energy, slot);
 }
 
 void Aggregator::add(std::uint64_t trial, const sim::McSimResult& result) {
@@ -56,7 +36,7 @@ void Aggregator::add(std::uint64_t trial, const sim::DynamicResult& result) {
   slot.delivered = result.delivered;
   slot.backlog = result.backlog;
   slot.latency = result.latency;
-  fold_energy(result.station_energy, slot);
+  sim::fold_energy(result.station_energy, slot);
 }
 
 CellStats Aggregator::finalize(std::uint64_t ci_resamples, std::uint64_t ci_seed,

@@ -233,9 +233,7 @@ void emit_heartbeat(const SweepOptions& options, std::uint64_t done_now, std::ui
     hb.eta_sec = static_cast<double>(hb.total - hb.completed) / hb.cells_per_sec;
   }
   if (obs::active()) {
-    const obs::Snapshot snap = obs::snapshot();
-    hb.cache_hit_rate = obs::snapshot_ratio(snap, "cache.find_hits", "cache.find_misses");
-    hb.lease_steals = obs::snapshot_value(snap, "ledger.lease_steals");
+    hb.lease_steals = obs::snapshot_value(obs::snapshot(), "ledger.lease_steals");
   }
   if (options.heartbeat) {
     options.heartbeat(hb);
@@ -245,8 +243,8 @@ void emit_heartbeat(const SweepOptions& options, std::uint64_t done_now, std::ui
   if (hb.worker_id >= 0) std::snprintf(prefix, sizeof prefix, "[worker %d] ", hb.worker_id);
   char registry[64] = "";
   if (obs::active()) {
-    std::snprintf(registry, sizeof registry, "  cache-hit %.0f%%  steals %llu",
-                  100.0 * hb.cache_hit_rate, static_cast<unsigned long long>(hb.lease_steals));
+    std::snprintf(registry, sizeof registry, "  steals %llu",
+                  static_cast<unsigned long long>(hb.lease_steals));
   }
   std::fprintf(stderr, "%ssweep: %llu/%llu cells  %.2f cells/s  eta %.0fs%s\n", prefix,
                static_cast<unsigned long long>(hb.completed),

@@ -51,10 +51,10 @@ struct SweepHeartbeat {
   std::uint64_t total = 0;        ///< grid size
   double cells_per_sec = 0.0;     ///< this invocation's completion rate
   double eta_sec = 0.0;           ///< remaining / rate (0 while rate unknown)
-  /// Registry-sourced extras, sampled from obs::snapshot() at emit time
-  /// (zero when the obs layer is compiled out or runtime-disabled).
-  double cache_hit_rate = 0.0;     ///< ScheduleCache find hits / lookups
-  std::uint64_t lease_steals = 0;  ///< expired leases re-claimed (fleet mode)
+  /// Registry-sourced extra, sampled from obs::snapshot() at emit time
+  /// (zero when the obs layer is compiled out or runtime-disabled):
+  /// expired leases re-claimed (fleet mode).
+  std::uint64_t lease_steals = 0;
 };
 
 struct SweepOptions {

@@ -24,8 +24,8 @@
 /// trivially copyable; `add`/`set`/`observe` are safe from any thread.
 ///
 /// ```cpp
-/// static const auto c_hits = obs::Counter::get("cache.find_hits");
-/// if (obs::active()) c_hits.add(local_hits);
+/// static const auto c_tiles = obs::Counter::get("batch.tiles");
+/// if (obs::active()) c_tiles.add(local_tiles);
 /// ```
 
 #include <cstdint>
@@ -162,7 +162,7 @@ class Histogram {
 void write_metrics_json(const std::string& path);
 
 /// Convenience: "hits / (hits + misses)" over a snapshot; 0 when absent or
-/// empty.  The heartbeat uses it for the ScheduleCache hit-rate.
+/// empty.
 [[nodiscard]] double snapshot_ratio(const Snapshot& snap, const std::string& hits,
                                     const std::string& misses);
 

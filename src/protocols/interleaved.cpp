@@ -52,30 +52,6 @@ std::unique_ptr<StationRuntime> InterleavedProtocol::make_runtime(StationId u, S
                                               odd_->make_runtime(u, odd_wake));
 }
 
-std::uint64_t InterleavedProtocol::wake_key(Slot wake) const {
-  const Slot w0 = wake < 0 ? 0 : wake;
-  // The component keys at the virtual wakes fully determine both component
-  // emissions (their contract), hence the interleaved emission.  Hashing
-  // keeps the key width fixed; a 64-bit collision between the handful of
-  // classes a sweep cell ever sees is not a practical concern.
-  return util::hash_words({0x494c56ULL /* "ILV" */, even_sched_->wake_key((w0 + 1) / 2),
-                           odd_sched_->wake_key(w0 / 2)});
-}
-
-std::uint64_t InterleavedProtocol::period() const {
-  const std::uint64_t p = util::lcm_or_zero(even_sched_->period(), odd_sched_->period());
-  return p > ~std::uint64_t{0} / 2 ? 0 : 2 * p;
-}
-
-Slot InterleavedProtocol::steady_from(Slot wake) const {
-  const Slot w0 = wake < 0 ? 0 : wake;
-  // Even-parity global slots 2v are steady once v >= the even component's
-  // steady point; odd-parity slots 2v+1 likewise for the odd component.
-  const Slot even_steady = 2 * even_sched_->steady_from((w0 + 1) / 2);
-  const Slot odd_steady = 2 * odd_sched_->steady_from(w0 / 2) + 1;
-  return even_steady > odd_steady ? even_steady : odd_steady;
-}
-
 void InterleavedProtocol::schedule_block(StationId u, Slot wake, Slot from,
                                          std::uint64_t* out_words, std::size_t n_words) const {
   const Slot w0 = wake < 0 ? 0 : wake;

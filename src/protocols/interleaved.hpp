@@ -46,13 +46,6 @@ class InterleavedProtocol final : public Protocol, public ObliviousSchedule {
     return even_sched_ != nullptr && odd_sched_ != nullptr && even_sched_->words_are_cheap() &&
            odd_sched_->words_are_cheap();
   }
-  /// Emission is a pure interleave of the components' emissions, so the
-  /// wake class is the (hashed) pair of component classes at the virtual
-  /// wakes, the period the doubled lcm of the component periods, and the
-  /// steady state starts once both components are steady on their parity.
-  [[nodiscard]] std::uint64_t wake_key(Slot wake) const override;
-  [[nodiscard]] std::uint64_t period() const override;
-  [[nodiscard]] Slot steady_from(Slot wake) const override;
 
   [[nodiscard]] const Protocol& even() const noexcept { return *even_; }
   [[nodiscard]] const Protocol& odd() const noexcept { return *odd_; }

@@ -22,8 +22,7 @@ class AdapterRuntime final : public McStationRuntime {
 };
 
 /// Lifts an inner single-channel oblivious schedule onto lane 0 of a
-/// C-lane schedule: words and trial-batching hints forward unchanged, only
-/// the lane geometry widens.
+/// C-lane schedule: words forward unchanged, only the lane geometry widens.
 class AdapterSchedule final : public ObliviousSchedule {
  public:
   AdapterSchedule(const ObliviousSchedule* inner, std::uint32_t channels)
@@ -35,11 +34,6 @@ class AdapterSchedule final : public ObliviousSchedule {
     inner_->schedule_block(u, wake, from, out_words, n_words);
   }
   [[nodiscard]] bool words_are_cheap() const override { return inner_->words_are_cheap(); }
-  [[nodiscard]] std::uint64_t wake_key(Slot wake) const override {
-    return inner_->wake_key(wake);
-  }
-  [[nodiscard]] std::uint64_t period() const override { return inner_->period(); }
-  [[nodiscard]] Slot steady_from(Slot wake) const override { return inner_->steady_from(wake); }
 
  private:
   const ObliviousSchedule* inner_;
@@ -137,16 +131,6 @@ class StripedRoundRobin final : public McProtocol, public ObliviousSchedule {
     }
   }
   [[nodiscard]] bool words_are_cheap() const override { return true; }
-  /// One wake class (the stripe ignores the wake), period = one cycle.
-  [[nodiscard]] std::uint64_t wake_key(Slot wake) const override {
-    (void)wake;
-    return 0;
-  }
-  [[nodiscard]] std::uint64_t period() const override { return cycle_; }
-  [[nodiscard]] Slot steady_from(Slot wake) const override {
-    (void)wake;
-    return 0;
-  }
 
  private:
   std::uint32_t n_;
@@ -192,24 +176,6 @@ class GroupWaitAndGo final : public McProtocol, public ObliviousSchedule {
       config.kind = kind;
       config.seed = util::hash_words({seed, 0x4d43574147ULL /* "MCWAG" */, c});
       schedules_.push_back(comb::make_doubling_schedule(config));
-    }
-    // Family *sizes* are usually seed-independent (the seed only picks set
-    // membership), in which case every group shares one boundary/period
-    // structure and the trial-batching hints can be exact.  When a builder
-    // does vary sizes by seed, fall back to the always-sound defaults.
-    uniform_structure_ = true;
-    for (std::uint32_t c = 1; c < channels_ && uniform_structure_; ++c) {
-      if (schedules_[c]->period() != schedules_[0]->period() ||
-          schedules_[c]->family_count() != schedules_[0]->family_count()) {
-        uniform_structure_ = false;
-        break;
-      }
-      for (std::size_t i = 0; i < schedules_[0]->family_count(); ++i) {
-        if (schedules_[c]->family_start(i) != schedules_[0]->family_start(i)) {
-          uniform_structure_ = false;
-          break;
-        }
-      }
     }
   }
 
@@ -259,22 +225,6 @@ class GroupWaitAndGo final : public McProtocol, public ObliviousSchedule {
       out_words[w] = word;
     }
   }
-  /// With a shared boundary structure the emission depends on the wake
-  /// only through the (common) next family start; otherwise every wake is
-  /// its own class (the sound default).
-  [[nodiscard]] std::uint64_t wake_key(Slot wake) const override {
-    const auto j = static_cast<std::uint64_t>(wake < 0 ? 0 : wake);
-    if (!uniform_structure_) return j;
-    return schedules_[0]->next_family_start(j);
-  }
-  [[nodiscard]] std::uint64_t period() const override {
-    return uniform_structure_ ? schedules_[0]->period() : 0;
-  }
-  [[nodiscard]] Slot steady_from(Slot wake) const override {
-    const auto j = static_cast<std::uint64_t>(wake < 0 ? 0 : wake);
-    if (!uniform_structure_) return wake < 0 ? 0 : wake;
-    return static_cast<Slot>(schedules_[0]->next_family_start(j));
-  }
 
  private:
   [[nodiscard]] std::uint32_t group_of(StationId u) const {
@@ -285,7 +235,6 @@ class GroupWaitAndGo final : public McProtocol, public ObliviousSchedule {
   std::uint32_t channels_;
   std::uint64_t seed_;
   std::vector<comb::DoublingSchedulePtr> schedules_;
-  bool uniform_structure_ = false;
 };
 
 // ---------------------------------------------------- random-channel RPD

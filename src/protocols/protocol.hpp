@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "mac/types.hpp"
@@ -126,11 +127,9 @@ class ObliviousSchedule {
   [[nodiscard]] virtual std::uint32_t schedule_channels() const { return 1; }
 
   /// The fixed channel lane station `u` acts on (transmits and listens)
-  /// for its entire run.  Must be < schedule_channels(), constant over
-  /// slots, and — like schedule_block — may depend on the wake only
-  /// through wake_key.  Oblivious *multichannel* protocols whose stations
-  /// hop lanes mid-run do not fit this capability and stay on the slot
-  /// interpreter.
+  /// for its entire run.  Must be < schedule_channels() and constant over
+  /// slots.  Oblivious *multichannel* protocols whose stations hop lanes
+  /// mid-run do not fit this capability and stay on the slot interpreter.
   [[nodiscard]] virtual std::uint32_t channel_lane(StationId u, Slot wake) const {
     (void)u;
     (void)wake;
@@ -149,44 +148,31 @@ class ObliviousSchedule {
   virtual void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
                               std::size_t n_words) const = 0;
 
+  /// One station of a `schedule_tile` call: its ID, its wake slot and the
+  /// row its words go to.
+  struct TileStation {
+    StationId u;
+    Slot wake;
+    std::uint64_t* out_words;
+  };
+
+  /// Writes, for every station of `stations`, exactly the `n_words` words
+  /// `schedule_block(u, wake, from, out_words, n_words)` would.  The batch
+  /// engine fetches each tile's rows through this one call, so a schedule
+  /// whose stations share work at a slot (the §5 matrix's row prefix) can
+  /// emit them together; the default loops over schedule_block.  Like
+  /// schedule_block it is const and safe to call from many threads.
+  virtual void schedule_tile(std::span<const TileStation> stations, Slot from,
+                             std::size_t n_words) const {
+    for (const TileStation& s : stations) schedule_block(s.u, s.wake, from, s.out_words, n_words);
+  }
+
   /// Cost class of schedule_block, used by the auto dispatch to size its
   /// interpreted warm-up window.  True means a word costs a handful of bit
   /// operations (round_robin's strided bits) so batching is always worth
   /// it; false (default) means words walk per-slot tables or hashes, and
   /// very short runs are better interpreted.
   [[nodiscard]] virtual bool words_are_cheap() const { return false; }
-
-  // -- Trial-batching hints (consumed by sim::ScheduleCache) ------------
-  //
-  // Deterministic protocols' schedules are trial-invariant: across the
-  // Monte-Carlo trials of one sweep cell only the wake pattern changes.
-  // The three hints below let the cache share memoized schedule words
-  // across trials (and across stations woken at equivalent times) while
-  // staying bit-exact; every override must satisfy the stated contracts,
-  // which tests/test_schedule_cache.cpp checks per protocol.
-
-  /// Wake-equivalence key: whenever wake_key(w1) == wake_key(w2), calls
-  /// schedule_block(u, w1, from, ...) and schedule_block(u, w2, from, ...)
-  /// must emit identical words for every station u, start slot and word
-  /// count — including the bits covering slots before the wake, i.e. the
-  /// emission may depend on the wake only through this key.  The default
-  /// (the wake itself) is always sound; overriding it with a coarser class
-  /// (e.g. "participant or not", "next family boundary") lets one cached
-  /// entry serve many wake times.
-  [[nodiscard]] virtual std::uint64_t wake_key(Slot wake) const {
-    return static_cast<std::uint64_t>(wake);
-  }
-
-  /// Steady-state slot period P: if > 0 then for every station u and wake
-  /// w the schedule bit at slot t equals the bit at slot t + P for all
-  /// t >= steady_from(w).  0 (default) means aperiodic/unknown.  Enables
-  /// memoizing one period of words per station instead of a full horizon.
-  [[nodiscard]] virtual std::uint64_t period() const { return 0; }
-
-  /// First slot from which the period() guarantee holds for a station
-  /// woken at `wake`.  Must be invariant across wakes sharing a wake_key.
-  /// Only meaningful when period() > 0.
-  [[nodiscard]] virtual Slot steady_from(Slot wake) const { return wake; }
 };
 
 class Protocol {

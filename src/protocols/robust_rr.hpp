@@ -30,18 +30,6 @@ class RobustRoundRobinProtocol final : public Protocol, public ObliviousSchedule
   void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
                       std::size_t n_words) const override;
   [[nodiscard]] bool words_are_cheap() const override { return true; }
-  /// Like TDM, a pure function of the global clock: one wake class.
-  [[nodiscard]] std::uint64_t wake_key(Slot wake) const override {
-    (void)wake;
-    return 0;
-  }
-  [[nodiscard]] std::uint64_t period() const override {
-    return static_cast<std::uint64_t>(n_) * r_;
-  }
-  [[nodiscard]] Slot steady_from(Slot wake) const override {
-    (void)wake;
-    return 0;
-  }
 
   [[nodiscard]] std::uint32_t n() const noexcept { return n_; }
   [[nodiscard]] std::uint32_t repetitions() const noexcept { return r_; }

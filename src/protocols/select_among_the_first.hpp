@@ -33,15 +33,6 @@ class SelectAmongTheFirstProtocol final : public Protocol, public ObliviousSched
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override { return this; }
   void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
                       std::size_t n_words) const override;
-  /// Emission depends on the wake only through participation (wake == s):
-  /// two classes.  Participants repeat the doubling concatenation (period
-  /// z) from s onward; non-participants are all-zero (trivially periodic).
-  [[nodiscard]] std::uint64_t wake_key(Slot wake) const override { return wake == s_ ? 1 : 0; }
-  [[nodiscard]] std::uint64_t period() const override { return schedule_->period(); }
-  [[nodiscard]] Slot steady_from(Slot wake) const override {
-    (void)wake;
-    return s_;
-  }
 
   [[nodiscard]] Slot s() const noexcept { return s_; }
   [[nodiscard]] const comb::DoublingSchedule& schedule() const noexcept { return *schedule_; }

@@ -32,16 +32,6 @@ class WaitAndGoProtocol final : public Protocol, public ObliviousSchedule {
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override { return this; }
   void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
                       std::size_t n_words) const override;
-  /// Emission depends on the wake only through the go slot (the next
-  /// family boundary): silence below it, the cyclic concatenation above.
-  [[nodiscard]] std::uint64_t wake_key(Slot wake) const override {
-    return schedule_->next_family_start(static_cast<std::uint64_t>(wake < 0 ? 0 : wake));
-  }
-  [[nodiscard]] std::uint64_t period() const override { return schedule_->period(); }
-  [[nodiscard]] Slot steady_from(Slot wake) const override {
-    return static_cast<Slot>(
-        schedule_->next_family_start(static_cast<std::uint64_t>(wake < 0 ? 0 : wake)));
-  }
 
   [[nodiscard]] const comb::DoublingSchedule& schedule() const noexcept { return *schedule_; }
 

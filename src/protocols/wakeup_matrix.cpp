@@ -1,6 +1,7 @@
 #include "protocols/wakeup_matrix.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace wakeup::proto {
 namespace {
@@ -66,36 +67,64 @@ std::unique_ptr<StationRuntime> WakeupMatrixProtocol::make_runtime(StationId u, 
 
 void WakeupMatrixProtocol::schedule_block(StationId u, Slot wake, Slot from,
                                           std::uint64_t* out_words, std::size_t n_words) const {
+  const TileStation station{u, wake, out_words};
+  schedule_tile({&station, 1}, from, n_words);
+}
+
+void WakeupMatrixProtocol::schedule_tile(std::span<const TileStation> stations, Slot from,
+                                         std::size_t n_words) const {
   const auto& p = matrix_.params();
-  const Slot operative = p.mu(wake);
-  // Row state at the first queried slot: the runtime's scan walks rows
-  // 1..rows cyclically with durations m(i) starting at `operative`, so the
-  // state at any slot is recoverable by reducing the elapsed time modulo
-  // one full scan and replaying the prefix.
-  unsigned row = 1;
-  Slot row_end = operative + static_cast<Slot>(p.m(1));
   const auto scan = static_cast<Slot>(p.total_scan());
-  Slot t = from;
-  if (t > operative && scan > 0) {
-    const Slot skipped = ((t - operative) / scan) * scan;
-    row_end += skipped;  // whole scans carry no row-state change
-  }
-  // Column state at the first evaluated slot, then advanced per slot.
-  std::uint64_t col = static_cast<std::uint64_t>(std::max(from, operative)) % p.ell;
-  unsigned rho = p.rho(col);
-  const std::uint64_t mixed_u = util::mix64(u);
-  for (std::size_t w = 0; w < n_words; ++w) {
-    std::uint64_t word = 0;
-    for (unsigned j = 0; j < 64; ++j, ++t) {
-      if (t < operative) continue;  // waiting for the window boundary
-      while (t >= row_end) {
-        row = row < p.rows ? row + 1 : 1;  // wrap: restart the scan
-        row_end += static_cast<Slot>(p.m(row));
-      }
-      if (matrix_.member(row, col, rho, mixed_u)) word |= std::uint64_t{1} << j;
-      next_column(p, col, rho);
+  // Per slot of the current word: the group's row prefix, and the bound a
+  // station's hash must fall below — its top e = row + ρ bits are zero iff
+  // it is below 2^(64 - e).  A zero bound silences the slot for everyone
+  // (before the operative slot, or e >= 64).
+  std::array<std::uint64_t, 64> prefix{};
+  std::array<std::uint64_t, 64> bound{};
+  for (std::size_t g = 0; g < stations.size();) {
+    const Slot operative = p.mu(stations[g].wake);
+    std::size_t g_end = g + 1;
+    while (g_end < stations.size() && p.mu(stations[g_end].wake) == operative) ++g_end;
+
+    // Row state at `from`: the runtime's scan walks rows 1..rows cyclically
+    // with durations m(i) starting at `operative`, so the state at any slot
+    // is recoverable by reducing the elapsed time modulo one full scan and
+    // replaying the prefix.
+    unsigned row = 1;
+    Slot row_end = operative + static_cast<Slot>(p.m(1));
+    if (from > operative && scan > 0) {
+      row_end += ((from - operative) / scan) * scan;  // whole scans change no row state
     }
-    out_words[w] = word;
+    // Column state at the first evaluated slot, then advanced per slot.
+    std::uint64_t col = static_cast<std::uint64_t>(std::max(from, operative)) % p.ell;
+    unsigned rho = p.rho(col);
+    Slot t = from;
+    for (std::size_t w = 0; w < n_words; ++w) {
+      for (unsigned j = 0; j < 64; ++j, ++t) {
+        bound[j] = 0;
+        if (t < operative) continue;  // waiting for the window boundary
+        while (t >= row_end) {
+          row = row < p.rows ? row + 1 : 1;  // wrap: restart the scan
+          row_end += static_cast<Slot>(p.m(row));
+        }
+        const unsigned e = row + rho;
+        if (e < 64) {
+          prefix[j] = util::hash_combine(matrix_.row_state(row), util::mix64(col));
+          bound[j] = std::uint64_t{1} << (64 - e);
+        }
+        next_column(p, col, rho);
+      }
+      for (std::size_t i = g; i < g_end; ++i) {
+        const std::uint64_t mixed_u = util::mix64(stations[i].u);
+        std::uint64_t word = 0;
+        for (unsigned j = 0; j < 64; ++j) {
+          word |= static_cast<std::uint64_t>(util::hash_combine(prefix[j], mixed_u) < bound[j])
+                  << j;
+        }
+        stations[i].out_words[w] = word;
+      }
+    }
+    g = g_end;
   }
 }
 

@@ -33,18 +33,17 @@ class WakeupMatrixProtocol final : public Protocol, public ObliviousSchedule {
   [[nodiscard]] std::unique_ptr<StationRuntime> make_runtime(StationId u,
                                                              Slot wake) const override;
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override { return this; }
+  /// One station's words: the one-station case of schedule_tile.
   void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
                       std::size_t n_words) const override;
-  /// Emission depends on the wake only through the operative slot µ(σ).
-  /// Past it, the row scan repeats every total_scan() slots and the column
-  /// index every ℓ slots: combined period lcm (0 when it overflows).
-  [[nodiscard]] std::uint64_t wake_key(Slot wake) const override {
-    return static_cast<std::uint64_t>(matrix_.params().mu(wake));
-  }
-  [[nodiscard]] std::uint64_t period() const override {
-    return util::lcm_or_zero(matrix_.params().total_scan(), matrix_.params().ell);
-  }
-  [[nodiscard]] Slot steady_from(Slot wake) const override { return matrix_.params().mu(wake); }
+  /// At slot t every station reads column t mod ℓ, and every station with
+  /// the same operative slot µ(σ) reads the same row, so a bit is
+  /// hash_combine(P(row, t), mix64(u)) with the row prefix P shared by the
+  /// group: one P per slot per run of stations with equal µ(wake), then
+  /// one hash_combine per station bit.  Stations sorted by wake (as the
+  /// batch engine passes them) form one run per operative slot.
+  void schedule_tile(std::span<const TileStation> stations, Slot from,
+                     std::size_t n_words) const override;
 
   [[nodiscard]] const comb::LazyTransmissionMatrix& matrix() const noexcept { return matrix_; }
 

@@ -35,11 +35,6 @@ class WakeupWithSRuntime final : public StationRuntime {
 
 }  // namespace
 
-std::uint64_t WakeupWithSProtocol::period() const {
-  const std::uint64_t p = util::lcm_or_zero(schedule_->config().n, schedule_->period());
-  return p > ~std::uint64_t{0} / 2 ? 0 : 2 * p;
-}
-
 std::unique_ptr<StationRuntime> WakeupWithSProtocol::make_runtime(StationId u, Slot wake) const {
   return std::make_unique<WakeupWithSRuntime>(u, wake, s_, schedule_->config().n, schedule_);
 }

@@ -35,15 +35,6 @@ class WakeupWithSProtocol final : public Protocol, public ObliviousSchedule {
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override { return this; }
   void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
                       std::size_t n_words) const override;
-  /// Emission depends on the wake only through SATF participation.  Past
-  /// s, even offsets repeat round-robin (global period 2n) and odd offsets
-  /// the doubling concatenation (global period 2z): combined 2·lcm(n, z).
-  [[nodiscard]] std::uint64_t wake_key(Slot wake) const override { return wake == s_ ? 1 : 0; }
-  [[nodiscard]] std::uint64_t period() const override;
-  [[nodiscard]] Slot steady_from(Slot wake) const override {
-    (void)wake;
-    return s_;
-  }
 
   [[nodiscard]] Slot s() const noexcept { return s_; }
   [[nodiscard]] const comb::DoublingSchedule& schedule() const noexcept { return *schedule_; }

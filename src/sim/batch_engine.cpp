@@ -11,8 +11,6 @@
 #include "obs/metrics.hpp"
 #include "sim/impairment_engine.hpp"
 #include "sim/interpreter.hpp"
-#include "sim/schedule_cache.hpp"
-#include "sim/word_source.hpp"
 #include "util/simd.hpp"
 
 namespace wakeup::sim {
@@ -58,73 +56,34 @@ bool batch_engine_supports(const proto::Protocol& protocol, const SimConfig& con
 
 namespace {
 
-using detail::CachedWords;
-using detail::DirectWords;
 namespace simd = util::simd;
 
-/// Post-hoc per-station energy over the finished run: the awake span is
-/// arithmetic (the models only move its endpoint), and the transmit
-/// component is a masked popcount over the station's schedule words in
-/// [wake, tx_end] — `masked_popcount_pair(row, row, mask, ...)` delivers
-/// transmit slots in its collision accumulator (popcount(row & mask)) and
-/// in-span listen slots in its silence accumulator in one kernel call.
-/// Refetching through `words` is cheap for cached runs and O(span/64) for
-/// direct ones; nothing here feeds back into the simulation.
-/// `depart[i]` is the i-th arrival's full-resolution departure slot (-1 if
-/// it never departed); `last_slot` the last slot the run examined.
-template <class Words>
-void accumulate_energy(const Words& words, const mac::WakePattern& pattern,
-                       const SimConfig& config, mac::Slot last_slot,
-                       const std::vector<mac::Slot>& depart, SimResult& result) {
-  const auto& arrivals = pattern.arrivals();
-  result.station_energy.assign(arrivals.size(), 0);
-  result.station_transmits.assign(arrivals.size(), 0);
-  std::array<std::uint64_t, kMaxTileWords> row{};
-  std::array<std::uint64_t, kMaxTileWords> mask{};
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    const mac::Slot wake = arrivals[i].wake;
-    if (wake > last_slot) break;  // sorted by wake: nobody later woke either
-    // A departed station stops transmitting at its departure; whether it
-    // keeps listening afterwards is the model.
-    const mac::Slot tx_end = depart[i] >= 0 ? std::min(depart[i], last_slot) : last_slot;
-    const mac::Slot span_end =
-        config.energy == EnergyModel::kListenUntilWoken ? tx_end : last_slot;
-    result.station_energy[i] = static_cast<std::uint64_t>(span_end - wake + 1);
-
-    std::uint64_t transmits = 0;
-    std::uint64_t listens = 0;  // computed by the pair kernel, span covers it
-    mac::Slot from = wake / 64 * 64;
-    while (from <= tx_end) {
-      const auto nw = std::min<std::size_t>(
-          kMaxTileWords, static_cast<std::size_t>((tx_end - from) / 64) + 1);
-      words.tile(i, arrivals[i].station, wake, from, row.data(), nw);
-      for (std::size_t w = 0; w < nw; ++w) {
-        const mac::Slot ws = from + static_cast<mac::Slot>(64 * w);
-        std::uint64_t m = ~std::uint64_t{0};
-        if (wake > ws) m &= ~std::uint64_t{0} << (wake - ws);
-        const mac::Slot rem = tx_end - ws;
-        if (rem < 63) m &= (std::uint64_t{1} << (rem + 1)) - 1;
-        mask[w] = m;
-      }
-      simd::active().masked_popcount_pair(row.data(), row.data(), mask.data(), nw, &listens,
-                                          &transmits);
-      from += static_cast<mac::Slot>(64 * nw);
-    }
-    result.station_transmits[i] = transmits;
+/// Transmit slots of one matrix row among the tile's pending slots, up to
+/// and including tile bit `last` (word last / 64, bit last % 64).  Rows are
+/// zero before their station's wake and pending words before the run's
+/// start, so this is the row's share of the station's [wake, tx_end].
+std::uint64_t row_transmits(const std::uint64_t* row, const std::uint64_t* pend,
+                            std::size_t last) {
+  const std::size_t lw = last / 64;
+  std::uint64_t count = 0;
+  for (std::size_t w = 0; w < lw; ++w) {
+    count += static_cast<std::uint64_t>(std::popcount(row[w] & pend[w]));
   }
+  const std::size_t j = last % 64;
+  const std::uint64_t upto = j == 63 ? ~std::uint64_t{0} : (std::uint64_t{1} << (j + 1)) - 1;
+  return count + static_cast<std::uint64_t>(std::popcount(row[lw] & pend[lw] & upto));
 }
 
 /// Tile-wise core.  `start` is the first slot to resolve (>= s; arrivals
-/// before it join immediately) and `carry` holds outcome counters already
-/// accumulated by a warm-up prefix [s, start) run elsewhere.  Tiles are
-/// aligned to absolute 64-slot boundaries (slots below `start` are masked
-/// out of the pending words), so the words a run requests are
-/// position-stable and shareable across trials with different first-wake
-/// slots.  Each round fills one station-major matrix row of W words per
-/// live station and resolves all 64 * W slots against it.
-template <class Words>
-SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
-                         const SimConfig& config, mac::Slot start, const SimResult* carry) {
+/// before it join immediately) and `carry` holds outcome counters and
+/// per-station transmits already accumulated by a warm-up prefix
+/// [s, start) run elsewhere.  Tiles are aligned to absolute 64-slot
+/// boundaries (slots below `start` are masked out of the pending words).
+/// Each round fills one station-major matrix row of W words per live
+/// station and resolves all 64 * W slots against it.
+SimResult run_batch_from(const proto::ObliviousSchedule& schedule,
+                         const mac::WakePattern& pattern, const SimConfig& config,
+                         mac::Slot start, const SimResult* carry) {
   SimResult result;
   if (pattern.empty()) return result;
 
@@ -165,6 +124,8 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
   active.reserve(pattern.k());
   std::vector<std::uint64_t> matrix;  // station-major: row r = W words of active[r]
   matrix.reserve(pattern.k() * W);
+  std::vector<proto::ObliviousSchedule::TileStation> tile_stations;
+  tile_stations.reserve(pattern.k());
   std::array<std::uint64_t, kMaxTileWords> any{};
   std::array<std::uint64_t, kMaxTileWords> multi{};
   std::array<std::uint64_t, kMaxTileWords> pend{};
@@ -176,10 +137,20 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
   std::uint64_t collisions = carry != nullptr ? carry->collisions : 0;
   std::uint64_t successes = carry != nullptr ? carry->successes : 0;
   bool halted = false;
-  // Energy bookkeeping (side-state only): per-arrival departure slots and
-  // the last slot examined.  The hot loop pays one store per departure.
+  // Energy bookkeeping (side-state only): each station's transmits, counted
+  // from the rows the tile loop fetches anyway, its full-resolution
+  // departure slot, and the last slot examined.
+  const bool energy = config.energy != EnergyModel::kOff;
+  std::vector<std::uint64_t>& transmits = result.station_transmits;
   std::vector<mac::Slot> depart;
-  if (config.energy != EnergyModel::kOff) depart.assign(arrivals.size(), -1);
+  if (energy) {
+    if (carry != nullptr) {
+      transmits = carry->station_transmits;
+    } else {
+      transmits.assign(arrivals.size(), 0);
+    }
+    depart.assign(arrivals.size(), -1);
+  }
   mac::Slot last_slot = end - 1;
   // Observability (side-state only): flushed once after the loop.
   std::uint64_t obs_tiles = 0;
@@ -205,6 +176,7 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
 
     // Admit every station that wakes inside this tile; row bits before the
     // wake slot are masked off below.
+    const std::size_t first_new = active.size();
     while (next_arrival < arrivals.size() && arrivals[next_arrival].wake < tile_end) {
       const auto& a = arrivals[next_arrival];
       active.push_back(Active{a.station, a.wake, next_arrival});
@@ -212,9 +184,11 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
       ++next_arrival;
     }
 
-    // One schedule tile per live station: fetch from the block containing
-    // the wake (never query blocks wholly before it — cached entries start
-    // there), zero-fill the leading words, mask the straddling one.
+    // One schedule_tile call for every live station whose words start at
+    // tb; a station waking past the tile's first word fetches from the
+    // block containing its wake (never blocks wholly before it) and
+    // zero-fills the words before.
+    tile_stations.clear();
     for (std::size_t r = 0; r < active.size(); ++r) {
       const Active& st = active[r];
       std::uint64_t* row = matrix.data() + r * W;
@@ -222,16 +196,23 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
         std::fill(row, row + tw, 0);
         continue;
       }
-      std::size_t w0 = 0;
-      mac::Slot from = tb;
-      if (st.wake > tb) {
-        from = st.wake / 64 * 64;
-        w0 = static_cast<std::size_t>((from - tb) / 64);
+      const mac::Slot from = std::max(tb, st.wake / 64 * 64);
+      const auto w0 = static_cast<std::size_t>((from - tb) / 64);
+      if (w0 == 0) {
+        tile_stations.push_back({st.id, st.wake, row});
+      } else {
         std::fill(row, row + w0, 0);
+        schedule.schedule_block(st.id, st.wake, from, row + w0, tw - w0);
       }
-      words.tile(st.arrival, st.id, st.wake, from, row + w0, tw - w0);
-      if (st.wake > from) row[w0] &= ~std::uint64_t{0} << (st.wake - from);
       obs_words += tw - w0;
+    }
+    schedule.schedule_tile(tile_stations, tb, tw);
+    for (std::size_t r = first_new; r < active.size(); ++r) {
+      const mac::Slot from = std::max(tb, active[r].wake / 64 * 64);
+      if (active[r].wake > from) {
+        matrix[r * W + static_cast<std::size_t>((from - tb) / 64)] &=
+            ~std::uint64_t{0} << (active[r].wake - from);
+      }
     }
     ++obs_tiles;
 
@@ -249,23 +230,23 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
       pend[w] = m;
     }
 
+    // The tile bit of the slot the run stopped at, if it stopped here.
+    std::size_t last_bit = 64 * tw - 1;
+
     // Fast path: no solo success anywhere in the tile — count the whole
-    // tile's silences and collisions with one kernel call and move on.
+    // tile's silences and collisions with one kernel call.
     for (std::size_t w = 0; w < tw; ++w) succ[w] = any[w] & ~multi[w] & pend[w];
     const std::size_t hit = simd::first_set_below(succ.data(), tw, 64 * tw);
     if (hit == simd::kNoBit) {
       simd::active().masked_popcount_pair(any.data(), multi.data(), pend.data(), tw,
                                           &silences, &collisions);
-      continue;
-    }
-    // Words before the first success word are fully resolved too.
-    const std::size_t first_w = hit / 64;
-    if (first_w > 0) {
-      simd::active().masked_popcount_pair(any.data(), multi.data(), pend.data(), first_w,
+    } else if (hit / 64 > 0) {
+      // Words before the first success word are fully resolved too.
+      simd::active().masked_popcount_pair(any.data(), multi.data(), pend.data(), hit / 64,
                                           &silences, &collisions);
     }
 
-    for (std::size_t w = first_w; w < tw && !halted; ++w) {
+    for (std::size_t w = hit == simd::kNoBit ? tw : hit / 64; w < tw && !halted; ++w) {
       std::uint64_t pending = pend[w];
       while (pending != 0) {
         const std::uint64_t solo = any[w] & ~multi[w] & pending;
@@ -302,15 +283,21 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
         if (!config.full_resolution) {
           halted = true;
           last_slot = t;
+          last_bit = 64 * w + j;
           break;
         }
 
-        // Full resolution: the winner leaves the channel; zero its row and
-        // re-resolve the remaining columns of the tile without it.
+        // Full resolution: the winner leaves the channel — its transmits
+        // end here; zero its row and re-resolve the remaining columns of
+        // the tile without it.
         for (std::size_t r = 0; r < active.size(); ++r) {
           if (active[r].id != winner || active[r].done) continue;
           active[r].done = true;
-          if (!depart.empty()) depart[active[r].arrival] = t;
+          if (energy) {
+            depart[active[r].arrival] = t;
+            transmits[active[r].arrival] +=
+                row_transmits(matrix.data() + r * W, pend.data(), 64 * w + j);
+          }
           std::fill(matrix.begin() + static_cast<std::ptrdiff_t>(r * W + w),
                     matrix.begin() + static_cast<std::ptrdiff_t>(r * W + tw), 0);
         }
@@ -321,6 +308,7 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
           result.completion_rounds = t - s;
           halted = true;
           last_slot = t;
+          last_bit = 64 * w + j;
           break;
         }
         simd::or_reduce_2pass(matrix.data() + w, active.size(), W, tw - w, any.data() + w,
@@ -328,13 +316,32 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
         if (plan != nullptr) fold_impairment(any.data(), multi.data(), tb, w, tw);
       }
     }
+
+    // Every station still on the channel transmitted this tile's row up to
+    // the slot the run stopped at (the whole tile when it goes on).
+    if (energy) {
+      for (std::size_t r = 0; r < active.size(); ++r) {
+        if (active[r].done) continue;
+        transmits[active[r].arrival] +=
+            row_transmits(matrix.data() + r * W, pend.data(), last_bit);
+      }
+    }
   }
 
   result.silences = silences;
   result.collisions = collisions;
   result.successes = successes;
-  if (config.energy != EnergyModel::kOff) {
-    accumulate_energy(words, pattern, config, last_slot, depart, result);
+  if (energy) {
+    // The awake span is arithmetic: a departed station stops transmitting
+    // at its departure, and whether it keeps listening afterwards is the
+    // model.  Stations waking after the last slot examined hold 0.
+    result.station_energy.assign(arrivals.size(), 0);
+    for (std::size_t i = 0; i < arrivals.size() && arrivals[i].wake <= last_slot; ++i) {
+      const mac::Slot span_end = depart[i] >= 0 && config.energy == EnergyModel::kListenUntilWoken
+                                     ? depart[i]
+                                     : last_slot;
+      result.station_energy[i] = static_cast<std::uint64_t>(span_end - arrivals[i].wake + 1);
+    }
   }
   if (obs::active()) {
     static const auto c_tiles = obs::Counter::get("batch.tiles");
@@ -349,54 +356,33 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
 
 SimResult run_wakeup_batch(const proto::Protocol& protocol, const mac::WakePattern& pattern,
                            const SimConfig& config) {
-  const proto::ObliviousSchedule* schedule = protocol.oblivious_schedule();
   if (!batch_engine_supports(protocol, config)) {
     throw std::invalid_argument("batch engine requires an oblivious protocol and no trace");
   }
-  return run_batch_from(DirectWords{*schedule}, pattern, config, pattern.first_wake(), nullptr);
-}
-
-SimResult run_wakeup_batch_cached(const proto::Protocol& protocol, const ScheduleCache& cache,
-                                  const mac::WakePattern& pattern, const SimConfig& config) {
-  const proto::ObliviousSchedule* schedule = protocol.oblivious_schedule();
-  if (!batch_engine_supports(protocol, config)) {
-    throw std::invalid_argument("batch engine requires an oblivious protocol and no trace");
-  }
-  const CachedWords words = detail::make_cached_words(*schedule, cache, pattern);
-  return run_batch_from(words, pattern, config, pattern.first_wake(), nullptr);
+  return run_batch_from(*protocol.oblivious_schedule(), pattern, config, pattern.first_wake(),
+                        nullptr);
 }
 
 SimResult run_wakeup_hybrid(const proto::Protocol& protocol, const mac::WakePattern& pattern,
                             const SimConfig& config) {
-  const proto::ObliviousSchedule* schedule = protocol.oblivious_schedule();
   if (!batch_engine_supports(protocol, config)) {
     throw std::invalid_argument("batch engine requires an oblivious protocol and no trace");
   }
   if (pattern.empty()) return {};
+  const proto::ObliviousSchedule& schedule = *protocol.oblivious_schedule();
+  // Warm-up length: cheap-word schedules (strided bits) batch profitably
+  // from slot one; expensive ones get one interpreted block, since the
+  // paper's near-optimal protocols often resolve contention within a few
+  // slots, where a full schedule tile per station would be pure waste.
   // Full resolution drains successes across many tiles anyway; the warm-up
   // bookkeeping (departed winners) is not worth carrying over.
-  if (config.full_resolution) {
-    return run_batch_from(DirectWords{*schedule}, pattern, config, pattern.first_wake(),
-                          nullptr);
+  const mac::Slot warmup = schedule.words_are_cheap() || config.full_resolution ? 0 : 64;
+  if (warmup == 0) {
+    return run_batch_from(schedule, pattern, config, pattern.first_wake(), nullptr);
   }
 
   mac::Slot budget = config.max_slots;
   if (budget <= 0) budget = auto_slot_budget(pattern.n(), pattern.k());
-
-  // Warm-up length: an explicit SimConfig::warmup_slots wins (the sweep
-  // harness sizes it from measured schedule-word cost at tile
-  // granularity); otherwise the static hint — cheap-word schedules
-  // (strided bits) batch profitably from slot one, expensive ones get one
-  // interpreted block, since the paper's near-optimal protocols often
-  // resolve contention within a few slots, where a full schedule tile per
-  // station would be pure waste.
-  mac::Slot warmup = config.warmup_slots;
-  if (warmup < 0) warmup = schedule->words_are_cheap() ? 0 : 64;
-  if (warmup == 0) {
-    return run_batch_from(DirectWords{*schedule}, pattern, config, pattern.first_wake(),
-                          nullptr);
-  }
-
   SimConfig warm_config = config;
   warm_config.max_slots = std::min<mac::Slot>(warmup, budget);
   const SimResult warm = run_wakeup_interpreter(protocol, pattern, warm_config);
@@ -405,8 +391,7 @@ SimResult run_wakeup_hybrid(const proto::Protocol& protocol, const mac::WakePatt
   // No success in the warm-up: continue word-parallel with carried counters.
   SimConfig rest_config = config;
   rest_config.max_slots = budget;  // pin the budget the warm-up was cut from
-  return run_batch_from(DirectWords{*schedule}, pattern, rest_config,
-                        pattern.first_wake() + warmup, &warm);
+  return run_batch_from(schedule, pattern, rest_config, pattern.first_wake() + warmup, &warm);
 }
 
 }  // namespace wakeup::sim

@@ -5,16 +5,17 @@
 ///
 /// Advances one *tile* of 64 * W slots per resolve round (W = tile_words(),
 /// default 8 -> 512 slots): each live station contributes one row of W
-/// consecutive 64-slot schedule words to a station-major word matrix — one
-/// `proto::ObliviousSchedule::schedule_block` (or multi-word
-/// `ScheduleCache::read`) call per station per tile, amortizing the
-/// virtual dispatch W-fold — and the channel is resolved for the whole
-/// tile with the util/simd.hpp kernel suite: `or_reduce_2pass` down the
-/// station axis (`any` = some station transmits, `multi` = two or more),
-/// `masked_popcount_pair` for the silence/collision totals of fully
+/// consecutive 64-slot schedule words to a station-major word matrix — the
+/// tile's rows come from one `proto::ObliviousSchedule::schedule_tile`
+/// call, which amortizes the virtual dispatch and lets a schedule share
+/// per-slot work across stations — and the channel is resolved for the
+/// whole tile with the util/simd.hpp kernel suite: `or_reduce_2pass` down
+/// the station axis (`any` = some station transmits, `multi` = two or
+/// more), `masked_popcount_pair` for the silence/collision totals of fully
 /// resolved words, and `first_set_below` to locate the first solo success.
 /// The full-resolution re-resolve after a winner departs runs the same
-/// reduction over the remaining columns of the matrix.  Produces
+/// reduction over the remaining columns of the matrix.  Energy accounting
+/// counts each station's transmits from the same rows.  Produces
 /// bit-identical `SimResult`s to the slot-by-slot interpreter for every
 /// tile width and kernel table (asserted by
 /// tests/test_engine_equivalence.cpp); traces are not supported, the
@@ -25,8 +26,6 @@
 #include "sim/simulator.hpp"
 
 namespace wakeup::sim {
-
-class ScheduleCache;
 
 /// Widest tile the engines allocate for (words per station row).
 inline constexpr std::size_t kMaxTileWords = 8;
@@ -55,26 +54,12 @@ void set_tile_words(std::size_t words) noexcept;
                                          const mac::WakePattern& pattern,
                                          const SimConfig& config);
 
-/// Trial-batched entry point: like run_wakeup_batch, but schedule words
-/// are served from a pre-populated ScheduleCache (sim/schedule_cache.hpp)
-/// via its multi-word read, with schedule_block fallback for any uncached
-/// tail, so results are bit-identical to the uncached engines for any
-/// cache contents.  One cache handle is resolved per arrival up front;
-/// the cache itself is only read, making concurrent trials over one
-/// shared cache safe.
-[[nodiscard]] SimResult run_wakeup_batch_cached(const proto::Protocol& protocol,
-                                                const ScheduleCache& cache,
-                                                const mac::WakePattern& pattern,
-                                                const SimConfig& config);
-
 /// The Engine::kAuto fast path: interprets a warm-up prefix (runs that
 /// resolve quickly never pay for schedule tiles they do not need), then
-/// continues word-parallel.  The prefix length comes from
-/// SimConfig::warmup_slots, defaulting to one 64-slot block for
-/// expensive-word schedules and zero for cheap ones; the sweep harness
-/// sizes it from measured per-word cost at the engine's tile granularity.
-/// Same preconditions and bit-identical results as run_wakeup_batch, for
-/// every prefix length.
+/// continues word-parallel.  The prefix is one 64-slot block for
+/// expensive-word schedules and none for cheap ones
+/// (`ObliviousSchedule::words_are_cheap`) or under full resolution.  Same
+/// preconditions and bit-identical results as run_wakeup_batch.
 [[nodiscard]] SimResult run_wakeup_hybrid(const proto::Protocol& protocol,
                                           const mac::WakePattern& pattern,
                                           const SimConfig& config);

@@ -8,8 +8,6 @@
 
 #include "sim/batch_engine.hpp"
 #include "sim/impairment_engine.hpp"
-#include "sim/schedule_cache.hpp"
-#include "sim/word_source.hpp"
 #include "util/simd.hpp"
 
 namespace wakeup::sim {
@@ -31,10 +29,9 @@ namespace simd = util::simd;
 /// first_set_below over the per-word lane-solo union) or accumulates a
 /// full tile of per-lane silence/collision counts via
 /// masked_popcount_pair.
-template <class Words>
-McSimResult run_mc_batch_from(const Words& words, const proto::ObliviousSchedule& schedule,
-                              std::uint32_t channels, const mac::WakePattern& pattern,
-                              mac::Slot max_slots, const ImpairmentPlan* plan) {
+McSimResult run_mc_batch_from(const proto::ObliviousSchedule& schedule, std::uint32_t channels,
+                              const mac::WakePattern& pattern, mac::Slot max_slots,
+                              const ImpairmentPlan* plan) {
   McSimResult result;
   if (pattern.empty()) return result;
   if (plan != nullptr && plan->clean()) plan = nullptr;
@@ -42,8 +39,7 @@ McSimResult run_mc_batch_from(const Words& words, const proto::ObliviousSchedule
   struct Active {
     mac::StationId id;
     mac::Slot wake;
-    std::size_t arrival;  ///< index in pattern.arrivals()
-    std::uint32_t lane;   ///< fixed channel (ObliviousSchedule::channel_lane)
+    std::uint32_t lane;  ///< fixed channel (ObliviousSchedule::channel_lane)
   };
 
   const auto& arrivals = pattern.arrivals();  // sorted by wake
@@ -70,9 +66,8 @@ McSimResult run_mc_batch_from(const Words& words, const proto::ObliviousSchedule
   std::size_t next_arrival = 0;
 
   // Tiles aligned to absolute 64-slot boundaries, like the single-channel
-  // engine: words are position-stable and shareable across trials.  Tile
-  // widths ramp 1 -> W like the single-channel engine, so short runs pay
-  // the pre-tiling fetch cost and long runs amortize W-fold.
+  // engine.  Tile widths ramp 1 -> W like the single-channel engine, so
+  // short runs pay the pre-tiling fetch cost and long runs amortize W-fold.
   const mac::Slot first_block = s / 64 * 64;
   std::size_t cur = 1;
 
@@ -88,7 +83,7 @@ McSimResult run_mc_batch_from(const Words& words, const proto::ObliviousSchedule
       if (lane >= channels) {
         throw std::invalid_argument("mc batch engine: channel_lane out of range");
       }
-      active.push_back(Active{a.station, a.wake, next_arrival, lane});
+      active.push_back(Active{a.station, a.wake, lane});
       matrix.resize(active.size() * W, 0);
       ++next_arrival;
     }
@@ -105,7 +100,7 @@ McSimResult run_mc_batch_from(const Words& words, const proto::ObliviousSchedule
         w0 = static_cast<std::size_t>((from - tb) / 64);
         std::fill(row, row + w0, 0);
       }
-      words.tile(st.arrival, st.id, st.wake, from, row + w0, tw - w0);
+      schedule.schedule_block(st.id, st.wake, from, row + w0, tw - w0);
       if (st.wake > from) row[w0] &= ~std::uint64_t{0} << (st.wake - from);
       simd::active().or_accumulate(any.data() + st.lane * W, multi.data() + st.lane * W, row,
                                    tw);
@@ -210,21 +205,8 @@ McSimResult run_mc_batch(const proto::McProtocol& protocol, const mac::WakePatte
     throw std::invalid_argument(
         "mc batch engine requires an oblivious schedule spanning all channels");
   }
-  const proto::ObliviousSchedule& schedule = *protocol.oblivious_schedule();
-  return run_mc_batch_from(detail::DirectWords{schedule}, schedule, protocol.channels(),
-                           pattern, max_slots, plan);
-}
-
-McSimResult run_mc_batch_cached(const proto::McProtocol& protocol, const ScheduleCache& cache,
-                                const mac::WakePattern& pattern, mac::Slot max_slots,
-                                const ImpairmentPlan* plan) {
-  if (!mc_batch_supports(protocol)) {
-    throw std::invalid_argument(
-        "mc batch engine requires an oblivious schedule spanning all channels");
-  }
-  const proto::ObliviousSchedule& schedule = *protocol.oblivious_schedule();
-  const detail::CachedWords words = detail::make_cached_words(schedule, cache, pattern);
-  return run_mc_batch_from(words, schedule, protocol.channels(), pattern, max_slots, plan);
+  return run_mc_batch_from(*protocol.oblivious_schedule(), protocol.channels(), pattern,
+                           max_slots, plan);
 }
 
 }  // namespace wakeup::sim

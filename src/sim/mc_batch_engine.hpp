@@ -27,8 +27,6 @@
 
 namespace wakeup::sim {
 
-class ScheduleCache;
-
 /// Can the C-channel batch engine execute this protocol?  Requires an
 /// oblivious schedule spanning exactly protocol.channels() lanes.
 [[nodiscard]] bool mc_batch_supports(const proto::McProtocol& protocol);
@@ -43,15 +41,5 @@ class ScheduleCache;
                                        const mac::WakePattern& pattern,
                                        mac::Slot max_slots = 0,
                                        const ImpairmentPlan* plan = nullptr);
-
-/// Trial-batched variant: schedule words are served from a pre-populated
-/// read-only ScheduleCache (sim/schedule_cache.hpp) with per-word fallback
-/// to schedule_block, so results are bit-identical to the uncached engine
-/// for any cache contents.  Same preconditions as run_mc_batch.
-[[nodiscard]] McSimResult run_mc_batch_cached(const proto::McProtocol& protocol,
-                                              const ScheduleCache& cache,
-                                              const mac::WakePattern& pattern,
-                                              mac::Slot max_slots = 0,
-                                              const ImpairmentPlan* plan = nullptr);
 
 }  // namespace wakeup::sim

@@ -101,8 +101,8 @@ McSimResult run_adapter_fast_path(const proto::McProtocol& protocol,
   McSimResult result;
   if (pattern.empty()) return result;
 
-  // The whole config forwards (warmup_slots included); the fields the mc
-  // model cannot serve were already rejected by dispatch_mc_wakeup.
+  // The whole config forwards; the fields the mc model cannot serve were
+  // already rejected by dispatch_mc_wakeup.
   const SimResult sc = dispatch_wakeup(inner, pattern, config);
   result.s = sc.s;
   result.success = sc.success;

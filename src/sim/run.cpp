@@ -1,28 +1,19 @@
 #include "sim/run.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "sim/adversary.hpp"
-#include "sim/batch_engine.hpp"
 #include "sim/impairment_engine.hpp"
-#include "sim/mc_batch_engine.hpp"
 #include "sim/results_sink.hpp"
 #include "util/rng.hpp"
 
 namespace wakeup::sim {
 
 namespace {
-
-/// Uncached probe trials per batched cell: they size the cache window,
-/// the cost gate, and the adaptive warm-up from observed behavior.
-constexpr std::uint64_t kProbeTrials = 4;
 
 struct TrialOut {
   bool success = false;
@@ -35,20 +26,6 @@ struct TrialOut {
   double energy_mean = 0;  ///< mean station energy of this trial
   double energy_max = 0;   ///< max station energy of this trial
 };
-
-/// Per-trial energy reduction shared by the engines' result types.
-void fold_energy(const std::vector<std::uint64_t>& station_energy, TrialOut& t) {
-  if (station_energy.empty()) return;
-  t.has_energy = true;
-  double sum = 0;
-  std::uint64_t max = 0;
-  for (const std::uint64_t e : station_energy) {
-    sum += static_cast<double>(e);
-    max = std::max(max, e);
-  }
-  t.energy_mean = sum / static_cast<double>(station_energy.size());
-  t.energy_max = static_cast<double>(max);
-}
 
 // Spec-level spellings of the public seed hooks (bottom of this file).
 std::uint64_t trial_seed(const RunSpec& spec, std::uint64_t i) {
@@ -105,33 +82,6 @@ std::vector<mac::Slot> resolve_adversarial_jam(const RunSpec& spec,
       .slots;
 }
 
-void record_sc(const RunSpec& spec, RunOutcome& out, std::vector<TrialOut>& outs,
-               std::uint64_t i, const SimResult& r) {
-  TrialOut& t = outs[i];
-  t.success = r.success;
-  t.rounds = static_cast<double>(r.rounds);
-  t.collisions = static_cast<double>(r.collisions);
-  t.silences = static_cast<double>(r.silences);
-  t.completed = r.completed;
-  t.completion = static_cast<double>(r.completion_rounds);
-  fold_energy(r.station_energy, t);
-  if (spec.trials == 1) out.sim = r;
-  if (spec.per_trial) spec.per_trial(i, r);
-  if (spec.trial_csv != nullptr) spec.trial_csv->write(i, r);
-}
-
-void record_mc(const RunSpec& spec, RunOutcome& out, std::vector<TrialOut>& outs,
-               std::uint64_t i, const McSimResult& r) {
-  TrialOut& t = outs[i];
-  t.success = r.success;
-  t.rounds = static_cast<double>(r.rounds);
-  t.collisions = static_cast<double>(r.collisions);
-  t.silences = static_cast<double>(r.silences);
-  if (spec.trials == 1) out.mc = r;
-  if (spec.per_trial_mc) spec.per_trial_mc(i, r);
-  if (spec.trial_csv != nullptr) spec.trial_csv->write(i, r);
-}
-
 CellResult aggregate(const RunSpec& spec, const std::vector<TrialOut>& outs) {
   util::Sample rounds, collisions, silences, completion, energy_mean, energy_max;
   CellResult result;
@@ -169,82 +119,6 @@ void for_each_trial(std::uint64_t trials, util::ThreadPool* pool,
   } else {
     for (std::size_t i = 0; i < trials; ++i) body(i);
   }
-}
-
-/// Slots a finished trial actually walked, from its own first wake: to
-/// completion (full resolution), to the first success, or the whole budget
-/// when the stop condition was never reached.
-mac::Slot walked_slots(const SimConfig& sim, const mac::WakePattern& pattern, bool success,
-                       std::int64_t success_rounds, bool completed,
-                       std::int64_t completion_rounds) {
-  mac::Slot budget = sim.max_slots;
-  if (budget <= 0) budget = auto_slot_budget(pattern.n(), pattern.k());
-  if (sim.full_resolution) return completed ? completion_rounds + 1 : budget;
-  return success ? success_rounds + 1 : budget;
-}
-
-/// Adaptive warm-up: measure the schedule's per-word cost at the engine's
-/// tile granularity and the protocol's interpreted slot cost on a sample
-/// of `sample`'s arrivals, then pick the kAuto interpreted prefix (a small
-/// menu of block multiples) minimizing the modeled cost of a
-/// `mean_run`-slot trial.  Interpreted slots pay per slot; the batched
-/// remainder pays one word per covered 64-slot block plus the tile-ramp
-/// overshoot (the engine's tiles double 1 -> W, so a run buys at most
-/// W - 1 words past its last live block — W/2 expected, the term below).
-/// Replaces the static words_are_cheap() hint wherever probe trials are
-/// available; results are bit-identical for any prefix, only the cost
-/// profile moves.
-mac::Slot calibrated_warmup(const proto::Protocol& protocol,
-                            const proto::ObliviousSchedule& schedule,
-                            const mac::WakePattern& sample, double mean_run) {
-  if (sample.empty() || mean_run <= 0) return -1;
-  const auto& arrivals = sample.arrivals();
-  const std::size_t stations = std::min<std::size_t>(arrivals.size(), 16);
-  using clock = std::chrono::steady_clock;
-  const auto ns_between = [](clock::time_point a, clock::time_point b) {
-    return static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
-  };
-
-  const std::size_t tile = tile_words();  // measure at fetch granularity
-  std::uint64_t sink = 0;
-  const auto w0 = clock::now();
-  for (std::size_t a = 0; a < stations; ++a) {
-    std::uint64_t words[kMaxTileWords] = {};
-    const mac::Slot from = arrivals[a].wake / 64 * 64;
-    schedule.schedule_block(arrivals[a].station, arrivals[a].wake, from, words, tile);
-    for (const std::uint64_t w : words) sink ^= w;
-  }
-  const double word_ns =
-      ns_between(w0, clock::now()) / static_cast<double>(stations * tile);
-
-  constexpr mac::Slot kProbeSlots = 256;
-  const auto i0 = clock::now();
-  for (std::size_t a = 0; a < stations; ++a) {
-    auto runtime = protocol.make_runtime(arrivals[a].station, arrivals[a].wake);
-    for (mac::Slot t = arrivals[a].wake; t < arrivals[a].wake + kProbeSlots; ++t) {
-      sink += runtime->transmits(t) ? 1 : 0;
-    }
-  }
-  const double interp_ns = ns_between(i0, clock::now()) /
-                           static_cast<double>(stations * static_cast<std::size_t>(kProbeSlots));
-  if (sink == 0x5a5a5a5a5a5a5a5aULL) return -1;  // keep the measured work alive
-
-  const double overshoot = static_cast<double>(tile) / 2.0;  // ramp overshoot, expected
-  mac::Slot best = 0;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (const mac::Slot w : {mac::Slot{0}, mac::Slot{64}, mac::Slot{128}, mac::Slot{256},
-                            mac::Slot{512}}) {
-    const double batched = std::max(0.0, mean_run - static_cast<double>(w));
-    const double interp_cost = std::min(mean_run, static_cast<double>(w)) * interp_ns;
-    const double words = batched > 0 ? std::ceil(batched / 64.0) + overshoot : 0;
-    const double cost = interp_cost + words * word_ns;
-    if (cost < best_cost) {  // strict: ties keep the shorter prefix
-      best = w;
-      best_cost = cost;
-    }
-  }
-  return best;
 }
 
 void validate(const RunSpec& spec) {
@@ -327,16 +201,18 @@ void validate(const RunSpec& spec) {
   if (!multichannel && spec.per_trial_mc) {
     throw std::invalid_argument("RunSpec: single-channel runs report through per_trial");
   }
+  if (multichannel && (spec.sim.record_trace || spec.sim.full_resolution ||
+                       spec.sim.feedback != mac::FeedbackModel::kNone)) {
+    throw std::invalid_argument(
+        "RunSpec: multichannel runs support neither traces, full resolution, nor CD feedback");
+  }
 }
 
 // -------------------------------------------------------- dynamic traffic --
 
-/// Dynamic cells: a plain per-trial loop.  No schedule memo — post-delivery
-/// head starts are as diverse as the traffic, so cross-trial word reuse is
-/// gone and the engines fetch schedule blocks directly (the dynamic batch
-/// engine's fill_row is the DirectWords path at tile granularity).  A trial
-/// cannot fail: the horizon is the budget and every slot of it resolves, so
-/// `failures` stays 0 by construction.
+/// Dynamic cells: a plain per-trial loop.  A trial cannot fail: the
+/// horizon is the budget and every slot of it resolves, so `failures`
+/// stays 0 by construction.
 void run_dynamic(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
   proto::ProtocolPtr owned;
   const proto::Protocol* protocol = spec.protocol;
@@ -408,323 +284,106 @@ void run_dynamic(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
   if (spec.trials == 1) out.dynamic = std::move(results.front());
 }
 
-// ------------------------------------------- shared sweep-cell plumbing --
+// ---------------------------------------------------------- static cells --
 
-/// Per-trial patterns of a cell: pre-generated from the trial streams when
-/// a builder is given (the cache census needs them all up front), one
-/// shared fixed pattern otherwise.
-class CellPatterns {
- public:
-  explicit CellPatterns(const RunSpec& spec) : spec_(spec) {
-    if (spec.make_pattern) {
-      generated_.reserve(spec.trials);
-      for (std::uint64_t i = 0; i < spec.trials; ++i) {
-        util::Rng rng(trial_seed(spec, i));
-        generated_.push_back(spec.make_pattern(rng));
-      }
-    }
+/// What a static cell needs from its channel model: where the spec keeps
+/// the protocol, how a trial dispatches, where its result is reported, and
+/// the cell's adversarial jam placement.
+struct SingleChannel {
+  using Protocol = proto::Protocol;
+  using Result = SimResult;
+  static const Protocol* fixed(const RunSpec& spec) { return spec.protocol; }
+  static const auto& builder(const RunSpec& spec) { return spec.make_protocol; }
+  static bool randomized(const Protocol& protocol) {
+    return protocol.requirements().randomized;
   }
-  const mac::WakePattern& operator[](std::uint64_t i) const {
-    return spec_.make_pattern ? generated_[i] : *spec_.pattern;
+  static Result dispatch(const Protocol& protocol, const mac::WakePattern& pattern,
+                         const SimConfig& config) {
+    return dispatch_wakeup(protocol, pattern, config);
   }
-
- private:
-  const RunSpec& spec_;
-  std::vector<mac::WakePattern> generated_;
+  static void record(const RunSpec& spec, RunOutcome& out, std::uint64_t i, const Result& r,
+                     TrialOut& t) {
+    t.completed = r.completed;
+    t.completion = static_cast<double>(r.completion_rounds);
+    fold_energy(r.station_energy, t);
+    if (spec.trials == 1) out.sim = r;
+    if (spec.per_trial) spec.per_trial(i, r);
+  }
+  static std::vector<mac::Slot> jam(const RunSpec& spec, const Protocol& protocol) {
+    return resolve_adversarial_jam(spec, protocol);
+  }
 };
 
-struct ProbeStats {
-  std::uint64_t probes = 0;
-  mac::Slot observed = 0;  ///< longest probe trial, in walked slots
-  mac::Slot horizon = 0;   ///< exclusive slot bound any trial may reach
-  double mean_run = 0;     ///< mean walked slots over the probes
+struct MultiChannel {
+  using Protocol = proto::McProtocol;
+  using Result = McSimResult;
+  static const Protocol* fixed(const RunSpec& spec) { return spec.mc_protocol; }
+  static const auto& builder(const RunSpec& spec) { return spec.make_mc_protocol; }
+  static bool randomized(const Protocol& protocol) { return protocol.randomized(); }
+  static Result dispatch(const Protocol& protocol, const mac::WakePattern& pattern,
+                         const SimConfig& config) {
+    return dispatch_mc_wakeup(protocol, pattern, config);
+  }
+  static void record(const RunSpec& spec, RunOutcome& out, std::uint64_t i, const Result& r,
+                     TrialOut& t) {
+    (void)t;  // the C-channel model has no full-resolution drain and no energy
+    if (spec.trials == 1) out.mc = r;
+    if (spec.per_trial_mc) spec.per_trial_mc(i, r);
+  }
+  static std::vector<mac::Slot> jam(const RunSpec& spec, const Protocol& protocol) {
+    (void)spec;  // adversarial jam is single-channel only (validate)
+    (void)protocol;
+    return {};
+  }
 };
 
-/// Runs the first few trials uncached to observe real trial lengths
-/// (their results are kept — engines are bit-identical).  `run_probe(i)`
-/// executes and records trial i, returning its walked slots.
-template <class RunProbe>
-ProbeStats run_probe_trials(const RunSpec& spec, const CellPatterns& patterns,
-                            std::uint64_t probe_cap, RunProbe&& run_probe) {
-  ProbeStats stats;
-  stats.probes = std::min<std::uint64_t>(spec.trials, probe_cap);
-  for (std::uint64_t i = 0; i < spec.trials; ++i) {
-    const mac::WakePattern& p = patterns[i];
-    if (p.empty()) continue;
-    mac::Slot budget = spec.sim.max_slots;
-    if (budget <= 0) budget = auto_slot_budget(p.n(), p.k());
-    stats.horizon = std::max<mac::Slot>(stats.horizon, p.first_wake() + budget);
-  }
-  double run_slots_sum = 0;
-  for (std::uint64_t i = 0; i < stats.probes; ++i) {
-    const mac::Slot run_slots = run_probe(i);
-    stats.observed = std::max<mac::Slot>(stats.observed, run_slots);
-    run_slots_sum += static_cast<double>(run_slots);
-  }
-  if (stats.probes > 0) stats.mean_run = run_slots_sum / static_cast<double>(stats.probes);
-  return stats;
-}
-
-/// Cache sizing from the probes: window shrunk to a multiple of observed
-/// trial lengths instead of the (deliberately generous) failure budget.
-ScheduleCache::Config sized_cache_config(const RunSpec& spec, bool force,
-                                         const ProbeStats& stats) {
-  ScheduleCache::Config config = spec.cache;
-  config.force = force;
-  config.horizon = stats.horizon;
-  config.window = std::clamp<mac::Slot>(2 * stats.observed, 256,
-                                        std::max<mac::Slot>(spec.cache.window, 256));
-  if (config.contended_prefix == 0) {
-    // Contended-prefix policy: contention (>= 2 live stations) resolves
-    // within roughly the observed probe runs, so 8x that covers the slots
-    // with cross-trial reuse while the long solo tail falls back to the
-    // implicit generators.  A caller-set value passes through unchanged.
-    const mac::Slot cap = stats.horizon > 0 ? stats.horizon : std::numeric_limits<mac::Slot>::max();
-    config.contended_prefix =
-        std::clamp<mac::Slot>(8 * stats.observed, 4096, std::max<mac::Slot>(cap, 4096));
-  }
-  return config;
-}
-
-/// Probe count for a batched cell.  kForce promises the memo is always
-/// populated AND served, so forced cells cap the probes below the trial
-/// count (down to zero for a 1-trial cell) — every left-over trial reads
-/// the cache.  Unforced cells just probe the first few.
-std::uint64_t probe_cap_for(const RunSpec& spec, bool force) {
-  if (!force) return kProbeTrials;
-  if (spec.trials == 0) return 0;
-  return std::min<std::uint64_t>(kProbeTrials, spec.trials - 1);
-}
-
-/// Census + shape planning + the population cost gate: filling the memo
-/// walks planned_words * 64 schedule slots once; running uncached walks
-/// roughly one word per station per live block, per trial.  Returns true
-/// when the trials themselves are the cheaper walk (low cross-trial reuse
-/// — huge universes, scattered wake classes, short runs) and the fill
-/// should be skipped.
-bool plan_census_gate_declines(ScheduleCache& cache, const RunSpec& spec,
-                               const CellPatterns& patterns, bool force,
-                               const ProbeStats& stats) {
-  std::vector<std::pair<mac::StationId, mac::Slot>> members;
-  for (std::uint64_t i = 0; i < spec.trials; ++i) {
-    for (const mac::Arrival& a : patterns[i].arrivals()) {
-      members.emplace_back(a.station, a.wake);
-    }
-  }
-  const std::size_t planned_words = cache.plan_members(members);
-  const double direct_words = static_cast<double>(members.size()) * stats.mean_run / 64.0;
-  return !force && static_cast<double>(planned_words) > direct_words;
-}
-
-// ------------------------------------------------------ single channel --
-
-void run_sc(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
-  proto::ProtocolPtr owned;
-  const proto::Protocol* protocol = spec.protocol;
+/// Static cells: one per-trial loop for either channel model.  The
+/// protocol is hoisted per the seed contract; each trial draws its pattern
+/// and its impairment realization from its own seed and dispatches on
+/// spec.sim.engine.
+template <class Model>
+void run_static(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
+  std::shared_ptr<const typename Model::Protocol> owned;
+  const typename Model::Protocol* protocol = Model::fixed(spec);
   if (protocol == nullptr) {
-    owned = spec.make_protocol(cell_protocol_seed(spec));
+    owned = Model::builder(spec)(cell_protocol_seed(spec));
     protocol = owned.get();
   }
   // Randomized protocols differ per trial (private coins) — but only a
   // seeded builder can rebuild them; a fixed instance is shared as-is.
   const bool randomized =
-      protocol->requirements().randomized && static_cast<bool>(spec.make_protocol);
-
-  std::vector<TrialOut> outs(spec.trials);
-  const proto::ObliviousSchedule* schedule = protocol->oblivious_schedule();
-  const bool force = spec.batching == TrialBatching::kForce || spec.cache.force;
-  // Same cost model as the kAuto dispatch: cheap-word schedules (strided
-  // bits) recompute faster than a memo can be populated; the cache earns
-  // its keep on table-, family- and hash-walking schedules.  Cells with no
-  // trials beyond the probes (single runs especially) have nothing to
-  // serve from a memo — planning one would be pure overhead.
-  const bool cacheable = spec.batching != TrialBatching::kOff && !randomized &&
-                         (spec.trials > kProbeTrials || force) && schedule != nullptr &&
-                         (!schedule->words_are_cheap() || force) &&
-                         !spec.sim.record_trace && spec.sim.engine != Engine::kInterpreter;
+      Model::randomized(*protocol) && static_cast<bool>(Model::builder(spec));
 
   // Impaired cells compile one plan per trial (and resolve an adversarial
-  // jam placement once, here); clean cells touch none of this — their
-  // trial configs are spec.sim verbatim.
+  // jam placement once, here); clean cells run spec.sim verbatim.
   const bool impaired = !spec.impairment.clean();
   const std::vector<mac::Slot> jam_slots =
-      impaired ? resolve_adversarial_jam(spec, *protocol) : std::vector<mac::Slot>{};
+      impaired ? Model::jam(spec, *protocol) : std::vector<mac::Slot>{};
   const std::vector<mac::Slot>* jam_override = jam_slots.empty() ? nullptr : &jam_slots;
-  const auto trial_config = [&](std::uint64_t i, const mac::WakePattern& pattern,
-                                const SimConfig& base, ImpairmentPlan& plan) {
-    SimConfig cfg = base;
-    if (impaired) {
-      plan = compile_static_plan(spec, trial_seed(spec, i), pattern, jam_override);
-      cfg.impairment = &plan;
-    }
-    return cfg;
-  };
-
-  if (!cacheable) {
-    // Plain per-trial loop (protocol hoisted per the seed contract).
-    for_each_trial(spec.trials, pool, [&](std::size_t i) {
-      const std::uint64_t seed = trial_seed(spec, i);
-      util::Rng rng(seed);
-      mac::WakePattern generated;
-      if (spec.make_pattern) generated = spec.make_pattern(rng);
-      const mac::WakePattern& pattern = spec.make_pattern ? generated : *spec.pattern;
-      const proto::ProtocolPtr rebuilt =
-          randomized ? spec.make_protocol(trial_protocol_seed(seed)) : nullptr;
-      ImpairmentPlan plan;
-      const SimConfig cfg = trial_config(i, pattern, spec.sim, plan);
-      record_sc(spec, out, outs, i,
-                dispatch_wakeup(rebuilt ? *rebuilt : *protocol, pattern, cfg));
-    });
-    out.cell = aggregate(spec, outs);
-    return;
-  }
-
-  // Patterns up front: they are cheap relative to simulation, and the
-  // cache needs the full (station, wake) census before going read-only.
-  const CellPatterns patterns(spec);
-  const ProbeStats stats = run_probe_trials(spec, patterns, probe_cap_for(spec, force),
-                                            [&](std::uint64_t i) {
-    ImpairmentPlan plan;
-    const SimConfig cfg = trial_config(i, patterns[i], spec.sim, plan);
-    const SimResult r = dispatch_wakeup(*protocol, patterns[i], cfg);
-    record_sc(spec, out, outs, i, r);
-    return walked_slots(spec.sim, patterns[i], r.success, r.rounds, r.completed,
-                        r.completion_rounds);
-  });
-
-  ScheduleCache cache(*schedule, sized_cache_config(spec, force, stats));
-  if (plan_census_gate_declines(cache, spec, patterns, force, stats)) {
-    // Gate declined the memo: run the trial loop, with the kAuto warm-up
-    // prefix re-sized from the probes' measured schedule-word cost.
-    if (obs::active()) obs::Counter::get("cache.census_declines").inc();
-    SimConfig rest = spec.sim;
-    if (rest.engine == Engine::kAuto && rest.warmup_slots < 0 && !rest.full_resolution) {
-      rest.warmup_slots = calibrated_warmup(*protocol, *schedule, patterns[0], stats.mean_run);
-      if (obs::active() && rest.warmup_slots >= 0) {
-        obs::Histogram::get("run.warmup_slots")
-            .observe(static_cast<std::uint64_t>(rest.warmup_slots));
-      }
-    }
-    for_each_trial(spec.trials - stats.probes, pool, [&](std::size_t j) {
-      const std::size_t i = j + stats.probes;
-      ImpairmentPlan plan;
-      const SimConfig cfg = trial_config(i, patterns[i], rest, plan);
-      record_sc(spec, out, outs, i, dispatch_wakeup(*protocol, patterns[i], cfg));
-    });
-    out.cell = aggregate(spec, outs);
-    return;
-  }
-  cache.fill_planned(pool);
-
-  for_each_trial(spec.trials - stats.probes, pool, [&](std::size_t j) {
-    const std::size_t i = j + stats.probes;
-    ImpairmentPlan plan;
-    const SimConfig cfg = trial_config(i, patterns[i], spec.sim, plan);
-    record_sc(spec, out, outs, i,
-              run_wakeup_batch_cached(*protocol, cache, patterns[i], cfg));
-  });
-  out.cell = aggregate(spec, outs);
-}
-
-// ----------------------------------------------------------- C channels --
-
-void run_mc(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
-  proto::McProtocolPtr owned;
-  const proto::McProtocol* protocol = spec.mc_protocol;
-  if (protocol == nullptr) {
-    owned = spec.make_mc_protocol(cell_protocol_seed(spec));
-    protocol = owned.get();
-  }
-  if (spec.sim.record_trace || spec.sim.full_resolution ||
-      spec.sim.feedback != mac::FeedbackModel::kNone) {
-    throw std::invalid_argument(
-        "multichannel runs support neither traces, full resolution, nor CD feedback");
-  }
-  const bool randomized = protocol->randomized() && static_cast<bool>(spec.make_mc_protocol);
 
   std::vector<TrialOut> outs(spec.trials);
-  const proto::ObliviousSchedule* schedule = protocol->oblivious_schedule();
-  const bool force = spec.batching == TrialBatching::kForce || spec.cache.force;
-  // Adapters already ride the single-channel engine stack through the
-  // dispatch fast path; the C-lane memo is for native strategies.
-  const bool cacheable = spec.batching != TrialBatching::kOff && !randomized &&
-                         (spec.trials > kProbeTrials || force) &&
-                         protocol->single_channel() == nullptr &&
-                         mc_batch_supports(*protocol) &&
-                         (!schedule->words_are_cheap() || force) &&
-                         spec.sim.engine != Engine::kInterpreter;
-
-  // Impaired cells compile one plan per trial (adversarial jam is
-  // single-channel and was validated away, so there is no override here).
-  const bool impaired = !spec.impairment.clean();
-  const auto trial_config = [&](std::uint64_t i, const mac::WakePattern& pattern,
-                                const SimConfig& base, ImpairmentPlan& plan) {
-    SimConfig cfg = base;
+  for_each_trial(spec.trials, pool, [&](std::size_t i) {
+    const std::uint64_t seed = trial_seed(spec, i);
+    util::Rng rng(seed);
+    mac::WakePattern generated;
+    if (spec.make_pattern) generated = spec.make_pattern(rng);
+    const mac::WakePattern& pattern = spec.make_pattern ? generated : *spec.pattern;
+    const std::shared_ptr<const typename Model::Protocol> rebuilt =
+        randomized ? Model::builder(spec)(trial_protocol_seed(seed)) : nullptr;
+    ImpairmentPlan plan;
+    SimConfig cfg = spec.sim;
     if (impaired) {
-      plan = compile_static_plan(spec, trial_seed(spec, i), pattern, nullptr);
+      plan = compile_static_plan(spec, seed, pattern, jam_override);
       cfg.impairment = &plan;
     }
-    return cfg;
-  };
-
-  if (!cacheable) {
-    for_each_trial(spec.trials, pool, [&](std::size_t i) {
-      const std::uint64_t seed = trial_seed(spec, i);
-      util::Rng rng(seed);
-      mac::WakePattern generated;
-      if (spec.make_pattern) generated = spec.make_pattern(rng);
-      const mac::WakePattern& pattern = spec.make_pattern ? generated : *spec.pattern;
-      const proto::McProtocolPtr rebuilt =
-          randomized ? spec.make_mc_protocol(trial_protocol_seed(seed)) : nullptr;
-      ImpairmentPlan plan;
-      const SimConfig cfg = trial_config(i, pattern, spec.sim, plan);
-      record_mc(spec, out, outs, i,
-                dispatch_mc_wakeup(rebuilt ? *rebuilt : *protocol, pattern, cfg));
-    });
-    out.cell = aggregate(spec, outs);
-    return;
-  }
-
-  const CellPatterns patterns(spec);
-  const ProbeStats stats = run_probe_trials(spec, patterns, probe_cap_for(spec, force),
-                                            [&](std::uint64_t i) {
-    ImpairmentPlan plan;
-    const SimConfig cfg = trial_config(i, patterns[i], spec.sim, plan);
-    const McSimResult r = dispatch_mc_wakeup(*protocol, patterns[i], cfg);
-    record_mc(spec, out, outs, i, r);
-    return walked_slots(spec.sim, patterns[i], r.success, r.rounds, false, -1);
-  });
-
-  ScheduleCache cache(*schedule, sized_cache_config(spec, force, stats));
-  if (plan_census_gate_declines(cache, spec, patterns, force, stats)) {
-    if (obs::active()) obs::Counter::get("cache.census_declines").inc();
-    SimConfig rest = spec.sim;
-    // The C-channel model has no interpreted warm-up hybrid, so kAuto's
-    // probe-informed counterpart lives here: when trials end well inside
-    // the first block, one expensive schedule word per station costs more
-    // than interpreting the few live slots — run the rest on the slot
-    // loop (the engines are bit-identical, only the cost profile moves).
-    if (rest.engine == Engine::kAuto && stats.mean_run < 32) {
-      rest.engine = Engine::kInterpreter;
-    }
-    for_each_trial(spec.trials - stats.probes, pool, [&](std::size_t j) {
-      const std::size_t i = j + stats.probes;
-      ImpairmentPlan plan;
-      const SimConfig cfg = trial_config(i, patterns[i], rest, plan);
-      record_mc(spec, out, outs, i, dispatch_mc_wakeup(*protocol, patterns[i], cfg));
-    });
-    out.cell = aggregate(spec, outs);
-    return;
-  }
-  cache.fill_planned(pool);
-
-  for_each_trial(spec.trials - stats.probes, pool, [&](std::size_t j) {
-    const std::size_t i = j + stats.probes;
-    ImpairmentPlan plan;
-    const SimConfig cfg = trial_config(i, patterns[i], spec.sim, plan);
-    record_mc(spec, out, outs, i,
-              run_mc_batch_cached(*protocol, cache, patterns[i], spec.sim.max_slots,
-                                  cfg.impairment));
+    const typename Model::Result r = Model::dispatch(rebuilt ? *rebuilt : *protocol, pattern, cfg);
+    TrialOut& t = outs[i];
+    t.success = r.success;
+    t.rounds = static_cast<double>(r.rounds);
+    t.collisions = static_cast<double>(r.collisions);
+    t.silences = static_cast<double>(r.silences);
+    Model::record(spec, out, i, r, t);
+    if (spec.trial_csv != nullptr) spec.trial_csv->write(i, r);
   });
   out.cell = aggregate(spec, outs);
 }
@@ -746,9 +405,9 @@ RunOutcome Run(const RunSpec& spec, util::ThreadPool* pool) {
   if (out.dynamic_mode) {
     run_dynamic(spec, pool, out);
   } else if (out.multichannel) {
-    run_mc(spec, pool, out);
+    run_static<MultiChannel>(spec, pool, out);
   } else {
-    run_sc(spec, pool, out);
+    run_static<SingleChannel>(spec, pool, out);
   }
   return out;
 }

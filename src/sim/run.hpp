@@ -7,10 +7,9 @@
 /// seeded cell builder), a wake pattern (fixed or per-trial builder), an
 /// engine selection, a trial count, and optional per-trial sinks; `Run`
 /// executes it: one call covers a single traced run, a Monte-Carlo sweep
-/// cell with memoized schedule words, and everything in between, for both
-/// channel models.  (The four pre-facade entry points — run_wakeup,
-/// run_mc_wakeup, run_cell, run_cell_batched — are gone; this is the only
-/// way in.)
+/// cell, and everything in between, for both channel models.  Every
+/// static cell runs one per-trial loop routed from its spec alone: the
+/// protocol is built once, and each trial dispatches on `sim.engine`.
 ///
 /// ```cpp
 /// // Single run, single channel:
@@ -18,7 +17,7 @@
 /// // Single run, C channels, forced slot interpreter:
 /// auto m = sim::Run({.mc_protocol = &striped, .pattern = &pattern,
 ///                    .sim = {.engine = sim::Engine::kInterpret}}).mc;
-/// // Trial-batched sweep cell (protocol hoisted, schedule words memoized):
+/// // Sweep cell (protocol built once, one pattern per trial):
 /// auto c = sim::Run({.make_protocol = factory, .make_pattern = gen,
 ///                    .trials = 256, .base_seed = 1}, &pool).cell;
 /// ```
@@ -41,7 +40,6 @@
 #include "protocols/protocol.hpp"
 #include "sim/dynamic.hpp"
 #include "sim/mc_simulator.hpp"
-#include "sim/schedule_cache.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -49,20 +47,6 @@
 namespace wakeup::sim {
 
 class TrialCsvSink;
-
-/// Trial-batching policy for multi-trial cells.
-enum class TrialBatching : std::uint8_t {
-  /// Hoist the protocol, probe a few trials, memoize schedule words when
-  /// the population cost gate says the memo pays, and size the kAuto
-  /// warm-up prefix from the probes' measured schedule-word cost.  The
-  /// default.
-  kAuto,
-  /// Plain per-trial loop (protocol still hoisted per the seed contract).
-  kOff,
-  /// Like kAuto but the memo is always populated and served — equivalent
-  /// to ScheduleCache::Config::force.  For tests and benches.
-  kForce,
-};
 
 /// Aggregated outcome of a cell (single runs are 1-trial cells).
 struct CellResult {
@@ -149,12 +133,6 @@ struct RunSpec {
   std::uint64_t base_seed = 1;
   /// Distinguishes cells that share a base_seed (hashed into trial seeds).
   std::uint64_t cell_tag = 0;
-
-  TrialBatching batching = TrialBatching::kAuto;
-  /// Knobs for the shared schedule-word cache.  `window` acts as an upper
-  /// bound; the harness shrinks it to a multiple of the trial lengths
-  /// observed in a few uncached probe trials.
-  ScheduleCache::Config cache;
 
   /// Optional per-trial sinks, called as sink(i, result) from worker
   /// threads (each trial index exactly once; the callee must tolerate

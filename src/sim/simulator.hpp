@@ -17,6 +17,7 @@
 /// interpreter (sim/interpreter.hpp) or the word-parallel batch engine for
 /// oblivious protocols (sim/batch_engine.hpp) — per SimConfig::engine.
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,14 +76,6 @@ struct SimConfig {
   /// Extension: run until every awake station has had a solo transmission
   /// (stations leave the channel after succeeding).
   bool full_resolution = false;
-  /// Engine::kAuto only: slots interpreted before switching word-parallel
-  /// (ignored under full_resolution, where the drain batches throughout).
-  /// < 0 (default) sizes the prefix from the static `words_are_cheap()`
-  /// hint — 0 for cheap words, one 64-slot block otherwise; the sweep
-  /// harness overrides this per cell from the probe trials' measured
-  /// schedule-word cost (adaptive warm-up, sim/run.cpp).  Results are
-  /// bit-identical for every value; only the cost profile moves.
-  mac::Slot warmup_slots = -1;
   /// One trial's realized channel impairments (noise/jam words, faults),
   /// or nullptr for the clean channel.  Not owned; the caller keeps the
   /// plan alive for the run (sim/run.cpp compiles one per trial).  Every
@@ -116,16 +109,34 @@ struct SimResult {
   /// pattern arrival order: station_energy[i] = slots the i-th waking
   /// station spent transmitting or listening under the selected model, and
   /// station_transmits[i] its transmit-slot component.  The interpreter
-  /// counts both in-run from its `transmits(t)` calls; the batch engines
-  /// recompute transmits post-hoc via masked popcounts over the
-  /// station-major word matrices — two independent derivations, tested
-  /// bit-identical.  Stations the run never woke (arrival after the end)
-  /// hold 0.
+  /// counts both in-run from its `transmits(t)` calls; the batch engine
+  /// counts transmits with masked popcounts over the schedule rows its
+  /// tile loop already fetched (each row masked to the station's
+  /// [wake, departure or last slot], plus what the kAuto warm-up prefix
+  /// interpreted) — two independent derivations, tested bit-identical.
+  /// Stations the run never woke (arrival after the end) hold 0.
   std::vector<std::uint64_t> station_energy;
   std::vector<std::uint64_t> station_transmits;
 
   std::optional<mac::ExecutionTrace> trace;
 };
+
+/// Per-trial reduction of a station-energy vector into `out`'s
+/// has_energy / energy_mean / energy_max; leaves `out` alone when energy
+/// accounting was off (empty vector).
+template <class Out>
+void fold_energy(const std::vector<std::uint64_t>& station_energy, Out& out) {
+  if (station_energy.empty()) return;
+  out.has_energy = true;
+  double sum = 0;
+  std::uint64_t max = 0;
+  for (const std::uint64_t e : station_energy) {
+    sum += static_cast<double>(e);
+    max = std::max(max, e);
+  }
+  out.energy_mean = sum / static_cast<double>(station_energy.size());
+  out.energy_max = static_cast<double>(max);
+}
 
 /// The automatic slot budget used when SimConfig::max_slots <= 0.
 [[nodiscard]] mac::Slot auto_slot_budget(std::uint32_t n, std::size_t k);

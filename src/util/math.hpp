@@ -9,7 +9,6 @@
 /// identically.
 
 #include <cstdint>
-#include <numeric>
 
 namespace wakeup::util {
 
@@ -62,17 +61,6 @@ namespace wakeup::util {
   x = (x | (x << 2)) & 0x3333333333333333ULL;
   x = (x | (x << 1)) & 0x5555555555555555ULL;
   return x;
-}
-
-/// lcm(a, b), or 0 when either operand is 0 or the product overflows
-/// 64 bits.  Used for combined schedule periods (interleavings, the
-/// Scenario C matrix), where "0 = unknown" degrades gracefully to
-/// uncached/windowed execution instead of a wrong fold.
-[[nodiscard]] constexpr std::uint64_t lcm_or_zero(std::uint64_t a, std::uint64_t b) noexcept {
-  if (a == 0 || b == 0) return 0;
-  const std::uint64_t q = a / std::gcd(a, b);
-  if (b > ~std::uint64_t{0} / q) return 0;
-  return q * b;
 }
 
 /// `log n` as the paper uses it: ceil(log2(n)) clamped to at least 1.

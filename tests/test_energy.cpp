@@ -1,5 +1,6 @@
 /// Per-station energy accounting: bit-identity of the interpreter's in-run
-/// slot counting against the batch engines' post-hoc masked popcounts —
+/// slot counting against the batch engines' masked popcounts over the rows
+/// they fetch —
 /// across energy models × tile widths {1, 2, 8} × forced-scalar kernels ×
 /// full-resolution × impaired channels, static and dynamic — plus the
 /// structural guarantees: energy is side-accounting (results identical with
@@ -122,46 +123,52 @@ we::SweepSpec small_spec() {
 // ------------------------------------------------- static engine parity --
 
 TEST(EnergyParity, StaticEnginesBitIdenticalAcrossTilesAndKernels) {
+  // Uniform wakes end within a tile; simultaneous and batched wakes contend
+  // across several, so the batch engine's per-tile transmit counts and the
+  // kAuto warm-up prefix it carries are both on the line.
   EngineTuningGuard guard;
+  using Kind = wu::mac::patterns::Kind;
   for (const char* name : {"round_robin", "wakeup_with_k", "wakeup_matrix"}) {
     const auto protocol = registry_protocol(name, 200, 16);
     ASSERT_NE(protocol->oblivious_schedule(), nullptr) << name;
     for (const auto model : energy_models()) {
-      for (std::uint64_t trial = 0; trial < 4; ++trial) {
-        const std::uint64_t seed = wu::util::hash_words(
-            {0x454e4552ULL /* "ENER" */, static_cast<std::uint64_t>(model), trial});
-        wu::util::Rng rng(seed);
-        const auto pattern =
-            wu::mac::patterns::generate(wu::mac::patterns::Kind::kUniform, 200, 16, 0, rng);
+      for (const Kind kind : {Kind::kUniform, Kind::kSimultaneous, Kind::kBatched}) {
+        for (std::uint64_t trial = 0; trial < 4; ++trial) {
+          const std::uint64_t seed = wu::util::hash_words(
+              {0x454e4552ULL /* "ENER" */, static_cast<std::uint64_t>(model), trial});
+          wu::util::Rng rng(seed);
+          const auto pattern = wu::mac::patterns::generate(kind, 200, 16, 0, rng);
 
-        wu::sim::SimConfig interp;
-        interp.engine = wu::sim::Engine::kInterpret;
-        interp.energy = model;
-        const auto reference = run_one(*protocol, pattern, interp);
-        ASSERT_EQ(reference.station_energy.size(), pattern.k());
-        ASSERT_EQ(reference.station_transmits.size(), pattern.k());
+          wu::sim::SimConfig interp;
+          interp.engine = wu::sim::Engine::kInterpret;
+          interp.energy = model;
+          const auto reference = run_one(*protocol, pattern, interp);
+          ASSERT_EQ(reference.station_energy.size(), pattern.k());
+          ASSERT_EQ(reference.station_transmits.size(), pattern.k());
 
-        for (const bool scalar : {false, true}) {
-          wu::util::simd::set_force_scalar(scalar);
-          for (const std::size_t words : tile_widths()) {
-            wu::sim::set_tile_words(words);
-            const std::string label = std::string(name) + " model=" + model_name(model) +
-                                      " trial=" + std::to_string(trial) +
-                                      " tile=" + std::to_string(words) +
-                                      (scalar ? " scalar" : "");
-            wu::sim::SimConfig batch;
-            batch.engine = wu::sim::Engine::kBatch;
-            batch.energy = model;
-            expect_same_energy(reference, run_one(*protocol, pattern, batch), label);
+          for (const bool scalar : {false, true}) {
+            wu::util::simd::set_force_scalar(scalar);
+            for (const std::size_t words : tile_widths()) {
+              wu::sim::set_tile_words(words);
+              const std::string label = std::string(name) + " model=" + model_name(model) +
+                                        " kind=" + wu::mac::patterns::kind_name(kind) +
+                                        " trial=" + std::to_string(trial) +
+                                        " tile=" + std::to_string(words) +
+                                        (scalar ? " scalar" : "");
+              wu::sim::SimConfig batch;
+              batch.engine = wu::sim::Engine::kBatch;
+              batch.energy = model;
+              expect_same_energy(reference, run_one(*protocol, pattern, batch), label);
 
-            wu::sim::SimConfig hybrid;  // kAuto: interpreted warm-up + batch tail
-            hybrid.energy = model;
-            expect_same_energy(reference, run_one(*protocol, pattern, hybrid),
-                               label + " auto");
+              wu::sim::SimConfig hybrid;  // kAuto: interpreted warm-up + batch tail
+              hybrid.energy = model;
+              expect_same_energy(reference, run_one(*protocol, pattern, hybrid),
+                                 label + " auto");
+            }
           }
+          wu::sim::set_tile_words(0);
+          wu::util::simd::set_force_scalar(false);
         }
-        wu::sim::set_tile_words(0);
-        wu::util::simd::set_force_scalar(false);
       }
     }
   }
@@ -169,33 +176,36 @@ TEST(EnergyParity, StaticEnginesBitIdenticalAcrossTilesAndKernels) {
 
 TEST(EnergyParity, FullResolutionDrainAgreesAcrossEngines) {
   EngineTuningGuard guard;
-  const auto protocol = registry_protocol("wakeup_with_k", 64, 8);
-  ASSERT_NE(protocol->oblivious_schedule(), nullptr);
-  for (const auto model : energy_models()) {
-    for (std::uint64_t trial = 0; trial < 4; ++trial) {
-      const std::uint64_t seed = wu::util::hash_words(
-          {0x46554c4cULL /* "FULL" */, static_cast<std::uint64_t>(model), trial});
-      wu::util::Rng rng(seed);
-      const auto pattern =
-          wu::mac::patterns::generate(wu::mac::patterns::Kind::kUniform, 64, 8, 3, rng);
+  for (const char* name : {"wakeup_with_k", "wakeup_matrix"}) {
+    const auto protocol = registry_protocol(name, 64, 8);
+    ASSERT_NE(protocol->oblivious_schedule(), nullptr) << name;
+    for (const auto model : energy_models()) {
+      for (std::uint64_t trial = 0; trial < 4; ++trial) {
+        const std::uint64_t seed = wu::util::hash_words(
+            {0x46554c4cULL /* "FULL" */, static_cast<std::uint64_t>(model), trial});
+        wu::util::Rng rng(seed);
+        const auto pattern =
+            wu::mac::patterns::generate(wu::mac::patterns::Kind::kUniform, 64, 8, 3, rng);
 
-      wu::sim::SimConfig interp;
-      interp.engine = wu::sim::Engine::kInterpret;
-      interp.full_resolution = true;
-      interp.energy = model;
-      const auto reference = run_one(*protocol, pattern, interp);
+        wu::sim::SimConfig interp;
+        interp.engine = wu::sim::Engine::kInterpret;
+        interp.full_resolution = true;
+        interp.energy = model;
+        const auto reference = run_one(*protocol, pattern, interp);
 
-      for (const std::size_t words : tile_widths()) {
-        wu::sim::set_tile_words(words);
-        wu::sim::SimConfig batch;
-        batch.engine = wu::sim::Engine::kBatch;
-        batch.full_resolution = true;
-        batch.energy = model;
-        expect_same_energy(reference, run_one(*protocol, pattern, batch),
-                           "full_resolution model=" + model_name(model) + " tile=" +
-                               std::to_string(words) + " trial=" + std::to_string(trial));
+        for (const std::size_t words : tile_widths()) {
+          wu::sim::set_tile_words(words);
+          wu::sim::SimConfig batch;
+          batch.engine = wu::sim::Engine::kBatch;
+          batch.full_resolution = true;
+          batch.energy = model;
+          expect_same_energy(reference, run_one(*protocol, pattern, batch),
+                             std::string(name) + " full_resolution model=" +
+                                 model_name(model) + " tile=" + std::to_string(words) +
+                                 " trial=" + std::to_string(trial));
+        }
+        wu::sim::set_tile_words(0);
       }
-      wu::sim::set_tile_words(0);
     }
   }
 }

@@ -8,10 +8,10 @@
 #include <algorithm>
 #include <vector>
 
+#include "protocols/multichannel.hpp"
 #include "protocols/registry.hpp"
 #include "sim/batch_engine.hpp"
 #include "sim/run.hpp"
-#include "sim/schedule_cache.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "wakeup/wakeup.hpp"
@@ -251,61 +251,6 @@ TEST(HybridWarmup, RegistryProtocolsAgreeAtBoundaryBudgets) {
   }
 }
 
-/// Trial batching: the plain per-trial loop (TrialBatching::kOff) and the
-/// batched cell (shared protocol + read-only ScheduleCache) must produce
-/// bit-identical SimResults for every trial, across all six oblivious
-/// protocols — the acceptance bar for serving memoized schedule words.
-TEST(TrialBatching, CachedAndUncachedTrialsBitIdentical) {
-  for (const auto& name : oblivious_names()) {
-    for (const bool full_resolution : {false, true}) {
-      wu::sim::RunSpec spec;
-      spec.make_protocol = [name](std::uint64_t seed) {
-        wu::proto::ProtocolSpec p;
-        p.name = name;
-        p.n = 96;
-        p.k = 8;
-        p.s = 3;
-        p.seed = seed;
-        return wu::proto::make_protocol_by_name(p);
-      };
-      spec.make_pattern = [](wu::util::Rng& rng) {
-        return wu::mac::patterns::uniform_window(96, 8, 3, 48, rng);
-      };
-      spec.trials = 24;
-      spec.base_seed = 20130522;
-      spec.sim.full_resolution = full_resolution;
-      // Tiny window cap: forces reads past the cached prefix, so the
-      // fallback path is exercised too.  `force` bypasses the population
-      // cost gate — this test is about bit-identity of the cached path,
-      // not about when caching pays.
-      spec.cache.window = 256;
-      spec.cache.force = true;
-
-      std::vector<wu::sim::SimResult> uncached(spec.trials);
-      spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) { uncached[i] = r; };
-      auto plain_spec = spec;
-      plain_spec.batching = wu::sim::TrialBatching::kOff;
-      const auto plain = wu::sim::Run(plain_spec, nullptr).cell;
-
-      std::vector<wu::sim::SimResult> cached(spec.trials);
-      spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) { cached[i] = r; };
-      wu::util::ThreadPool pool(3);
-      const auto batched = wu::sim::Run(spec, &pool).cell;
-
-      for (std::uint64_t i = 0; i < spec.trials; ++i) {
-        expect_identical(uncached[i], cached[i],
-                         name + (full_resolution ? " full" : "") + " trial " +
-                             std::to_string(i));
-      }
-      EXPECT_EQ(plain.failures, batched.failures) << name;
-      EXPECT_EQ(plain.rounds.count, batched.rounds.count) << name;
-      EXPECT_DOUBLE_EQ(plain.rounds.mean, batched.rounds.mean) << name;
-      EXPECT_DOUBLE_EQ(plain.silences.mean, batched.silences.mean) << name;
-      EXPECT_DOUBLE_EQ(plain.collisions.mean, batched.collisions.mean) << name;
-    }
-  }
-}
-
 /// SIMD vs scalar-fallback bit-identity, across tile widths: every
 /// oblivious protocol, through the forced batch engine, must produce the
 /// interpreter's exact SimResult for every (tile width, kernel table)
@@ -388,11 +333,10 @@ TEST(SimdMatrix, TileRampBudgetEdgesMatchInterpreter) {
   }
 }
 
-/// The cached trial loop under every (tile, kernel) combination: memoized
-/// multi-word reads (wheel wraps, window-end fallback included — the tiny
-/// window forces reads past the cached prefix) must stay bit-identical to
-/// the plain per-trial loop.
-TEST(SimdMatrix, CachedCellsBitIdenticalAcrossTileAndKernel) {
+/// Whole cells through the facade under every (tile, kernel) combination:
+/// each trial of the kAuto cell (interpreted warm-up, then tile fetches
+/// through schedule_tile) must equal the interpreted cell's trial.
+TEST(SimdMatrix, CellsBitIdenticalAcrossTileAndKernel) {
   EngineTuningGuard guard;
   for (const auto& name : oblivious_names()) {
     wu::sim::RunSpec spec;
@@ -410,35 +354,120 @@ TEST(SimdMatrix, CachedCellsBitIdenticalAcrossTileAndKernel) {
     };
     spec.trials = 12;
     spec.base_seed = 20130522;
-    spec.cache.window = 256;
-    spec.cache.force = true;
 
     wu::sim::set_tile_words(0);
     wu::util::simd::set_force_scalar(false);
     std::vector<wu::sim::SimResult> reference(spec.trials);
-    auto plain_spec = spec;
-    plain_spec.batching = wu::sim::TrialBatching::kOff;
-    plain_spec.sim.engine = wu::sim::Engine::kInterpret;
-    plain_spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) {
+    auto interp_spec = spec;
+    interp_spec.sim.engine = wu::sim::Engine::kInterpret;
+    interp_spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) {
       reference[i] = r;
     };
-    (void)wu::sim::Run(plain_spec, nullptr);
+    (void)wu::sim::Run(interp_spec, nullptr);
 
     for (const std::size_t tile : {1u, 3u, 8u}) {
       for (const bool scalar : {false, true}) {
         wu::sim::set_tile_words(tile);
         wu::util::simd::set_force_scalar(scalar);
-        std::vector<wu::sim::SimResult> cached(spec.trials);
-        auto cached_spec = spec;
-        cached_spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) {
-          cached[i] = r;
+        std::vector<wu::sim::SimResult> batched(spec.trials);
+        auto auto_spec = spec;
+        auto_spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) {
+          batched[i] = r;
         };
-        (void)wu::sim::Run(cached_spec, nullptr);
+        (void)wu::sim::Run(auto_spec, nullptr);
         for (std::uint64_t i = 0; i < spec.trials; ++i) {
-          expect_identical(reference[i], cached[i],
+          expect_identical(reference[i], batched[i],
                            name + " tile=" + std::to_string(tile) +
                                (scalar ? " scalar" : " simd") + " trial " +
                                std::to_string(i));
+        }
+      }
+    }
+  }
+}
+
+/// The fetch contracts behind the word-matrix engines: one
+/// schedule_block(from, n) call must emit exactly what n single-word calls
+/// do, and one schedule_tile call over all of a schedule's (u, wake) pairs
+/// exactly what their single-word calls do — for every oblivious protocol
+/// (single- and multichannel), including tiles straddling the wake block
+/// and family boundaries.  Covers the schedule_tile default and the
+/// wakeup_matrix override alike.
+TEST(ScheduleEmitters, TilesAndMultiWordBlocksMatchSingleWordCalls) {
+  struct Subject {
+    std::string label;
+    const wu::proto::ObliviousSchedule* schedule;
+    wu::proto::ProtocolPtr keep;        // ownership
+    wu::proto::McProtocolPtr keep_mc;   // ownership
+  };
+  const auto make = [](const std::string& name) {
+    wu::proto::ProtocolSpec spec;
+    spec.name = name;
+    spec.n = 37;
+    spec.k = 5;
+    spec.s = 3;
+    spec.seed = 77;
+    return wu::proto::make_protocol_by_name(spec);
+  };
+  std::vector<Subject> subjects;
+  for (const auto& name : oblivious_names()) {
+    auto protocol = make(name);
+    subjects.push_back({name, protocol->oblivious_schedule(), protocol, nullptr});
+  }
+  for (const std::uint32_t c : {1u, 3u}) {
+    auto striped = wu::proto::make_striped_round_robin(37, c);
+    subjects.push_back({"striped_rr/C=" + std::to_string(c), striped->oblivious_schedule(),
+                        nullptr, striped});
+    auto wag = wu::proto::make_group_wait_and_go(37, 5, c, wu::comb::FamilyKind::kRandomized,
+                                                 77);
+    subjects.push_back({"group_wag/C=" + std::to_string(c), wag->oblivious_schedule(),
+                        nullptr, wag});
+  }
+  auto adapter = wu::proto::make_single_channel_adapter(make("wait_and_go"), 3);
+  subjects.push_back({"adapter(wait_and_go)/C=3", adapter->oblivious_schedule(), nullptr,
+                      adapter});
+
+  // Station-major order mixes the wake classes inside one tile call.
+  std::vector<std::pair<wu::mac::StationId, wu::mac::Slot>> members;
+  for (const wu::mac::StationId u : {0u, 17u, 36u, 45u}) {
+    for (const wu::mac::Slot wake : {wu::mac::Slot{0}, wu::mac::Slot{10}, wu::mac::Slot{129}}) {
+      members.emplace_back(u, wake);
+    }
+  }
+  for (const Subject& subject : subjects) {
+    ASSERT_NE(subject.schedule, nullptr) << subject.label;
+    for (const wu::mac::Slot from : {wu::mac::Slot{0}, wu::mac::Slot{64}, wu::mac::Slot{128}}) {
+      for (const std::size_t n_words : {2u, 5u, 8u}) {
+        std::vector<std::vector<std::uint64_t>> rows(members.size(),
+                                                     std::vector<std::uint64_t>(n_words, 0));
+        std::vector<wu::proto::ObliviousSchedule::TileStation> stations;
+        for (std::size_t i = 0; i < members.size(); ++i) {
+          stations.push_back({members[i].first, members[i].second, rows[i].data()});
+        }
+        subject.schedule->schedule_tile(stations, from, n_words);
+        for (std::size_t i = 0; i < members.size(); ++i) {
+          const auto [u, wake] = members[i];
+          std::vector<std::uint64_t> tile(n_words, 0);
+          subject.schedule->schedule_block(u, wake, from, tile.data(), n_words);
+          for (std::size_t w = 0; w < n_words; ++w) {
+            std::uint64_t single = 0;
+            const wu::mac::Slot block = from + static_cast<wu::mac::Slot>(64 * w);
+            subject.schedule->schedule_block(u, wake, block, &single, 1);
+            // Bits before the wake are unspecified by contract — mask
+            // both sides to the specified region.
+            std::uint64_t specified = ~std::uint64_t{0};
+            if (wake >= block + 64) {
+              specified = 0;
+            } else if (wake > block) {
+              specified <<= (wake - block);
+            }
+            const std::string label = subject.label + " u=" + std::to_string(u) +
+                                      " wake=" + std::to_string(wake) + " from=" +
+                                      std::to_string(from) + " w=" + std::to_string(w) +
+                                      " n=" + std::to_string(n_words);
+            ASSERT_EQ(tile[w] & specified, single & specified) << label;
+            ASSERT_EQ(rows[i][w] & specified, single & specified) << label << " (tile)";
+          }
         }
       }
     }

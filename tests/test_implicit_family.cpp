@@ -7,14 +7,9 @@
 
 #include "combinatorics/doubling_schedule.hpp"
 #include "combinatorics/verifier.hpp"
-#include "protocols/registry.hpp"
-#include "sim/schedule_cache.hpp"
 #include "util/rng.hpp"
 
 namespace wc = wakeup::comb;
-namespace wp = wakeup::proto;
-namespace ws = wakeup::sim;
-namespace wm = wakeup::mac;
 namespace wu = wakeup::util;
 
 namespace {
@@ -211,105 +206,6 @@ TEST(ImplicitFamily, DoublingScheduleMatchesMaterializedFamilies) {
         ASSERT_EQ(sched.transmits(u, idx), fam.transmits(u, static_cast<std::size_t>(pos.step)))
             << wc::family_kind_name(kind) << " idx=" << idx << " u=" << u;
       }
-    }
-  }
-}
-
-namespace {
-
-/// Streams `horizon` slots worth of words through a cache the way
-/// detail::CachedWords does: serve the leading run from the entry, fetch
-/// the rest with one schedule_block over the tail.
-std::vector<std::uint64_t> stream_words(const wp::ObliviousSchedule& schedule,
-                                        const ws::ScheduleCache& cache, wm::StationId u,
-                                        wm::Slot wake, std::size_t n_words) {
-  std::vector<std::uint64_t> out(n_words, 0);
-  const auto* entry = cache.find(u, wake);
-  const std::size_t served =
-      entry != nullptr ? ws::ScheduleCache::read(*entry, 0, out.data(), n_words) : 0;
-  if (served < n_words) {
-    schedule.schedule_block(u, wake, static_cast<wm::Slot>(64 * served), out.data() + served,
-                            n_words - served);
-  }
-  return out;
-}
-
-}  // namespace
-
-// Contended-prefix policy: a cache capped at a short prefix must serve the
-// same word stream (cached prefix + generator tail) as an uncapped cache
-// and as the schedule itself, while actually storing less.
-TEST(ImplicitFamily, ContendedPrefixCacheBitIdentity) {
-  wp::ProtocolSpec spec;
-  spec.name = "wait_and_go";
-  spec.n = 512;
-  spec.k = 8;
-  spec.seed = 9;
-  const auto protocol = wp::make_protocol_by_name(spec);
-  const auto* schedule = protocol->oblivious_schedule();
-  ASSERT_NE(schedule, nullptr);
-
-  ws::ScheduleCache::Config full_config;
-  full_config.force = true;
-  ws::ScheduleCache full(*schedule, full_config);
-
-  ws::ScheduleCache::Config capped_config;
-  capped_config.force = true;
-  capped_config.contended_prefix = 128;  // far below the fold size
-  capped_config.window = 1 << 12;
-  ws::ScheduleCache capped(*schedule, capped_config);
-
-  std::vector<std::pair<wm::StationId, wm::Slot>> members;
-  for (wm::StationId u = 0; u < 32; ++u) members.emplace_back(u * 7 % 512, u % 3);
-  full.populate(members, nullptr);
-  capped.populate(members, nullptr);
-
-  EXPECT_GT(full.folded_entries(), 0u);
-  EXPECT_EQ(capped.folded_entries(), 0u) << "fold should degrade under the prefix cap";
-  EXPECT_LT(capped.bytes(), full.bytes());
-  EXPECT_EQ(capped.overflowed(), 0u);
-
-  const std::size_t n_words = 128;  // 8192 slots, far past the 128-slot prefix
-  std::vector<std::uint64_t> direct(n_words, 0);
-  for (const auto& [u, wake] : members) {
-    schedule->schedule_block(u, wake, 0, direct.data(), n_words);
-    const auto from_full = stream_words(*schedule, full, u, wake, n_words);
-    const auto from_capped = stream_words(*schedule, capped, u, wake, n_words);
-    for (std::size_t w = 0; w < n_words; ++w) {
-      ASSERT_EQ(from_full[w], direct[w]) << "u=" << u << " wake=" << wake << " w=" << w;
-      ASSERT_EQ(from_capped[w], direct[w]) << "u=" << u << " wake=" << wake << " w=" << w;
-    }
-  }
-}
-
-// Same policy through sim-facing knobs on a protocol whose period would
-// normally fold: select_among_the_first with a tiny k-bounded ladder.
-TEST(ImplicitFamily, ContendedPrefixClampsWindowedEntries) {
-  wp::ProtocolSpec spec;
-  spec.name = "select_among_the_first";
-  spec.n = 256;
-  spec.k = 16;
-  spec.seed = 4;
-  const auto protocol = wp::make_protocol_by_name(spec);
-  const auto* schedule = protocol->oblivious_schedule();
-  ASSERT_NE(schedule, nullptr);
-
-  ws::ScheduleCache::Config config;
-  config.force = true;
-  config.window = 1 << 14;
-  config.contended_prefix = 256;
-  ws::ScheduleCache cache(*schedule, config);
-  std::vector<std::pair<wm::StationId, wm::Slot>> members;
-  for (wm::StationId u = 0; u < 16; ++u) members.emplace_back(u, 0);
-  cache.populate(members, nullptr);
-
-  const std::size_t n_words = 64;
-  std::vector<std::uint64_t> direct(n_words, 0);
-  for (const auto& [u, wake] : members) {
-    schedule->schedule_block(u, wake, 0, direct.data(), n_words);
-    const auto streamed = stream_words(*schedule, cache, u, wake, n_words);
-    for (std::size_t w = 0; w < n_words; ++w) {
-      ASSERT_EQ(streamed[w], direct[w]) << "u=" << u << " w=" << w;
     }
   }
 }

@@ -202,13 +202,13 @@ TEST(McEngineEquivalence, BatchThrowsWithoutCapability) {
   EXPECT_THROW((void)run_mc(*adapter, pattern, ws::Engine::kBatch), std::invalid_argument);
 }
 
-TEST(McTrialBatching, CachedCellsBitIdenticalToSlotLoop) {
-  // Trial-level batching over the C-channel memo: every per-trial
-  // McSimResult from the batched cell (forced cache) must equal the
-  // interpreted per-trial loop, counter for counter.
+TEST(McEngineEquivalence, CellsBitIdenticalToSlotLoop) {
+  // Whole cells through the facade: every per-trial McSimResult of the
+  // kAuto cell (batch engine for native strategies, the single-channel
+  // stack for adapters) must equal the interpreted cell's, counter for
+  // counter.
   const std::uint32_t n = 96, k = 12;
   for (const Strategy& strategy : native_strategies(n, k)) {
-    if (strategy.protocol->single_channel() != nullptr) continue;  // adapters: fast path
     ws::RunSpec spec;
     spec.mc_protocol = strategy.protocol.get();
     spec.make_pattern = [n, k](wu::Rng& rng) {
@@ -216,7 +216,6 @@ TEST(McTrialBatching, CachedCellsBitIdenticalToSlotLoop) {
     };
     spec.trials = 20;
     spec.base_seed = 20130522;
-    spec.cache.window = 256;  // force reads past the memo: fallback path too
 
     std::vector<ws::McSimResult> interpreted(spec.trials), batched(spec.trials);
     auto interp_spec = spec;
@@ -226,21 +225,20 @@ TEST(McTrialBatching, CachedCellsBitIdenticalToSlotLoop) {
     };
     const auto plain = ws::Run(interp_spec, nullptr).cell;
 
-    auto batch_spec = spec;
-    batch_spec.batching = ws::TrialBatching::kForce;
-    batch_spec.per_trial_mc = [&](std::uint64_t i, const ws::McSimResult& r) {
+    auto auto_spec = spec;
+    auto_spec.per_trial_mc = [&](std::uint64_t i, const ws::McSimResult& r) {
       batched[i] = r;
     };
     wu::ThreadPool pool(3);
-    const auto cached = ws::Run(batch_spec, &pool).cell;
+    const auto fast = ws::Run(auto_spec, &pool).cell;
 
     for (std::uint64_t i = 0; i < spec.trials; ++i) {
       expect_identical(interpreted[i], batched[i],
                        strategy.label + " trial " + std::to_string(i));
     }
-    EXPECT_EQ(plain.failures, cached.failures) << strategy.label;
-    EXPECT_DOUBLE_EQ(plain.rounds.mean, cached.rounds.mean) << strategy.label;
-    EXPECT_DOUBLE_EQ(plain.silences.mean, cached.silences.mean) << strategy.label;
-    EXPECT_DOUBLE_EQ(plain.collisions.mean, cached.collisions.mean) << strategy.label;
+    EXPECT_EQ(plain.failures, fast.failures) << strategy.label;
+    EXPECT_DOUBLE_EQ(plain.rounds.mean, fast.rounds.mean) << strategy.label;
+    EXPECT_DOUBLE_EQ(plain.silences.mean, fast.silences.mean) << strategy.label;
+    EXPECT_DOUBLE_EQ(plain.collisions.mean, fast.collisions.mean) << strategy.label;
   }
 }

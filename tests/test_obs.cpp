@@ -20,7 +20,7 @@
 #include "mac/wake_pattern.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "protocols/registry.hpp"
+#include "protocols/round_robin.hpp"
 #include "sim/run.hpp"
 
 namespace wu = wakeup;
@@ -323,43 +323,27 @@ TEST(ExecutionTraceRing, PartiallyFilledRingIsChronological) {
 
 // ------------------------------------------------- hot-path instrumentation --
 
-TEST(ObsInstrumentation, ForcedCacheCellEmitsHitAndOccupancyMetrics) {
-  // The smoke grids are short-run cells whose census gate declines the
-  // schedule memo, so only `cache.census_declines` shows up there.  This
-  // forces the memo on a cell that then serves every trial from it, and
-  // pins that the accept-path metrics (find hits/misses, resident bytes,
-  // entry count) actually fire.
+TEST(ObsInstrumentation, BatchEngineCountsEveryFetchedWord) {
+  // round_robin at n = 1024 over a 960-slot budget: stations 1000..1002
+  // never get their turn, so the run walks the whole 1-2-4-8 tile ramp
+  // (4 tiles, 15 words).  The two stations awake at slot 0 take every word
+  // through schedule_tile; the one waking at 300 (mid-tile) fetches its
+  // own 3 + 8.
   ObsReset guard;
   obs::set_enabled(true);
-
-  wu::sim::RunSpec spec;
-  spec.make_protocol = [](std::uint64_t seed) {
-    wu::proto::ProtocolSpec p;
-    p.name = "wait_and_go";
-    p.n = 256;
-    p.k = 16;
-    p.seed = seed;
-    return wu::proto::make_protocol_by_name(p);
-  };
-  spec.make_pattern = [](wu::util::Rng& rng) {
-    return wu::mac::patterns::uniform_window(256, 16, 0, 64, rng);
-  };
-  spec.base_seed = 20130522;
-  spec.trials = 16;
-  spec.batching = wu::sim::TrialBatching::kForce;
-  const auto out = wu::sim::Run(spec, nullptr);
-  EXPECT_EQ(out.cell.failures, 0u);
+  const wu::proto::RoundRobinProtocol protocol(1024);
+  const wu::mac::WakePattern pattern(1024, {{1000, 0}, {1001, 0}, {1002, 300}});
+  wu::sim::SimConfig config;
+  config.engine = wu::sim::Engine::kBatch;
+  config.max_slots = 960;
+  const auto result =
+      wu::sim::Run({.protocol = &protocol, .pattern = &pattern, .sim = config}).sim;
+  EXPECT_FALSE(result.success);
 
   const auto snap = obs::snapshot();
   if (obs::kCompiled) {
-    const std::uint64_t hits = obs::snapshot_value(snap, "cache.find_hits");
-    const std::uint64_t misses = obs::snapshot_value(snap, "cache.find_misses");
-    // Every trial past the probes reads the memo per wake class; the exact
-    // split is an implementation detail but the accept path must be live.
-    EXPECT_GT(hits + misses, 0u);
-    EXPECT_GT(obs::snapshot_value(snap, "cache.bytes_resident"), 0u);
-    EXPECT_GT(obs::snapshot_value(snap, "cache.entries"), 0u);
-    EXPECT_EQ(obs::snapshot_value(snap, "cache.census_declines"), 0u);
+    EXPECT_EQ(obs::snapshot_value(snap, "batch.tiles"), 4u);
+    EXPECT_EQ(obs::snapshot_value(snap, "batch.words_fetched"), 15u + 15u + 11u);
   } else {
     EXPECT_TRUE(snap.empty());
   }

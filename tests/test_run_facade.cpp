@@ -1,6 +1,5 @@
 /// The sim::Run facade: spec validation, single-run/cell outcome shapes,
-/// engine forcing, the streaming per-trial CSV sink, the adaptive warm-up
-/// override (SimConfig::warmup_slots) staying bit-identical, the default
+/// engine forcing, the streaming per-trial CSV sink, the default
 /// shared-pool dispatch, and the cell semantics (seed contract, per-trial
 /// sinks, failure counting) formerly pinned through the deleted
 /// run_cell/run_cell_batched wrappers.
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "protocols/multichannel.hpp"
-#include "protocols/registry.hpp"
 #include "protocols/round_robin.hpp"
 #include "protocols/rpd.hpp"
 #include "sim/results_sink.hpp"
@@ -197,6 +195,17 @@ TEST(RunFacade, RejectsAmbiguousSpecs) {
                               .pattern = &pattern,
                               .sim = {.record_trace = true}}),
                std::invalid_argument);
+  // ... before the cell's protocol is built.
+  std::size_t mc_builds = 0;
+  ws::RunSpec traced_cell;
+  traced_cell.make_mc_protocol = [&mc_builds](std::uint64_t) {
+    ++mc_builds;
+    return wp::make_striped_round_robin(8, 2);
+  };
+  traced_cell.pattern = &pattern;
+  traced_cell.sim.feedback = wm::FeedbackModel::kCollisionDetection;
+  EXPECT_THROW((void)ws::Run(traced_cell), std::invalid_argument);
+  EXPECT_EQ(mc_builds, 0u);
   // A sink of the wrong channel model would silently never fire.
   ws::RunSpec wrong_sink;
   wrong_sink.mc_protocol = mc.get();
@@ -284,37 +293,6 @@ TEST(RunFacade, FixedPatternIsReusedAcrossTrials) {
   EXPECT_DOUBLE_EQ(out.cell.rounds.min, out.cell.rounds.max);
 }
 
-TEST(RunFacade, WarmupOverrideIsBitIdentical) {
-  // SimConfig::warmup_slots moves the interpreted prefix of the kAuto
-  // hybrid; results must not move with it.
-  wp::ProtocolSpec pspec;
-  pspec.name = "wait_and_go";
-  pspec.n = 96;
-  pspec.k = 8;
-  pspec.seed = 20130522;
-  const auto protocol = wp::make_protocol_by_name(pspec);
-  for (std::uint64_t trial = 0; trial < 6; ++trial) {
-    wu::Rng rng(wu::hash_words({0x57524d55ULL /* "WRMU" */, trial}));
-    const auto pattern = wm::patterns::uniform_window(96, 8, 3, 48, rng);
-    ws::SimConfig interp;
-    interp.engine = ws::Engine::kInterpret;
-    const auto reference =
-        ws::Run({.protocol = protocol.get(), .pattern = &pattern, .sim = interp}).sim;
-    for (const wm::Slot warmup : {0, 1, 63, 64, 65, 128, 256}) {
-      ws::SimConfig hybrid;
-      hybrid.warmup_slots = warmup;
-      const auto got =
-          ws::Run({.protocol = protocol.get(), .pattern = &pattern, .sim = hybrid}).sim;
-      EXPECT_EQ(reference.success, got.success) << warmup;
-      EXPECT_EQ(reference.success_slot, got.success_slot) << warmup;
-      EXPECT_EQ(reference.winner, got.winner) << warmup;
-      EXPECT_EQ(reference.silences, got.silences) << warmup;
-      EXPECT_EQ(reference.collisions, got.collisions) << warmup;
-      EXPECT_EQ(reference.successes, got.successes) << warmup;
-    }
-  }
-}
-
 TEST(RunFacade, StreamingTrialCsvWritesOneRowPerTrial) {
   const std::string path = ::testing::TempDir() + "run_facade_trials.csv";
   std::vector<ws::SimResult> results(40);
@@ -382,41 +360,6 @@ TEST(RunFacade, McStreamingCsvRecordsChannel) {
   }
   EXPECT_EQ(rows, 8u);
   std::remove(path.c_str());
-}
-
-TEST(RunFacade, ForcedBatchingServesTheCacheEvenForTinyCells) {
-  // kForce promises the memo is populated AND served; with trials <= the
-  // probe count that means shrinking the probes, not skipping the cache.
-  ws::RunSpec spec;
-  spec.make_protocol = [](std::uint64_t seed) {
-    wp::ProtocolSpec p;
-    p.name = "wait_and_go";
-    p.n = 96;
-    p.k = 8;
-    p.seed = seed;
-    return wp::make_protocol_by_name(p);
-  };
-  spec.make_pattern = [](wu::Rng& rng) {
-    return wm::patterns::uniform_window(96, 8, 0, 48, rng);
-  };
-  spec.base_seed = 20130522;
-  for (const std::uint64_t trials : {1u, 4u}) {
-    spec.trials = trials;
-    std::vector<ws::SimResult> off(trials), forced(trials);
-    auto off_spec = spec;
-    off_spec.batching = ws::TrialBatching::kOff;
-    off_spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) { off[i] = r; };
-    (void)ws::Run(off_spec, nullptr);
-    auto force_spec = spec;
-    force_spec.batching = ws::TrialBatching::kForce;
-    force_spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) { forced[i] = r; };
-    (void)ws::Run(force_spec, nullptr);
-    for (std::uint64_t i = 0; i < trials; ++i) {
-      EXPECT_EQ(off[i].success_slot, forced[i].success_slot) << trials << "/" << i;
-      EXPECT_EQ(off[i].silences, forced[i].silences) << trials << "/" << i;
-      EXPECT_EQ(off[i].collisions, forced[i].collisions) << trials << "/" << i;
-    }
-  }
 }
 
 TEST(RunFacade, RandomizedMcProtocolsRebuildPerTrial) {

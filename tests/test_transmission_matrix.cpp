@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "protocols/wakeup_matrix.hpp"
@@ -229,17 +230,18 @@ TEST(LazyMatrix, ContainsMatchesReferenceFormula) {
   }
 }
 
-// Both emitters of protocol wakeup(u, σ) — the word-level schedule_block
-// and the slot-level runtime — against the written-out formula, so a change
-// that moved realized bits consistently in the oracle and both emitters
-// still fails here.
+// The emitters of protocol wakeup(u, σ) — the word-level schedule_block and
+// schedule_tile, and the slot-level runtime — against the written-out
+// formula, so a change that moved realized bits consistently in the oracle
+// and every emitter still fails here.
 TEST(LazyMatrix, EmittersMatchReferenceFormula) {
+  const std::vector<wm::Slot> wakes = {0, 1, 5, 129};
   for (const std::uint32_t n : {2u, 8u, 37u, 256u, 4096u}) {
     for (const unsigned c : {1u, 2u}) {
       const wp::WakeupMatrixProtocol protocol(n, c, 1234);
       const auto& p = protocol.matrix().params();
       const std::uint64_t seed = protocol.matrix().seed();
-      for (const wm::Slot wake : {0, 1, 5, 129}) {
+      for (const wm::Slot wake : wakes) {
         const auto starts = block_starts(p, wake);
         for (const wc::Station u : {0u, n / 3, n - 1}) {
           for (const wm::Slot from : starts) {
@@ -267,6 +269,43 @@ TEST(LazyMatrix, EmittersMatchReferenceFormula) {
             if (!checked) continue;
             ASSERT_EQ(bit, reference_slot(p, seed, wake, t, u))
                 << "n=" << n << " c=" << c << " wake=" << wake << " u=" << u << " t=" << t;
+          }
+        }
+      }
+
+      // schedule_tile: one call over stations of several µ classes — the
+      // wakes above plus two falling inside the tile — at every block start
+      // of every wake, so tiles straddle each class's row boundary and
+      // scan wrap while the other classes sit elsewhere in their scans.
+      std::vector<wm::Slot> froms;
+      for (const wm::Slot wake : wakes) {
+        const auto starts = block_starts(p, wake);
+        froms.insert(froms.end(), starts.begin(), starts.end());
+      }
+      for (const wm::Slot from : froms) {
+        for (const std::size_t n_words : {1u, 3u, 8u}) {
+          std::vector<std::pair<wm::Slot, wc::Station>> members;
+          for (const wm::Slot wake :
+               {wm::Slot{0}, wm::Slot{1}, wm::Slot{5}, wm::Slot{129}, from + 1,
+                from + static_cast<wm::Slot>(64 * n_words) - 7}) {
+            for (const wc::Station u : {0u, n / 3, n - 1}) members.emplace_back(wake, u);
+          }
+          std::vector<std::vector<std::uint64_t>> rows(
+              members.size(), std::vector<std::uint64_t>(n_words, ~std::uint64_t{0}));
+          std::vector<wp::ObliviousSchedule::TileStation> stations;
+          for (std::size_t i = 0; i < members.size(); ++i) {
+            stations.push_back({members[i].second, members[i].first, rows[i].data()});
+          }
+          protocol.schedule_tile(stations, from, n_words);
+          for (std::size_t i = 0; i < members.size(); ++i) {
+            const auto [wake, u] = members[i];
+            for (std::size_t b = 0; b < 64 * n_words; ++b) {
+              const wm::Slot t = from + static_cast<wm::Slot>(b);
+              ASSERT_EQ((rows[i][b / 64] >> (b % 64)) & 1u,
+                        reference_slot(p, seed, wake, t, u) ? 1u : 0u)
+                  << "tile n=" << n << " c=" << c << " wake=" << wake << " u=" << u
+                  << " from=" << from << " n_words=" << n_words << " t=" << t;
+            }
           }
         }
       }

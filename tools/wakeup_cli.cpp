@@ -141,7 +141,7 @@ sweep options:
   --lease-ttl=<ms>       lease duration before a crashed worker's cells
                          become stealable (default 10000)
   --metrics=<json>       write the obs registry snapshot after the sweep
-                         (cache hit rates, cell wall times, ledger steals;
+                         (cell wall times, engine tiles, ledger steals;
                          fleet workers shard to <out>/metrics-<w>.json)
   --trace=<json>         write a Perfetto trace: one duration event per
                          cell; fleet workers get their own process row and
@@ -375,9 +375,9 @@ int cmd_sweep(const util::Args& args) {
     obs::set_trace_enabled(true);
     obs::trace_set_process(0, "sweep");
   }
-  // The registry also powers the --progress heartbeat extras (cache
-  // hit-rate, lease steals); enable it here — before the fleet forks, so
-  // worker processes inherit the flag.
+  // The registry also powers the --progress heartbeat's lease-steal
+  // count; enable it here — before the fleet forks, so worker processes
+  // inherit the flag.
   if (args.has("progress")) obs::set_enabled(true);
   const std::int64_t workers = bounded_flag(args, "workers", 0, 0, 1024);
   if (args.has("worker-id")) {
