@@ -90,20 +90,24 @@ void BM_MatrixScheduleWord(benchmark::State& state) {
 }
 BENCHMARK(BM_MatrixScheduleWord)->Args({4096, 2});
 
-void BM_RandomizedFamilyWord(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto k = static_cast<std::uint32_t>(state.range(1));
-  const auto family = comb::make_implicit_family(comb::FamilyKind::kRandomized, n, k, 7);
+// A randomized ladder's schedule word as one station fetches it: one
+// window of per-set prefixes, then one hash_below lane per bit.
+void BM_RandomizedScheduleWord(benchmark::State& state) {
+  comb::DoublingSchedule::Config config;
+  config.n = static_cast<std::uint32_t>(state.range(0));
+  config.k_max = static_cast<std::uint32_t>(state.range(1));
+  config.seed = 7;
+  const comb::DoublingSchedule schedule(config);
   comb::Station u = 0;
-  std::size_t from = 0;
+  std::uint64_t from = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(family->membership_word(u, from));
-    u = (u + 977) % n;
-    from = from + 64 < family->length() ? from + 64 : 0;
+    benchmark::DoNotOptimize(schedule.schedule_word(u, from));
+    u = (u + 977) % config.n;
+    from += 64;
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RandomizedFamilyWord)->Args({4096, 256});
+BENCHMARK(BM_RandomizedScheduleWord)->Args({4096, 256});
 
 void BM_SelectivityCheck(benchmark::State& state) {
   const auto fam = comb::build_randomized(1024, 16, comb::kDefaultRandomFamilyC, 3);

@@ -11,6 +11,12 @@
 /// bench verifies per-trial bit-identity between the two paths and exits
 /// non-zero only on a mismatch.  Writes BENCH_simd_matrix.json.
 ///
+/// A second, report-only table times `schedule_tile` alone — the hashed
+/// word emission — for wakeup_matrix and wakeup_with_k at n = 4096,
+/// k = 256 (the crossover preset's largest cells), once with the scalar
+/// kernel table and once with the dispatched one; the two tables' words
+/// must agree, and a mismatch also sets the exit code.
+///
 /// Usage: bench_simd_matrix [--quick]   (--quick shrinks trial counts for
 /// CI-sized runs)
 
@@ -52,6 +58,31 @@ Timed run_trials(const proto::Protocol& protocol, const std::vector<mac::WakePat
   const auto start = std::chrono::steady_clock::now();
   for (const mac::WakePattern& pattern : patterns) {
     out.trials.push_back(sim::run_wakeup_batch(protocol, pattern, config));
+  }
+  out.seconds = seconds_since(start);
+  return out;
+}
+
+/// Emitted words of one schedule_tile sweep: `tiles` consecutive 8-word
+/// tiles for `stations`, and the seconds it took.
+struct Emitted {
+  double seconds = 0;
+  std::vector<std::uint64_t> words;
+};
+
+Emitted emit_tiles(const proto::ObliviousSchedule& schedule,
+                   const std::vector<proto::ObliviousSchedule::TileStation>& stations,
+                   std::size_t tiles) {
+  constexpr std::size_t kWords = 8;
+  Emitted out;
+  out.words.assign(stations.size() * kWords * tiles, 0);
+  std::vector<proto::ObliviousSchedule::TileStation> rows = stations;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t t = 0; t < tiles; ++t) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      rows[i].out_words = out.words.data() + (t * rows.size() + i) * kWords;
+    }
+    schedule.schedule_tile(rows, static_cast<mac::Slot>(64 * kWords * t), kWords);
   }
   out.seconds = seconds_since(start);
   return out;
@@ -181,6 +212,50 @@ int main(int argc, char** argv) {
               {"throughput_trials_per_sec",
                tiled.seconds > 0 ? static_cast<double>(cell.trials) / tiled.seconds : 0.0},
               {"cells_per_sec", cells_per_sec},
+              {"speedup", speedup},
+              {"bit_identical", ok}});
+  }
+
+  // Emission alone: schedule_tile over k = 256 simultaneous stations, per
+  // kernel table.  Report-only timings; the tables' words must agree.
+  std::printf("\n%-24s %8s %5s %7s | %12s %12s | %8s %7s\n", "schedule_tile", "n", "k", "tiles",
+              "scalar ns/w", "active ns/w", "speedup", "verify");
+  const std::size_t tiles = quick ? 8 : 64;
+  for (const char* name : {"wakeup_matrix", "wakeup_with_k"}) {
+    proto::ProtocolSpec pspec;
+    pspec.name = name;
+    pspec.n = 4096;
+    pspec.k = 256;
+    pspec.seed = 20130522;
+    const proto::ProtocolPtr protocol = proto::make_protocol_by_name(pspec);
+    util::Rng rng(util::hash_words({0x534d44ULL /* "SMD" */, 4096, 256}));
+    const mac::WakePattern pattern = mac::patterns::simultaneous(4096, 256, 0, rng);
+    std::vector<proto::ObliviousSchedule::TileStation> stations;
+    for (const mac::Arrival& a : pattern.arrivals()) stations.push_back({a.station, a.wake, nullptr});
+    const proto::ObliviousSchedule& schedule = *protocol->oblivious_schedule();
+
+    util::simd::set_force_scalar(true);
+    (void)emit_tiles(schedule, stations, 1);
+    const Emitted scalar = emit_tiles(schedule, stations, tiles);
+    util::simd::set_force_scalar(false);
+    (void)emit_tiles(schedule, stations, 1);
+    const Emitted active = emit_tiles(schedule, stations, tiles);
+
+    const bool ok = scalar.words == active.words;
+    verify_ok = verify_ok && ok;
+    const auto n_words = static_cast<double>(scalar.words.size());
+    const double scalar_ns = scalar.seconds * 1e9 / n_words;
+    const double active_ns = active.seconds * 1e9 / n_words;
+    const double speedup = active.seconds > 0 ? scalar.seconds / active.seconds : 0;
+    std::printf("%-24s %8u %5u %7zu | %12.2f %12.2f | %7.2fx %7s\n", name, 4096u, 256u, tiles,
+                scalar_ns, active_ns, speedup, ok ? "ok" : "MISMATCH");
+    json.row({{"protocol", std::string(name) + "/schedule_tile"},
+              {"n", 4096u},
+              {"k", 256u},
+              {"tiles", std::uint64_t{tiles}},
+              {"kernel", util::simd::active_name()},
+              {"scalar_ns_per_word", scalar_ns},
+              {"active_ns_per_word", active_ns},
               {"speedup", speedup},
               {"bit_identical", ok}});
   }

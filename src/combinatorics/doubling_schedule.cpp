@@ -4,6 +4,7 @@
 
 #include "util/math.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace wakeup::comb {
 
@@ -37,22 +38,55 @@ bool DoublingSchedule::transmits(Station u, std::uint64_t idx) const noexcept {
   return implicit_[pos.family_index]->contains(static_cast<std::size_t>(pos.step), u);
 }
 
-std::uint64_t DoublingSchedule::schedule_word(Station u, std::uint64_t from) const noexcept {
-  Position pos = position(from);
-  std::uint64_t word = 0;
-  unsigned filled = 0;
-  while (filled < 64) {
+DoublingSchedule::Window DoublingSchedule::window(std::int64_t from) const noexcept {
+  Window win;
+  unsigned lane = from < 0 ? static_cast<unsigned>(std::min<std::int64_t>(-from, 64)) : 0;
+  if (lane == 64) return win;
+  Position pos = position(static_cast<std::uint64_t>(from + lane));
+  while (lane < 64) {
     const ImplicitFamily& fam = *implicit_[pos.family_index];
     const auto step = static_cast<std::size_t>(pos.step);
-    const auto avail =
-        static_cast<unsigned>(std::min<std::uint64_t>(64 - filled, fam.length() - step));
-    std::uint64_t bits = fam.membership_word(u, step);
-    if (avail < 64) bits &= (std::uint64_t{1} << avail) - 1;
-    word |= bits << filled;
-    filled += avail;
+    const auto len =
+        static_cast<unsigned>(std::min<std::uint64_t>(64 - lane, fam.length() - step));
+    if (len > 0) {
+      if (fam.hashed_window(step, len, win.prefix_.data() + lane, win.bound_.data() + lane)) {
+        win.hashed_ = true;
+      } else {
+        win.chunks_[win.n_chunks_++] = {&fam, step, lane, len};
+      }
+    }
+    lane += len;
     pos.family_index = pos.family_index + 1 == implicit_.size() ? 0 : pos.family_index + 1;
     pos.step = 0;
   }
+  return win;
+}
+
+void DoublingSchedule::Window::words(const Station* stations, std::size_t count,
+                                     std::uint64_t* out) const noexcept {
+  if (hashed_) {
+    std::array<std::uint64_t, 64> keys;
+    for (std::size_t i0 = 0; i0 < count; i0 += keys.size()) {
+      const std::size_t m = std::min(count - i0, keys.size());
+      for (std::size_t i = 0; i < m; ++i) keys[i] = util::mix64(stations[i0 + i]);
+      util::simd::hash_below(prefix_.data(), bound_.data(), keys.data(), m, out + i0);
+    }
+  } else {
+    std::fill(out, out + count, 0);
+  }
+  for (unsigned c = 0; c < n_chunks_; ++c) {
+    const Chunk& chunk = chunks_[c];
+    const std::uint64_t mask =
+        chunk.len == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << chunk.len) - 1;
+    for (std::size_t i = 0; i < count; ++i) {
+      out[i] |= (chunk.family->membership_word(stations[i], chunk.step) & mask) << chunk.lane;
+    }
+  }
+}
+
+std::uint64_t DoublingSchedule::schedule_word(Station u, std::uint64_t from) const noexcept {
+  std::uint64_t word = 0;
+  window(static_cast<std::int64_t>(from)).words(&u, 1, &word);
   return word;
 }
 

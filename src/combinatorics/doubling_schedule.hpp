@@ -17,6 +17,7 @@
 /// n = 2^20 affordable.  `family(i)` materializes lazily — cold path for
 /// tests and reports only.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -73,11 +74,40 @@ class DoublingSchedule {
   /// Does station u transmit at schedule index `idx` (taken mod period)?
   [[nodiscard]] bool transmits(Station u, std::uint64_t idx) const noexcept;
 
+  /// 64 consecutive schedule indices prepared once for any number of
+  /// stations — the tile form of schedule_word.  Lanes in hashed-draw
+  /// families (`ImplicitFamily::hashed_window`: the randomized kind) hold
+  /// their set's prefix and bound, so a station's bits there are one
+  /// util::simd::hash_below lane each; lanes in the other kinds are kept
+  /// as per-station `membership_word` chunks.
+  class Window {
+   public:
+    /// out[i] = the window's 64 bits of stations[i]: bit j is
+    /// transmits(stations[i], from + j), or 0 where from + j < 0.
+    void words(const Station* stations, std::size_t count, std::uint64_t* out) const noexcept;
+
+   private:
+    friend class DoublingSchedule;
+    struct Chunk {
+      const ImplicitFamily* family;
+      std::size_t step;  ///< the chunk's first set index in `family`
+      unsigned lane;     ///< the window lane it starts at
+      unsigned len;      ///< lanes it covers
+    };
+    std::array<std::uint64_t, 64> prefix_{};
+    std::array<std::uint64_t, 64> bound_{};  ///< 0 on every lane not hashed
+    std::array<Chunk, 64> chunks_;
+    unsigned n_chunks_ = 0;
+    bool hashed_ = false;  ///< some lane is hashed
+  };
+
+  /// The window over schedule indices from .. from + 63 (taken mod
+  /// period); indices below 0 stay silent.
+  [[nodiscard]] Window window(std::int64_t from) const noexcept;
+
   /// Packs 64 consecutive schedule bits of station u starting at index
-  /// `from` into one word: bit j = transmits(u, from + j).  Assembles the
-  /// word from per-family `membership_word` chunks instead of re-running
-  /// position()'s binary search per step — the word-parallel building
-  /// block of the oblivious schedule_block implementations.
+  /// `from` into one word: bit j = transmits(u, from + j) — the
+  /// one-station call of window(from).words.
   [[nodiscard]] std::uint64_t schedule_word(Station u, std::uint64_t from) const noexcept;
 
   /// Is `idx mod period` the first set of some family?

@@ -32,13 +32,16 @@ bool randomized_member(std::uint64_t stream_state, std::uint64_t j, std::uint64_
                        double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
-  // One counter-RNG draw per (set, station) coordinate — same 53-bit
-  // uniform-in-[0,1) construction as util::Rng::uniform01, but as a pure
-  // function of the coordinates so membership is random-accessible.
+  // One counter-RNG draw per (set, station) coordinate — the 53-bit
+  // uniform-in-[0,1) of util::Rng::uniform01 compared in integer form, as a
+  // pure function of the coordinates so membership is random-accessible.
   const std::uint64_t h =
       util::hash_combine(util::hash_combine(stream_state, util::mix64(j)), mixed_u);
-  const double draw = static_cast<double>(h >> 11) * 0x1.0p-53;
-  return draw < p;
+  return h < randomized_bound(p);
+}
+
+std::uint64_t randomized_bound(double p) noexcept {
+  return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53))) << 11;
 }
 
 std::vector<std::uint64_t> mod_prime_primes(std::uint32_t n, std::uint32_t k) {
@@ -97,6 +100,11 @@ std::uint64_t ImplicitFamily::membership_word(Station u, std::size_t from) const
     if (contains(from + j, u)) word |= std::uint64_t{1} << j;
   }
   return word;
+}
+
+bool ImplicitFamily::hashed_window(std::size_t, std::size_t, std::uint64_t*,
+                                   std::uint64_t*) const {
+  return false;
 }
 
 SelectiveFamily ImplicitFamily::materialize() const {
@@ -239,26 +247,29 @@ class ImplicitRandomized final : public ImplicitFamily {
     return detail::randomized_member(stream_state_, set_index, util::mix64(u), p_);
   }
 
-  std::uint64_t membership_word(Station u, std::size_t from) const override {
-    const std::size_t end = from < length() ? std::min<std::size_t>(length() - from, 64) : 0;
-    const std::uint64_t mixed_u = util::mix64(u);
-    std::uint64_t word = 0;
-    for (std::size_t j = 0; j < end; ++j) {
-      if (detail::randomized_member(stream_state_, from + j, mixed_u, p_)) {
-        word |= std::uint64_t{1} << j;
-      }
+  /// Set j's prefix is util::hash_combine(stream_state, mix64(j)), the
+  /// bound randomized_bound(1/k).  k = 1 (p = 1, every station in every
+  /// set) has no 64-bit bound and keeps the per-station path.
+  bool hashed_window(std::size_t from, std::size_t count, std::uint64_t* prefix,
+                     std::uint64_t* bound) const override {
+    if (p_ >= 1.0) return false;
+    for (std::size_t i = 0; i < count; ++i) {
+      prefix[i] = util::hash_combine(stream_state_, util::mix64(from + i));
+      bound[i] = bound_;
     }
-    return word;
+    return true;
   }
 
  private:
   ImplicitRandomized(std::uint32_t n, std::uint32_t k, double c, std::uint64_t seed, int)
       : ImplicitFamily(FamilyParams{n, k}, detail::randomized_length(n, k, c), "randomized"),
         stream_state_(util::hash_words({detail::randomized_stream_seed(seed, n, k)})),
-        p_(1.0 / static_cast<double>(k)) {}
+        p_(1.0 / static_cast<double>(k)),
+        bound_(p_ < 1.0 ? detail::randomized_bound(p_) : 0) {}
 
   std::uint64_t stream_state_;  ///< hash_words({stream seed})
   double p_;
+  std::uint64_t bound_;  ///< randomized_bound(p_) when p_ < 1
 };
 
 /// (n,2) bit splitter: set 0 is the universe; set 1 + 2b + side holds the

@@ -13,7 +13,9 @@
 ///  * Kautz–Singleton — u ∈ F_{a,v}  iff  f_u(a) = v over GF(q): one
 ///                      Horner evaluation of u's base-q digit polynomial.
 ///  * randomized      — membership is re-derived from (seed, set, u) via the
-///                      stateless counter RNG (`util::hash_words`).
+///                      stateless counter RNG (`util::hash_words`); its
+///                      `hashed_window` exposes the per-set hash prefix so
+///                      schedules emit many stations' words at once.
 ///  * bit splitter    — u ∈ set 1+2b+side  iff  bit b of u equals side.
 ///
 /// `ImplicitFamily` exposes exactly that: an O(1)-state `contains(j, u)`
@@ -55,12 +57,20 @@ inline constexpr std::uint64_t kRandomFamilyTag = 0x52414e44464dULL;
 
 /// Counter-RNG membership draw: station u belongs to set j with
 /// probability p, as a pure function of (stream_seed, j, u) — the draw is
-/// util::hash_words({stream_seed, j, u}).  Callers pass that hash's state
-/// after its first word, `stream_state` = util::hash_words({stream_seed}),
-/// and the station pre-mixed as `mixed_u` = util::mix64(u), so loops over
-/// sets or stations hoist both.
+/// h = util::hash_words({stream_seed, j, u}), and u is a member iff the
+/// 53-bit uniform (h >> 11)·2⁻⁵³ falls below p, stated exactly as
+/// h < randomized_bound(p).  Callers pass the hash's state after its first
+/// word, `stream_state` = util::hash_words({stream_seed}), and the station
+/// pre-mixed as `mixed_u` = util::mix64(u), so loops over sets or stations
+/// hoist both.
 [[nodiscard]] bool randomized_member(std::uint64_t stream_state, std::uint64_t j,
                                      std::uint64_t mixed_u, double p) noexcept;
+
+/// ⌈p·2⁵³⌉·2¹¹ for 0 < p < 1: (h >> 11)·2⁻⁵³ < p holds exactly when
+/// h < this bound.  Both scalings by powers of two are exact, and an
+/// integer is below a real iff it is below the real's ceiling; p < 1 keeps
+/// the ceiling at most 2⁵³ − 1, so the bound fits in 64 bits.
+[[nodiscard]] std::uint64_t randomized_bound(double p) noexcept;
 
 /// Primes used by the mod-prime construction for (n, k already clamped):
 /// the first (k-1)*max(1, floor(log2 n)) + 1 primes.
@@ -102,6 +112,16 @@ class ImplicitFamily {
   /// `ObliviousSchedule::schedule_block`.  The default loops `contains`;
   /// implementations override with run-structured arithmetic.
   [[nodiscard]] virtual std::uint64_t membership_word(Station u, std::size_t from) const;
+
+  /// For families whose membership is a hashed draw shared by every
+  /// station — u ∈ set j iff util::hash_combine(P(j), util::mix64(u)) <
+  /// B(j) — writes P(from + i) to prefix[i] and B(from + i) to bound[i] for
+  /// i < count and returns true, so a schedule can emit many stations'
+  /// words from one window with util::simd::hash_below.  Every other
+  /// family returns false (the default) and writes nothing; set indices
+  /// must be < length().
+  [[nodiscard]] virtual bool hashed_window(std::size_t from, std::size_t count,
+                                           std::uint64_t* prefix, std::uint64_t* bound) const;
 
   /// Materializes the equivalent `SelectiveFamily`, bit-for-bit identical
   /// to the corresponding `build_*` output.  Cold path: tests, the

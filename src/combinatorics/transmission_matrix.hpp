@@ -31,6 +31,9 @@ namespace wakeup::comb {
 
 /// All derived quantities of the §5 construction for a given (n, c).
 struct MatrixParams {
+  /// `make` gives rows = ceil(log2 n) <= 32 for any 32-bit n.
+  static constexpr unsigned kMaxRows = 32;
+
   std::uint32_t n = 0;
   unsigned c = 2;        ///< the "sufficiently large constant" of §5.1
   unsigned rows = 1;     ///< log n (clamped >= 1)
@@ -78,7 +81,7 @@ class LazyTransmissionMatrix {
       : params_(params),
         seed_(seed),
         base_state_(util::hash_words({seed, 0x4d4154524958ULL /* "MATRIX" */})) {
-    for (unsigned row = 1; row <= kPrefixRows; ++row) {
+    for (unsigned row = 1; row <= MatrixParams::kMaxRows; ++row) {
       row_states_[row - 1] = util::hash_combine(base_state_, util::mix64(row));
     }
   }
@@ -111,8 +114,8 @@ class LazyTransmissionMatrix {
   /// every membership hash of `row` continues from this state — the
   /// prefix all stations share at one (row, column).
   [[nodiscard]] std::uint64_t row_state(unsigned row) const noexcept {
-    return row - 1 < kPrefixRows ? row_states_[row - 1]
-                                 : util::hash_combine(base_state_, util::mix64(row));
+    return row - 1 < MatrixParams::kMaxRows ? row_states_[row - 1]
+                                            : util::hash_combine(base_state_, util::mix64(row));
   }
 
   /// Membership probability of row/column (for tests of the construction).
@@ -122,14 +125,10 @@ class LazyTransmissionMatrix {
   }
 
  private:
-  /// Rows whose hash prefix is precomputed: MatrixParams::make gives
-  /// rows = ceil(log2 n) <= 32 for any 32-bit n.
-  static constexpr unsigned kPrefixRows = 32;
-
   MatrixParams params_;
   std::uint64_t seed_;
   std::uint64_t base_state_;  ///< hash_words({seed, "MATRIX"})
-  std::array<std::uint64_t, kPrefixRows> row_states_{};
+  std::array<std::uint64_t, MatrixParams::kMaxRows> row_states_{};  ///< rows 1..kMaxRows
 };
 
 /// Fully materialized matrix for small n: rows × ℓ transmission sets.

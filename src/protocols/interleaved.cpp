@@ -1,5 +1,8 @@
 #include "protocols/interleaved.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "util/math.hpp"
 #include "util/rng.hpp"
 
@@ -54,22 +57,50 @@ std::unique_ptr<StationRuntime> InterleavedProtocol::make_runtime(StationId u, S
 
 void InterleavedProtocol::schedule_block(StationId u, Slot wake, Slot from,
                                          std::uint64_t* out_words, std::size_t n_words) const {
-  const Slot w0 = wake < 0 ? 0 : wake;
-  const Slot even_wake = (w0 + 1) / 2;  // virtual wakes, as in make_runtime
-  const Slot odd_wake = w0 / 2;
-  for (std::size_t w = 0; w < n_words; ++w) {
-    const Slot b = from + static_cast<Slot>(64 * w);
-    // The 32 even-parity global slots in [b, b+64) map to virtual slots
-    // (b+1)/2 ... of the even component; the 32 odd-parity ones to
-    // b/2 ... of the odd component.  Fetch one virtual word from each and
-    // interleave the low halves.
-    std::uint64_t even_bits = 0;
-    std::uint64_t odd_bits = 0;
-    even_sched_->schedule_block(u, even_wake, (b + 1) / 2, &even_bits, 1);
-    odd_sched_->schedule_block(u, odd_wake, b / 2, &odd_bits, 1);
-    const std::uint64_t e = util::spread_even_bits32(even_bits);
-    const std::uint64_t o = util::spread_even_bits32(odd_bits);
-    out_words[w] = b % 2 == 0 ? (e | (o << 1)) : (o | (e << 1));
+  const TileStation station{u, wake, out_words};
+  schedule_tile({&station, 1}, from, n_words);
+}
+
+void InterleavedProtocol::schedule_tile(std::span<const TileStation> stations, Slot from,
+                                        std::size_t n_words) const {
+  // Word w's 32 even-parity slots are virtual slots ve + 32w .. of the
+  // even component and its 32 odd-parity ones vo + 32w .. of the odd one,
+  // so virtual word v serves words 2v and 2v + 1.  Tiles are fetched
+  // kBlock words at a time to keep the virtual rows in stack scratch.
+  constexpr std::size_t kBlock = 8;
+  constexpr std::size_t kVirtual = kBlock / 2;
+  const Slot parity = from & 1;
+  const Slot vo = (from - parity) / 2;
+  const Slot ve = vo + parity;
+  std::array<TileStation, kTileChunk> even_rows;
+  std::array<TileStation, kTileChunk> odd_rows;
+  std::array<std::uint64_t, kTileChunk * kVirtual> even_words;
+  std::array<std::uint64_t, kTileChunk * kVirtual> odd_words;
+  for (std::size_t c0 = 0; c0 < stations.size(); c0 += kTileChunk) {
+    const auto chunk = stations.subspan(c0, std::min(kTileChunk, stations.size() - c0));
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      const Slot w0 = chunk[i].wake < 0 ? 0 : chunk[i].wake;
+      // Virtual wakes, as in make_runtime: the first even and odd slots
+      // at or after the wake.
+      even_rows[i] = {chunk[i].u, (w0 + 1) / 2, even_words.data() + i * kVirtual};
+      odd_rows[i] = {chunk[i].u, w0 / 2, odd_words.data() + i * kVirtual};
+    }
+    for (std::size_t b = 0; b < n_words; b += kBlock) {
+      const std::size_t nw = std::min(kBlock, n_words - b);
+      const std::size_t nv = (nw + 1) / 2;
+      const auto half_from = static_cast<Slot>(32 * b);
+      even_sched_->schedule_tile({even_rows.data(), chunk.size()}, ve + half_from, nv);
+      odd_sched_->schedule_tile({odd_rows.data(), chunk.size()}, vo + half_from, nv);
+      for (std::size_t i = 0; i < chunk.size(); ++i) {
+        for (std::size_t w = 0; w < nw; ++w) {
+          const std::size_t half = 32 * (w % 2);
+          const std::uint64_t e =
+              util::spread_even_bits32(even_rows[i].out_words[w / 2] >> half);
+          const std::uint64_t o = util::spread_even_bits32(odd_rows[i].out_words[w / 2] >> half);
+          chunk[i].out_words[b + w] = parity == 0 ? (e | (o << 1)) : (o | (e << 1));
+        }
+      }
+    }
   }
 }
 

@@ -40,8 +40,14 @@ class InterleavedProtocol final : public Protocol, public ObliviousSchedule {
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override {
     return (even_sched_ != nullptr && odd_sched_ != nullptr) ? this : nullptr;
   }
+  /// One station's words: the one-station case of schedule_tile.
   void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
                       std::size_t n_words) const override;
+  /// Each component's 32 bits of a word are half of one of its virtual
+  /// words, so the tile fetches half-width virtual tiles from both
+  /// components' schedule_tile and interleaves their halves.
+  void schedule_tile(std::span<const TileStation> stations, Slot from,
+                     std::size_t n_words) const override;
   [[nodiscard]] bool words_are_cheap() const override {
     return even_sched_ != nullptr && odd_sched_ != nullptr && even_sched_->words_are_cheap() &&
            odd_sched_->words_are_cheap();

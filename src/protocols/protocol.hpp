@@ -159,19 +159,27 @@ class ObliviousSchedule {
   /// Writes, for every station of `stations`, exactly the `n_words` words
   /// `schedule_block(u, wake, from, out_words, n_words)` would.  The batch
   /// engine fetches each tile's rows through this one call, so a schedule
-  /// whose stations share work at a slot (the §5 matrix's row prefix) can
-  /// emit them together; the default loops over schedule_block.  Like
+  /// whose stations share work at a slot (the §5 matrix's row prefix, a
+  /// randomized family's set prefix) can emit them together; the default
+  /// loops over schedule_block.  Overrides make schedule_block their
+  /// one-station call, so each schedule keeps one emitter.  Like
   /// schedule_block it is const and safe to call from many threads.
   virtual void schedule_tile(std::span<const TileStation> stations, Slot from,
                              std::size_t n_words) const {
     for (const TileStation& s : stations) schedule_block(s.u, s.wake, from, s.out_words, n_words);
   }
 
+  /// Stations a schedule_tile override handles per pass in fixed-size
+  /// stack scratch; larger tiles take several passes.
+  static constexpr std::size_t kTileChunk = 256;
+
   /// Cost class of schedule_block, used by the auto dispatch to size its
-  /// interpreted warm-up window.  True means a word costs a handful of bit
-  /// operations (round_robin's strided bits) so batching is always worth
-  /// it; false (default) means words walk per-slot tables or hashes, and
-  /// very short runs are better interpreted.
+  /// interpreted warm-up.  True means a word costs a handful of bit
+  /// operations (round_robin's strided bits), so batching is worth it from
+  /// the first slot; false (default) means words are hashed per slot, and
+  /// the dispatcher interprets a short prefix first — at most
+  /// sim::kWarmupStationSlots station-slots, so it shrinks as k grows —
+  /// because most runs on the paper's protocols resolve within a few slots.
   [[nodiscard]] virtual bool words_are_cheap() const { return false; }
 };
 

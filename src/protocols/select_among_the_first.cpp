@@ -1,5 +1,8 @@
 #include "protocols/select_among_the_first.hpp"
 
+#include <algorithm>
+#include <array>
+
 namespace wakeup::proto {
 namespace {
 
@@ -32,26 +35,33 @@ std::unique_ptr<StationRuntime> SelectAmongTheFirstProtocol::make_runtime(Statio
 void SelectAmongTheFirstProtocol::schedule_block(StationId u, Slot wake, Slot from,
                                                  std::uint64_t* out_words,
                                                  std::size_t n_words) const {
-  if (wake != s_) {  // non-participants stay silent forever
-    for (std::size_t w = 0; w < n_words; ++w) out_words[w] = 0;
-    return;
-  }
-  for (std::size_t w = 0; w < n_words; ++w) {
-    const Slot t0 = from + static_cast<Slot>(64 * w);
-    if (t0 >= s_) {
-      // Whole word past s: one incremental 64-bit pull from the schedule.
-      out_words[w] = schedule_->schedule_word(u, static_cast<std::uint64_t>(t0 - s_));
-      continue;
-    }
-    std::uint64_t word = 0;  // boundary block straddling s: per-bit
-    for (unsigned j = 0; j < 64; ++j) {
-      const Slot t = t0 + static_cast<Slot>(j);
-      if (t < s_) continue;
-      if (schedule_->transmits(u, static_cast<std::uint64_t>(t - s_))) {
-        word |= std::uint64_t{1} << j;
+  const TileStation station{u, wake, out_words};
+  schedule_tile({&station, 1}, from, n_words);
+}
+
+void SelectAmongTheFirstProtocol::schedule_tile(std::span<const TileStation> stations,
+                                                Slot from, std::size_t n_words) const {
+  std::array<StationId, kTileChunk> live;
+  std::array<std::size_t, kTileChunk> live_at;
+  std::array<std::uint64_t, kTileChunk> words;
+  for (std::size_t c0 = 0; c0 < stations.size(); c0 += kTileChunk) {
+    const auto chunk = stations.subspan(c0, std::min(kTileChunk, stations.size() - c0));
+    std::size_t n_live = 0;
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      if (chunk[i].wake != s_) {  // non-participants stay silent forever
+        std::fill(chunk[i].out_words, chunk[i].out_words + n_words, 0);
+        continue;
       }
+      live[n_live] = chunk[i].u;
+      live_at[n_live++] = i;
     }
-    out_words[w] = word;
+    if (n_live == 0) continue;
+    for (std::size_t w = 0; w < n_words; ++w) {
+      // Slots before s are negative indices, which the window keeps silent.
+      schedule_->window(from + static_cast<Slot>(64 * w) - s_)
+          .words(live.data(), n_live, words.data());
+      for (std::size_t l = 0; l < n_live; ++l) chunk[live_at[l]].out_words[w] = words[l];
+    }
   }
 }
 

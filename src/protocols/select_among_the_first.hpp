@@ -31,8 +31,13 @@ class SelectAmongTheFirstProtocol final : public Protocol, public ObliviousSched
   [[nodiscard]] std::unique_ptr<StationRuntime> make_runtime(StationId u,
                                                              Slot wake) const override;
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override { return this; }
+  /// One station's words: the one-station case of schedule_tile.
   void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
                       std::size_t n_words) const override;
+  /// Participants read schedule index t − s at slot t, so each word of the
+  /// tile is one DoublingSchedule::Window for all of them.
+  void schedule_tile(std::span<const TileStation> stations, Slot from,
+                     std::size_t n_words) const override;
 
   [[nodiscard]] Slot s() const noexcept { return s_; }
   [[nodiscard]] const comb::DoublingSchedule& schedule() const noexcept { return *schedule_; }

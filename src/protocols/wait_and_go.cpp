@@ -1,5 +1,8 @@
 #include "protocols/wait_and_go.hpp"
 
+#include <algorithm>
+#include <array>
+
 namespace wakeup::proto {
 namespace {
 
@@ -31,30 +34,43 @@ std::unique_ptr<StationRuntime> WaitAndGoProtocol::make_runtime(StationId u, Slo
 
 void WaitAndGoProtocol::schedule_block(StationId u, Slot wake, Slot from,
                                        std::uint64_t* out_words, std::size_t n_words) const {
-  const auto j0 = static_cast<std::uint64_t>(wake < 0 ? 0 : wake);
-  const std::uint64_t go = schedule_->next_family_start(j0);
-  for (std::size_t w = 0; w < n_words; ++w) {
-    const Slot t0 = from + static_cast<Slot>(64 * w);
-    if (t0 < 0) {  // negative slots never transmit; per-bit boundary path
-      std::uint64_t word = 0;
-      for (unsigned j = 0; j < 64; ++j) {
-        const Slot t = t0 + static_cast<Slot>(j);
-        if (t < 0 || static_cast<std::uint64_t>(t) < go) continue;
-        if (schedule_->transmits(u, static_cast<std::uint64_t>(t))) {
-          word |= std::uint64_t{1} << j;
+  const TileStation station{u, wake, out_words};
+  schedule_tile({&station, 1}, from, n_words);
+}
+
+void WaitAndGoProtocol::schedule_tile(std::span<const TileStation> stations, Slot from,
+                                      std::size_t n_words) const {
+  std::array<Slot, kTileChunk> go;  // each station's first transmitting slot
+  std::array<StationId, kTileChunk> live;
+  std::array<std::size_t, kTileChunk> live_at;
+  std::array<std::uint64_t, kTileChunk> words;
+  for (std::size_t c0 = 0; c0 < stations.size(); c0 += kTileChunk) {
+    const auto chunk = stations.subspan(c0, std::min(kTileChunk, stations.size() - c0));
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      const auto j0 = static_cast<std::uint64_t>(std::max<Slot>(chunk[i].wake, 0));
+      go[i] = static_cast<Slot>(schedule_->next_family_start(j0));
+    }
+    for (std::size_t w = 0; w < n_words; ++w) {
+      const Slot t0 = from + static_cast<Slot>(64 * w);
+      std::size_t n_live = 0;
+      for (std::size_t i = 0; i < chunk.size(); ++i) {
+        if (go[i] >= t0 + 64) {  // still waiting for a family boundary
+          chunk[i].out_words[w] = 0;
+          continue;
         }
+        live[n_live] = chunk[i].u;
+        live_at[n_live++] = i;
       }
-      out_words[w] = word;
-      continue;
+      if (n_live == 0) continue;
+      // Negative slots are negative indices, which the window keeps silent.
+      schedule_->window(t0).words(live.data(), n_live, words.data());
+      for (std::size_t l = 0; l < n_live; ++l) {
+        const std::size_t i = live_at[l];
+        std::uint64_t word = words[l];
+        if (go[i] > t0) word &= ~std::uint64_t{0} << (go[i] - t0);
+        chunk[i].out_words[w] = word;
+      }
     }
-    const auto ut0 = static_cast<std::uint64_t>(t0);
-    if (ut0 + 64 <= go) {  // still waiting for a family boundary
-      out_words[w] = 0;
-      continue;
-    }
-    std::uint64_t word = schedule_->schedule_word(u, ut0);
-    if (ut0 < go) word &= ~std::uint64_t{0} << (go - ut0);
-    out_words[w] = word;
   }
 }
 

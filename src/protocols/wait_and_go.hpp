@@ -30,8 +30,14 @@ class WaitAndGoProtocol final : public Protocol, public ObliviousSchedule {
   [[nodiscard]] std::unique_ptr<StationRuntime> make_runtime(StationId u,
                                                              Slot wake) const override;
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override { return this; }
+  /// One station's words: the one-station case of schedule_tile.
   void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
                       std::size_t n_words) const override;
+  /// Every station reads the same schedule index at a slot, so each word
+  /// of the tile is one DoublingSchedule::Window for all stations past
+  /// their family boundary.
+  void schedule_tile(std::span<const TileStation> stations, Slot from,
+                     std::size_t n_words) const override;
 
   [[nodiscard]] const comb::DoublingSchedule& schedule() const noexcept { return *schedule_; }
 

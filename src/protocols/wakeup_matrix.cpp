@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 
+#include "util/simd.hpp"
+
 namespace wakeup::proto {
 namespace {
 
@@ -75,56 +77,94 @@ void WakeupMatrixProtocol::schedule_tile(std::span<const TileStation> stations, 
                                          std::size_t n_words) const {
   const auto& p = matrix_.params();
   const auto scan = static_cast<Slot>(p.total_scan());
-  // Per slot of the current word: the group's row prefix, and the bound a
-  // station's hash must fall below — its top e = row + ρ bits are zero iff
-  // it is below 2^(64 - e).  A zero bound silences the slot for everyone
-  // (before the operative slot, or e >= 64).
+  const auto ell = static_cast<Slot>(p.ell);
+  // A run of stations with one operative slot µ(wake) — one row per slot.
+  struct Group {
+    std::size_t begin;
+    std::size_t end;
+    Slot operative;
+  };
+  std::array<Group, kTileChunk> groups;
+  std::array<std::uint64_t, kTileChunk> keys;  // mix64(u) per station
+  std::array<std::uint64_t, kTileChunk> words;
+  // Per slot of the current word, shared by every group: the column's mix
+  // and its ρ.
+  std::array<std::uint64_t, 64> mixed_col;
+  std::array<unsigned, 64> rho;
+  // Per slot, for the group being emitted: its row prefix
+  // hash_combine(row_state(row), mix64(col)), the row that prefix is for
+  // (0: none yet this word), and the bound a station's hash must fall
+  // below — its top e = row + ρ bits are zero iff it is below 2^(64 - e).
+  // A zero bound silences the slot for the group (before its operative
+  // slot, or e >= 64).  Groups come in µ order, and a later µ is never at
+  // a later row of the scan, so each row is reached by one run of groups
+  // at a slot and its prefix is computed once per (row, slot).
   std::array<std::uint64_t, 64> prefix{};
-  std::array<std::uint64_t, 64> bound{};
-  for (std::size_t g = 0; g < stations.size();) {
-    const Slot operative = p.mu(stations[g].wake);
-    std::size_t g_end = g + 1;
-    while (g_end < stations.size() && p.mu(stations[g_end].wake) == operative) ++g_end;
-
-    // Row state at `from`: the runtime's scan walks rows 1..rows cyclically
-    // with durations m(i) starting at `operative`, so the state at any slot
-    // is recoverable by reducing the elapsed time modulo one full scan and
-    // replaying the prefix.
-    unsigned row = 1;
-    Slot row_end = operative + static_cast<Slot>(p.m(1));
-    if (from > operative && scan > 0) {
-      row_end += ((from - operative) / scan) * scan;  // whole scans change no row state
+  std::array<unsigned, 64> prefix_row;
+  std::array<std::uint64_t, 64> bound;
+  for (std::size_t c0 = 0; c0 < stations.size(); c0 += kTileChunk) {
+    const auto chunk = stations.subspan(c0, std::min(kTileChunk, stations.size() - c0));
+    // Stations sorted by wake (as the batch engine passes them) form one
+    // group per operative slot.
+    std::size_t n_groups = 0;
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      keys[i] = util::mix64(chunk[i].u);
+      const Slot operative = p.mu(chunk[i].wake);
+      if (n_groups == 0 || groups[n_groups - 1].operative != operative) {
+        groups[n_groups++] = {i, i, operative};
+      }
+      groups[n_groups - 1].end = i + 1;
     }
-    // Column state at the first evaluated slot, then advanced per slot.
-    std::uint64_t col = static_cast<std::uint64_t>(std::max(from, operative)) % p.ell;
-    unsigned rho = p.rho(col);
-    Slot t = from;
+    // Column state at `from`, then advanced one slot at a time.
+    auto col = static_cast<std::uint64_t>((from % ell + ell) % ell);
+    unsigned r = p.rho(col);
     for (std::size_t w = 0; w < n_words; ++w) {
-      for (unsigned j = 0; j < 64; ++j, ++t) {
-        bound[j] = 0;
-        if (t < operative) continue;  // waiting for the window boundary
-        while (t >= row_end) {
-          row = row < p.rows ? row + 1 : 1;  // wrap: restart the scan
-          row_end += static_cast<Slot>(p.m(row));
+      const Slot t0 = from + static_cast<Slot>(64 * w);
+      for (unsigned j = 0; j < 64; ++j) {
+        mixed_col[j] = util::mix64(col);
+        rho[j] = r;
+        next_column(p, col, r);
+      }
+      prefix_row.fill(0);
+      for (std::size_t g = 0; g < n_groups; ++g) {
+        const Group& group = groups[g];
+        const Slot operative = group.operative;
+        if (t0 + 64 <= operative) {  // the whole group waits for its window boundary
+          for (std::size_t i = group.begin; i < group.end; ++i) chunk[i].out_words[w] = 0;
+          continue;
         }
-        const unsigned e = row + rho;
-        if (e < 64) {
-          prefix[j] = util::hash_combine(matrix_.row_state(row), util::mix64(col));
+        // Row state at the word's first operative slot: the runtime's scan
+        // walks rows 1..rows cyclically with durations m(i) starting at
+        // `operative`, so whole scans change nothing and the rest is
+        // replayed.
+        const Slot first = std::max(t0, operative);
+        unsigned row = 1;
+        Slot row_end = operative + static_cast<Slot>(p.m(1));
+        if (scan > 0 && first - operative >= scan) {
+          row_end += ((first - operative) / scan) * scan;
+        }
+        for (unsigned j = 0; j < 64; ++j) {
+          const Slot t = t0 + static_cast<Slot>(j);
+          bound[j] = 0;
+          if (t < operative) continue;
+          while (t >= row_end) {
+            row = row < p.rows ? row + 1 : 1;  // wrap: restart the scan
+            row_end += static_cast<Slot>(p.m(row));
+          }
+          const unsigned e = row + rho[j];
+          if (e >= 64) continue;
+          if (prefix_row[j] != row) {
+            prefix[j] = util::hash_combine(matrix_.row_state(row), mixed_col[j]);
+            prefix_row[j] = row;
+          }
           bound[j] = std::uint64_t{1} << (64 - e);
         }
-        next_column(p, col, rho);
-      }
-      for (std::size_t i = g; i < g_end; ++i) {
-        const std::uint64_t mixed_u = util::mix64(stations[i].u);
-        std::uint64_t word = 0;
-        for (unsigned j = 0; j < 64; ++j) {
-          word |= static_cast<std::uint64_t>(util::hash_combine(prefix[j], mixed_u) < bound[j])
-                  << j;
-        }
-        stations[i].out_words[w] = word;
+        const std::size_t count = group.end - group.begin;
+        util::simd::hash_below(prefix.data(), bound.data(), keys.data() + group.begin, count,
+                               words.data());
+        for (std::size_t i = 0; i < count; ++i) chunk[group.begin + i].out_words[w] = words[i];
       }
     }
-    g = g_end;
   }
 }
 

@@ -38,10 +38,11 @@ class WakeupMatrixProtocol final : public Protocol, public ObliviousSchedule {
                       std::size_t n_words) const override;
   /// At slot t every station reads column t mod ℓ, and every station with
   /// the same operative slot µ(σ) reads the same row, so a bit is
-  /// hash_combine(P(row, t), mix64(u)) with the row prefix P shared by the
-  /// group: one P per slot per run of stations with equal µ(wake), then
-  /// one hash_combine per station bit.  Stations sorted by wake (as the
-  /// batch engine passes them) form one run per operative slot.
+  /// hash_combine(P(row, t), mix64(u)) < 2^(64 − row − ρ) with the row
+  /// prefix P shared by the group: mix64(t mod ℓ) once per slot, P once per
+  /// (row, slot) for all groups of the tile, then one util::simd::hash_below
+  /// lane per station bit.  Stations sorted by wake (as the batch engine
+  /// passes them) form one group per operative slot.
   void schedule_tile(std::span<const TileStation> stations, Slot from,
                      std::size_t n_words) const override;
 

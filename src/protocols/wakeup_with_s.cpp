@@ -1,5 +1,9 @@
 #include "protocols/wakeup_with_s.hpp"
 
+#include <algorithm>
+#include <array>
+#include <limits>
+
 #include "util/math.hpp"
 
 namespace wakeup::proto {
@@ -41,43 +45,63 @@ std::unique_ptr<StationRuntime> WakeupWithSProtocol::make_runtime(StationId u, S
 
 void WakeupWithSProtocol::schedule_block(StationId u, Slot wake, Slot from,
                                          std::uint64_t* out_words, std::size_t n_words) const {
-  const bool participates_satf = wake == s_;
+  const TileStation station{u, wake, out_words};
+  schedule_tile({&station, 1}, from, n_words);
+}
+
+void WakeupWithSProtocol::schedule_tile(std::span<const TileStation> stations, Slot from,
+                                        std::size_t n_words) const {
   const auto n = static_cast<Slot>(schedule_->config().n);
-  for (std::size_t w = 0; w < n_words; ++w) {
-    const Slot t0 = from + static_cast<Slot>(64 * w);
-    const Slot d0 = t0 - s_;
-    if (d0 < 0) {
-      // Boundary block straddling s: per-bit replica of the runtime rule.
-      std::uint64_t word = 0;
-      for (unsigned j = 0; j < 64; ++j) {
-        const Slot d = d0 + static_cast<Slot>(j);
-        if (d < 0) continue;
-        const bool on = d % 2 == 0
-                            ? (d / 2) % n == static_cast<Slot>(u)
-                            : participates_satf &&
-                                  schedule_->transmits(
-                                      u, static_cast<std::uint64_t>((d - 1) / 2));
-        if (on) word |= std::uint64_t{1} << j;
+  // Even offsets d = 2v run round-robin at virtual slot v, odd offsets
+  // d = 2v + 1 run SATF at v.  Word w's 32 odd offsets are virtual slots
+  // vo + 32w .., its 32 even ones ve + 32w .., and they interleave by the
+  // parity of d0 = from − s (the same for every word).
+  const Slot d0 = from - s_;
+  const Slot parity = d0 & 1;
+  const Slot vo = (d0 - parity) / 2;
+  const Slot ve = vo + parity;
+  std::array<StationId, kTileChunk> live;
+  std::array<std::size_t, kTileChunk> live_at;
+  std::array<std::uint64_t, kTileChunk> words;
+  std::array<std::uint64_t, kTileChunk> satf;  // per station: its virtual SATF word
+  // Round-robin half: station u takes its TDM turn at the virtual slots
+  // v >= 0 with v mod n == u; per station, its next turn at or after the
+  // current word (out-of-universe stations never get one).
+  std::array<Slot, kTileChunk> next_turn;
+  const Slot first_turn = std::max<Slot>(ve, 0);
+  for (std::size_t c0 = 0; c0 < stations.size(); c0 += kTileChunk) {
+    const auto chunk = stations.subspan(c0, std::min(kTileChunk, stations.size() - c0));
+    std::size_t n_live = 0;
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      const auto u = static_cast<Slot>(chunk[i].u);
+      next_turn[i] = u < n ? first_turn + ((u - first_turn) % n + n) % n
+                           : std::numeric_limits<Slot>::max();
+      if (chunk[i].wake != s_) continue;  // SATF: only stations woken exactly at s
+      live[n_live] = chunk[i].u;
+      live_at[n_live++] = i;
+    }
+    for (std::size_t w = 0; w < n_words; ++w) {
+      if (w % 2 == 0) {
+        // Negative offsets are negative virtual slots, which the window
+        // keeps silent.
+        std::fill(satf.begin(), satf.begin() + static_cast<std::ptrdiff_t>(chunk.size()), 0);
+        if (n_live > 0) {
+          schedule_->window(vo + static_cast<Slot>(32 * w)).words(live.data(), n_live,
+                                                                  words.data());
+          for (std::size_t l = 0; l < n_live; ++l) satf[live_at[l]] = words[l];
+        }
       }
-      out_words[w] = word;
-      continue;
+      const Slot v_rr = ve + static_cast<Slot>(32 * w);
+      for (std::size_t i = 0; i < chunk.size(); ++i) {
+        std::uint64_t rr_bits = 0;
+        for (; next_turn[i] < v_rr + 32; next_turn[i] += n) {
+          rr_bits |= std::uint64_t{1} << (next_turn[i] - v_rr);
+        }
+        const std::uint64_t rr = util::spread_even_bits32(rr_bits);
+        const std::uint64_t sa = util::spread_even_bits32(satf[i] >> (32 * (w % 2)));
+        chunk[i].out_words[w] = parity == 0 ? (rr | (sa << 1)) : (sa | (rr << 1));
+      }
     }
-    // Even offsets d = 2v run round-robin at virtual slot v, odd offsets
-    // d = 2v + 1 run SATF at v.  The 32 even offsets in this block cover
-    // virtual slots (d0+1)/2 ..., the 32 odd ones d0/2 ...; build each
-    // 32-bit half and interleave by block parity.
-    const Slot ve0 = (d0 + 1) / 2;
-    std::uint64_t rr_bits = 0;
-    if (static_cast<Slot>(u) < n) {  // out-of-universe stations never get a TDM turn
-      Slot i = (static_cast<Slot>(u) - ve0) % n;
-      if (i < 0) i += n;
-      for (; i < 32; i += n) rr_bits |= std::uint64_t{1} << i;
-    }
-    const std::uint64_t satf_bits =
-        participates_satf ? schedule_->schedule_word(u, static_cast<std::uint64_t>(d0 / 2)) : 0;
-    const std::uint64_t rr = util::spread_even_bits32(rr_bits);
-    const std::uint64_t satf = util::spread_even_bits32(satf_bits);
-    out_words[w] = d0 % 2 == 0 ? (rr | (satf << 1)) : (satf | (rr << 1));
   }
 }
 

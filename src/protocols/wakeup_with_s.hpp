@@ -33,8 +33,14 @@ class WakeupWithSProtocol final : public Protocol, public ObliviousSchedule {
   [[nodiscard]] std::unique_ptr<StationRuntime> make_runtime(StationId u,
                                                              Slot wake) const override;
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override { return this; }
+  /// One station's words: the one-station case of schedule_tile.
   void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
                       std::size_t n_words) const override;
+  /// The SATF half's 32 bits of a word are half of one virtual schedule
+  /// word shared by every participant, so each DoublingSchedule::Window
+  /// serves two words of the tile; the round-robin half is strided bits.
+  void schedule_tile(std::span<const TileStation> stations, Slot from,
+                     std::size_t n_words) const override;
 
   [[nodiscard]] Slot s() const noexcept { return s_; }
   [[nodiscard]] const comb::DoublingSchedule& schedule() const noexcept { return *schedule_; }

@@ -363,6 +363,19 @@ SimResult run_wakeup_batch(const proto::Protocol& protocol, const mac::WakePatte
                         nullptr);
 }
 
+mac::Slot hybrid_warmup_slots(const proto::ObliviousSchedule& schedule,
+                              const mac::WakePattern& pattern, const SimConfig& config) {
+  // Cheap-word schedules (strided bits) batch profitably from slot one.
+  // Hashed words are cheap too next to the interpreter's per-station,
+  // per-slot virtual calls, but the paper's near-optimal protocols often
+  // resolve within a few slots, where a word per station is mostly waste —
+  // so few stations get a short interpreted prefix and many get none.
+  // Full resolution drains successes across many tiles anyway; the warm-up
+  // bookkeeping (departed winners) is not worth carrying over.
+  if (schedule.words_are_cheap() || config.full_resolution || pattern.empty()) return 0;
+  return std::min<mac::Slot>(64, kWarmupStationSlots / static_cast<mac::Slot>(pattern.k()));
+}
+
 SimResult run_wakeup_hybrid(const proto::Protocol& protocol, const mac::WakePattern& pattern,
                             const SimConfig& config) {
   if (!batch_engine_supports(protocol, config)) {
@@ -370,13 +383,7 @@ SimResult run_wakeup_hybrid(const proto::Protocol& protocol, const mac::WakePatt
   }
   if (pattern.empty()) return {};
   const proto::ObliviousSchedule& schedule = *protocol.oblivious_schedule();
-  // Warm-up length: cheap-word schedules (strided bits) batch profitably
-  // from slot one; expensive ones get one interpreted block, since the
-  // paper's near-optimal protocols often resolve contention within a few
-  // slots, where a full schedule tile per station would be pure waste.
-  // Full resolution drains successes across many tiles anyway; the warm-up
-  // bookkeeping (departed winners) is not worth carrying over.
-  const mac::Slot warmup = schedule.words_are_cheap() || config.full_resolution ? 0 : 64;
+  const mac::Slot warmup = hybrid_warmup_slots(schedule, pattern, config);
   if (warmup == 0) {
     return run_batch_from(schedule, pattern, config, pattern.first_wake(), nullptr);
   }

@@ -54,11 +54,23 @@ void set_tile_words(std::size_t words) noexcept;
                                          const mac::WakePattern& pattern,
                                          const SimConfig& config);
 
-/// The Engine::kAuto fast path: interprets a warm-up prefix (runs that
-/// resolve quickly never pay for schedule tiles they do not need), then
-/// continues word-parallel.  The prefix is one 64-slot block for
-/// expensive-word schedules and none for cheap ones
-/// (`ObliviousSchedule::words_are_cheap`) or under full resolution.  Same
+/// Station-slots the hybrid path interprets before it batches.
+inline constexpr mac::Slot kWarmupStationSlots = 64;
+
+/// Slots `run_wakeup_hybrid` interprets before batching: at most
+/// kWarmupStationSlots station-slots, i.e. min(64, ⌊64 / k⌋) for a pattern
+/// of k stations — the interpreter pays one make_runtime and one virtual
+/// transmits per station per slot, the batch engine one hashed word per
+/// station per 64 slots.  0 for cheap-word schedules
+/// (`ObliviousSchedule::words_are_cheap`), under full resolution, and from
+/// k = 65 on.
+[[nodiscard]] mac::Slot hybrid_warmup_slots(const proto::ObliviousSchedule& schedule,
+                                            const mac::WakePattern& pattern,
+                                            const SimConfig& config);
+
+/// The Engine::kAuto fast path: interprets a warm-up prefix of
+/// hybrid_warmup_slots slots (short runs on a few stations never pay for
+/// schedule tiles they do not need), then continues word-parallel.  Same
 /// preconditions and bit-identical results as run_wakeup_batch.
 [[nodiscard]] SimResult run_wakeup_hybrid(const proto::Protocol& protocol,
                                           const mac::WakePattern& pattern,

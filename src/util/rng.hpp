@@ -28,19 +28,25 @@ namespace wakeup::util {
   return z ^ (z >> 31);
 }
 
+/// mix64's two multipliers and hash_combine's additive constant, named so
+/// the vector kernels in util/simd.cpp spell the same function.
+inline constexpr std::uint64_t kMix64Mul1 = 0xbf58476d1ce4e5b9ULL;
+inline constexpr std::uint64_t kMix64Mul2 = 0x94d049bb133111ebULL;
+inline constexpr std::uint64_t kCombineAdd = 0x9e3779b97f4a7c15ULL;
+
 /// Stateless finalizer: bijective 64-bit mix (SplitMix64 finalizer).
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
+  x *= kMix64Mul1;
   x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
+  x *= kMix64Mul2;
   x ^= x >> 31;
   return x;
 }
 
 /// Combines two words into one pseudo-random word (order-sensitive).
 [[nodiscard]] constexpr std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
-  return mix64(a + 0x9e3779b97f4a7c15ULL + (b ^ (a << 6) ^ (a >> 2)));
+  return mix64(a + kCombineAdd + (b ^ (a << 6) ^ (a >> 2)));
 }
 
 /// Hashes an arbitrary list of words into a single pseudo-random word.

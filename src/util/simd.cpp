@@ -4,13 +4,15 @@
 #include <bit>
 #include <cstdlib>
 
+#include "util/rng.hpp"
+
 // ISA gating: WAKEUP_SIMD (CMake option) compiles the vector tables in;
-// which one runs is still a runtime decision (cpuid on x86-64, always-on
-// NEON on arm64).  Without the option only the scalar table exists and
+// which one runs is still a runtime decision (cpuid on x86-64: AVX-512F/DQ,
+// then AVX2; always-on NEON on arm64).  Without the option only the scalar table exists and
 // every query resolves to it.
 #if defined(WAKEUP_SIMD)
 #if (defined(__x86_64__) || defined(__amd64__)) && (defined(__GNUC__) || defined(__clang__))
-#define WAKEUP_SIMD_AVX2 1
+#define WAKEUP_SIMD_X86 1
 #include <immintrin.h>
 #endif
 #if defined(__aarch64__)  // A64 only: the kernels use vaddvq_u8 (no AArch32 equivalent)
@@ -46,11 +48,33 @@ void masked_popcount_pair_scalar(const std::uint64_t* any, const std::uint64_t* 
   *collisions += col;
 }
 
-constexpr Kernels kScalar{or_accumulate_scalar, masked_popcount_pair_scalar, "scalar"};
+/// hash_combine(a, b) = mix64(a + G + (b ^ (a << 6) ^ (a >> 2))): the
+/// terms in a alone are per-slot, so they are formed once per window and
+/// each station bit is one xor, one add and one mix64.
+void hash_below_scalar(const std::uint64_t* prefix, const std::uint64_t* bound,
+                       const std::uint64_t* keys, std::size_t count, std::uint64_t* out) {
+  std::uint64_t base[64];
+  std::uint64_t spread[64];
+  for (unsigned j = 0; j < 64; ++j) {
+    base[j] = prefix[j] + util::kCombineAdd;
+    spread[j] = (prefix[j] << 6) ^ (prefix[j] >> 2);
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint64_t word = 0;
+    for (unsigned j = 0; j < 64; ++j) {
+      const std::uint64_t h = util::mix64(base[j] + (keys[i] ^ spread[j]));
+      word |= static_cast<std::uint64_t>(h < bound[j]) << j;
+    }
+    out[i] = word;
+  }
+}
+
+constexpr Kernels kScalar{or_accumulate_scalar, masked_popcount_pair_scalar, hash_below_scalar,
+                          "scalar"};
 
 // --------------------------------------------------------------- AVX2 --
 
-#if defined(WAKEUP_SIMD_AVX2)
+#if defined(WAKEUP_SIMD_X86)
 
 __attribute__((target("avx2"))) void or_accumulate_avx2(std::uint64_t* any,
                                                         std::uint64_t* multi,
@@ -111,9 +135,62 @@ __attribute__((target("avx2"))) void masked_popcount_pair_avx2(
   *collisions += col;
 }
 
-constexpr Kernels kAvx2{or_accumulate_avx2, masked_popcount_pair_avx2, "avx2"};
+constexpr Kernels kAvx2{or_accumulate_avx2, masked_popcount_pair_avx2, hash_below_scalar,
+                        "avx2"};
 
-#endif  // WAKEUP_SIMD_AVX2
+// ------------------------------------------------------------ AVX-512 --
+
+// Lane-wise 64-bit shifts through GCC's vector extensions: GCC 12's
+// _mm512_slli_epi64/_mm512_srli_epi64 expand through
+// _mm512_undefined_epi32() and trip -Wuninitialized; this form compiles
+// to the same vpsllq/vpsrlq.
+using U64x8 = unsigned long long __attribute__((vector_size(64)));
+
+__attribute__((target("avx512f,avx512dq"))) inline __m512i shl64(__m512i x, unsigned n) {
+  return reinterpret_cast<__m512i>(reinterpret_cast<U64x8>(x) << n);
+}
+
+__attribute__((target("avx512f,avx512dq"))) inline __m512i shr64(__m512i x, unsigned n) {
+  return reinterpret_cast<__m512i>(reinterpret_cast<U64x8>(x) >> n);
+}
+
+/// The scalar twin eight lanes at a time: each 8-slot group of the window
+/// keeps its per-slot terms and bounds in registers across the stations,
+/// and one vpmullq pair mixes eight station bits.
+__attribute__((target("avx512f,avx512dq"))) void hash_below_avx512(
+    const std::uint64_t* prefix, const std::uint64_t* bound, const std::uint64_t* keys,
+    std::size_t count, std::uint64_t* out) {
+  __m512i base[8];
+  __m512i spread[8];
+  __m512i limit[8];
+  for (unsigned g = 0; g < 8; ++g) {
+    const __m512i a = _mm512_loadu_si512(prefix + 8 * g);
+    base[g] = _mm512_add_epi64(a, _mm512_set1_epi64(static_cast<long long>(util::kCombineAdd)));
+    spread[g] = _mm512_xor_si512(shl64(a, 6), shr64(a, 2));
+    limit[g] = _mm512_loadu_si512(bound + 8 * g);
+  }
+  const __m512i mul1 = _mm512_set1_epi64(static_cast<long long>(util::kMix64Mul1));
+  const __m512i mul2 = _mm512_set1_epi64(static_cast<long long>(util::kMix64Mul2));
+  for (std::size_t i = 0; i < count; ++i) {
+    const __m512i key = _mm512_set1_epi64(static_cast<long long>(keys[i]));
+    std::uint64_t word = 0;
+    for (unsigned g = 0; g < 8; ++g) {
+      __m512i x = _mm512_add_epi64(base[g], _mm512_xor_si512(key, spread[g]));
+      x = _mm512_xor_si512(x, shr64(x, 30));
+      x = _mm512_mullo_epi64(x, mul1);
+      x = _mm512_xor_si512(x, shr64(x, 27));
+      x = _mm512_mullo_epi64(x, mul2);
+      x = _mm512_xor_si512(x, shr64(x, 31));
+      word |= static_cast<std::uint64_t>(_mm512_cmplt_epu64_mask(x, limit[g])) << (8 * g);
+    }
+    out[i] = word;
+  }
+}
+
+constexpr Kernels kAvx512{or_accumulate_avx2, masked_popcount_pair_avx2, hash_below_avx512,
+                          "avx512"};
+
+#endif  // WAKEUP_SIMD_X86
 
 // --------------------------------------------------------------- NEON --
 
@@ -160,14 +237,16 @@ void masked_popcount_pair_neon(const std::uint64_t* any, const std::uint64_t* mu
   *collisions += col;
 }
 
-constexpr Kernels kNeon{or_accumulate_neon, masked_popcount_pair_neon, "neon"};
+constexpr Kernels kNeon{or_accumulate_neon, masked_popcount_pair_neon, hash_below_scalar,
+                        "neon"};
 
 #endif  // WAKEUP_SIMD_NEON
 
 // ----------------------------------------------------------- dispatch --
 
 const Kernels& best_supported() noexcept {
-#if defined(WAKEUP_SIMD_AVX2)
+#if defined(WAKEUP_SIMD_X86)
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) return kAvx512;
   if (__builtin_cpu_supports("avx2")) return kAvx2;
 #endif
 #if defined(WAKEUP_SIMD_NEON)

@@ -18,15 +18,25 @@
 ///  * `first_set_below` — first set bit over a word array below a bit
 ///    bound (the first solo-success slot of a tile).
 ///
+/// The schedule emitters add a fourth, `hash_below`: the words of a 64-slot
+/// window where bit j of station u's word is
+/// `hash_combine(prefix[j], mix64(u)) < bound[j]` — the §5 matrix bit and
+/// the randomized selective family's draw, whose per-slot prefix is shared
+/// by every station (a non-adaptive schedule is one fixed 0/1 matrix, so
+/// all stations read the same column at a slot).
+///
 /// Each primitive has a portable std::uint64_t implementation and, when
 /// the build enables WAKEUP_SIMD, vectorized variants: AVX2 on x86-64
-/// (picked at runtime via cpuid) and NEON on arm64.  Selection is one
-/// atomic table pointer; `set_force_scalar` (or the WAKEUP_FORCE_SCALAR
-/// environment variable, read once at startup) pins the scalar table so
-/// tests and benches can compare the two paths bit for bit in-process.
-/// All kernels are exact — the SIMD and scalar tables must produce
-/// identical outputs for identical inputs (tests/test_simd_kernels.cpp),
-/// so engine results never depend on the host ISA.
+/// (picked at runtime via cpuid), an AVX-512F/DQ rung above it whose
+/// `hash_below` mixes 8 lanes at once (`vpmullq`; the word kernels stay
+/// AVX2), and NEON on arm64.  Tables without a vector `hash_below` carry
+/// the scalar twin.  Selection is one atomic table pointer;
+/// `set_force_scalar` (or the WAKEUP_FORCE_SCALAR environment variable,
+/// read once at startup) pins the scalar table so tests and benches can
+/// compare the paths bit for bit in-process.  All kernels are exact — the
+/// SIMD and scalar tables must produce identical outputs for identical
+/// inputs (tests/test_simd_kernels.cpp), so engine results never depend on
+/// the host ISA.
 
 #include <cstddef>
 #include <cstdint>
@@ -40,14 +50,18 @@ inline constexpr std::size_t kNoBit = static_cast<std::size_t>(-1);
 /// station row into the running reduction: for every word w < words,
 /// multi[w] |= any[w] & row[w]; any[w] |= row[w].
 /// `masked_popcount_pair` adds popcount(~any[w] & mask[w]) to *silences
-/// and popcount(multi[w] & mask[w]) to *collisions.
+/// and popcount(multi[w] & mask[w]) to *collisions.  `hash_below` writes,
+/// for every i < count, out[i] = the word whose bit j (j < 64) is
+/// util::hash_combine(prefix[j], keys[i]) < bound[j].
 struct Kernels {
   void (*or_accumulate)(std::uint64_t* any, std::uint64_t* multi, const std::uint64_t* row,
                         std::size_t words);
   void (*masked_popcount_pair)(const std::uint64_t* any, const std::uint64_t* multi,
                                const std::uint64_t* mask, std::size_t words,
                                std::uint64_t* silences, std::uint64_t* collisions);
-  const char* name;  ///< "scalar", "avx2", "neon"
+  void (*hash_below)(const std::uint64_t* prefix, const std::uint64_t* bound,
+                     const std::uint64_t* keys, std::size_t count, std::uint64_t* out);
+  const char* name;  ///< "scalar", "avx2", "avx512", "neon"
 };
 
 /// The kernel table in effect: the best ISA variant the build and the CPU
@@ -55,7 +69,7 @@ struct Kernels {
 /// load); safe to call concurrently.
 [[nodiscard]] const Kernels& active() noexcept;
 
-/// Name of the active table ("scalar", "avx2", "neon").
+/// Name of the active table ("scalar", "avx2", "avx512", "neon").
 [[nodiscard]] const char* active_name() noexcept;
 
 /// Pin (or unpin) the scalar table, overriding both the ISA probe and the
@@ -69,6 +83,14 @@ void set_force_scalar(bool force) noexcept;
 /// overwritten).  `words` may be less than `stride` (partial tiles).
 void or_reduce_2pass(const std::uint64_t* matrix, std::size_t rows, std::size_t stride,
                      std::size_t words, std::uint64_t* any, std::uint64_t* multi) noexcept;
+
+/// The active table's `hash_below`: out[i] is the 64-slot word of key
+/// keys[i] (a station pre-mixed as util::mix64(u)) under the window
+/// prefix[0..64) / bound[0..64).  A zero bound silences its slot.
+inline void hash_below(const std::uint64_t* prefix, const std::uint64_t* bound,
+                       const std::uint64_t* keys, std::size_t count, std::uint64_t* out) noexcept {
+  active().hash_below(prefix, bound, keys, count, out);
+}
 
 /// First set bit over words[0 .. n_words), as a flat bit index (word 0 bit
 /// 0 = index 0), considering only indices < limit_bits.  Returns kNoBit

@@ -171,67 +171,44 @@ class PulseProtocol final : public wu::proto::Protocol, public wu::proto::Oblivi
   std::vector<std::vector<wu::mac::Slot>> pulses_;
 };
 
-/// Hybrid warm-up boundaries: budgets straddling the 64-slot warm-up block
-/// and successes placed exactly at s+63 / s+64 must agree with the pure
-/// interpreter — including the silence/collision counters carried from the
-/// warm-up prefix into the batched continuation.
+/// Hybrid warm-up boundaries: the warm-up is hybrid_warmup_slots(k) =
+/// min(64, ⌊64 / k⌋) slots, so for k = 1 (the full 64-slot block), k = 3
+/// (21 slots) and k = 65 (none) every budget from 1 to 65 and successes
+/// placed at the last warm-up slot and the first batched one must agree
+/// with the pure interpreter — including the silence/collision counters
+/// carried from the warm-up prefix into the batched continuation.
 TEST(HybridWarmup, BoundaryBudgetsAndSuccessSlotsMatchInterpreter) {
   const wu::mac::Slot s = 5;
   struct Case {
     std::string label;
-    std::vector<std::vector<wu::mac::Slot>> pulses;  // absolute slots per station
-    std::size_t k;                                   // stations waking at s
+    wu::mac::Slot solo;  // station 0's only transmission
   };
-  const std::vector<Case> cases = {
-      // Success exactly at the last warm-up slot s+63.
-      {"success@s+63", {{s + 63}, {s + 10, s + 70}, {s + 10, s + 90}}, 3},
-      // Success exactly at the first batched slot s+64, with a warm-up
-      // collision (slot s+10) whose counters must carry over.
-      {"success@s+64", {{s + 64}, {s + 10, s + 70}, {s + 10, s + 90}}, 3},
-      // No success at all inside small budgets.
-      {"late", {{s + 200}, {s + 10, s + 201}, {s + 10, s + 202}}, 3},
-  };
-  for (const auto& c : cases) {
-    const PulseProtocol protocol(c.pulses);
+  for (const std::size_t k : {1u, 3u, 65u}) {
     std::vector<wu::mac::Arrival> arrivals;
-    for (std::size_t u = 0; u < c.k; ++u) {
+    for (std::size_t u = 0; u < k; ++u) {
       arrivals.push_back({static_cast<wu::mac::StationId>(u), s});
     }
-    const wu::mac::WakePattern pattern(16, arrivals);
-    for (const wu::mac::Slot budget : {1, 63, 64, 65, 80, 256}) {
-      wu::sim::SimConfig interp;
-      interp.engine = wu::sim::Engine::kInterpreter;
-      interp.max_slots = budget;
-      wu::sim::SimConfig batch = interp;
-      batch.engine = wu::sim::Engine::kBatch;
-      wu::sim::SimConfig hybrid = interp;
-      hybrid.engine = wu::sim::Engine::kAuto;
-      const std::string label = c.label + " budget=" + std::to_string(budget);
-      const auto reference = run_one(protocol, pattern, interp);
-      expect_identical(reference, run_one(protocol, pattern, batch),
-                       label + " batch");
-      expect_identical(reference, run_one(protocol, pattern, hybrid),
-                       label + " auto");
-    }
-  }
-}
-
-/// The same boundary budgets on real registry protocols (expensive words,
-/// so kAuto interprets the first block): every engine agrees at budgets
-/// 1, 63, 64, 65.
-TEST(HybridWarmup, RegistryProtocolsAgreeAtBoundaryBudgets) {
-  for (const auto& name : oblivious_names()) {
-    wu::proto::ProtocolSpec spec;
-    spec.name = name;
-    spec.n = 64;
-    spec.k = 8;
-    spec.s = 3;
-    spec.seed = 20130522;
-    const auto protocol = wu::proto::make_protocol_by_name(spec);
-    for (std::uint64_t trial = 0; trial < 4; ++trial) {
-      wu::util::Rng rng(wu::util::hash_words({0x57524dULL /* "WRM" */, trial}));
-      const auto pattern = wu::mac::patterns::uniform_window(64, 8, 3, 32, rng);
-      for (const wu::mac::Slot budget : {1, 63, 64, 65}) {
+    const wu::mac::WakePattern pattern(128, arrivals);
+    const wu::mac::Slot warm = wu::sim::hybrid_warmup_slots(PulseProtocol({}), pattern, {});
+    EXPECT_EQ(warm, std::min<wu::mac::Slot>(64, 64 / static_cast<wu::mac::Slot>(k)));
+    std::vector<Case> cases = {
+        // Success exactly at the first batched slot, with a warm-up
+        // collision (slot s) whose counters must carry over.
+        {"success@first-batched", s + warm},
+        // No success at all inside small budgets.
+        {"late", s + 200},
+    };
+    // Success exactly at the last warm-up slot.
+    if (warm > 0) cases.push_back({"success@last-warm-up", s + warm - 1});
+    for (const auto& c : cases) {
+      // Stations 1.. collide at s and again after every budget below.
+      std::vector<std::vector<wu::mac::Slot>> pulses = {{c.solo}};
+      for (std::size_t u = 1; u < k; ++u) pulses.push_back({s, s + 300});
+      const PulseProtocol protocol(pulses);
+      std::vector<wu::mac::Slot> budgets;
+      for (wu::mac::Slot b = 1; b <= 65; ++b) budgets.push_back(b);
+      budgets.insert(budgets.end(), {80, 256});
+      for (const wu::mac::Slot budget : budgets) {
         wu::sim::SimConfig interp;
         interp.engine = wu::sim::Engine::kInterpreter;
         interp.max_slots = budget;
@@ -239,13 +216,53 @@ TEST(HybridWarmup, RegistryProtocolsAgreeAtBoundaryBudgets) {
         batch.engine = wu::sim::Engine::kBatch;
         wu::sim::SimConfig hybrid = interp;
         hybrid.engine = wu::sim::Engine::kAuto;
-        const std::string label =
-            name + " trial=" + std::to_string(trial) + " budget=" + std::to_string(budget);
-        const auto reference = run_one(*protocol, pattern, interp);
-        expect_identical(reference, run_one(*protocol, pattern, batch),
-                         label + " batch");
-        expect_identical(reference, run_one(*protocol, pattern, hybrid),
-                         label + " auto");
+        const std::string label = c.label + " k=" + std::to_string(k) +
+                                  " warm=" + std::to_string(warm) +
+                                  " budget=" + std::to_string(budget);
+        const auto reference = run_one(protocol, pattern, interp);
+        expect_identical(reference, run_one(protocol, pattern, batch), label + " batch");
+        expect_identical(reference, run_one(protocol, pattern, hybrid), label + " auto");
+      }
+    }
+  }
+}
+
+/// Every budget from 1 to 65 on real registry protocols (hashed words, so
+/// kAuto interprets hybrid_warmup_slots(k) slots first), at k = 1 (a full
+/// 64-slot warm-up), k = 8 (8 slots) and k = 65 (none): every engine agrees.
+TEST(HybridWarmup, RegistryProtocolsAgreeAtBoundaryBudgets) {
+  for (const auto& name : oblivious_names()) {
+    wu::proto::ProtocolSpec spec;
+    spec.name = name;
+    spec.n = 96;
+    spec.k = 8;
+    spec.s = 3;
+    spec.seed = 20130522;
+    const auto protocol = wu::proto::make_protocol_by_name(spec);
+    for (const std::uint32_t k : {1u, 8u, 65u}) {
+      for (std::uint64_t trial = 0; trial < 2; ++trial) {
+        wu::util::Rng rng(wu::util::hash_words({0x57524dULL /* "WRM" */, k, trial}));
+        const auto pattern = wu::mac::patterns::uniform_window(96, k, 3, 32, rng);
+        const wu::mac::Slot warm =
+            wu::sim::hybrid_warmup_slots(*protocol->oblivious_schedule(), pattern, {});
+        if (name != "round_robin") {
+          EXPECT_EQ(warm, std::min<wu::mac::Slot>(64, 64 / static_cast<wu::mac::Slot>(k)))
+              << name;
+        }
+        for (wu::mac::Slot budget = 1; budget <= 65; ++budget) {
+          wu::sim::SimConfig interp;
+          interp.engine = wu::sim::Engine::kInterpreter;
+          interp.max_slots = budget;
+          wu::sim::SimConfig batch = interp;
+          batch.engine = wu::sim::Engine::kBatch;
+          wu::sim::SimConfig hybrid = interp;
+          hybrid.engine = wu::sim::Engine::kAuto;
+          const std::string label = name + " k=" + std::to_string(k) + " trial=" +
+                                    std::to_string(trial) + " budget=" + std::to_string(budget);
+          const auto reference = run_one(*protocol, pattern, interp);
+          expect_identical(reference, run_one(*protocol, pattern, batch), label + " batch");
+          expect_identical(reference, run_one(*protocol, pattern, hybrid), label + " auto");
+        }
       }
     }
   }
@@ -388,11 +405,16 @@ TEST(SimdMatrix, CellsBitIdenticalAcrossTileAndKernel) {
 
 /// The fetch contracts behind the word-matrix engines: one
 /// schedule_block(from, n) call must emit exactly what n single-word calls
-/// do, and one schedule_tile call over all of a schedule's (u, wake) pairs
-/// exactly what their single-word calls do — for every oblivious protocol
-/// (single- and multichannel), including tiles straddling the wake block
-/// and family boundaries.  Covers the schedule_tile default and the
-/// wakeup_matrix override alike.
+/// do, one schedule_tile call over all of a schedule's (u, wake) pairs
+/// exactly what their single-word calls do, and single-channel words what
+/// the protocol's runtime answers — for every oblivious protocol (single-
+/// and multichannel), including tiles straddling the wake block, s and
+/// family boundaries.  Covers the schedule_tile default and every override
+/// (the §5 matrix, wait_and_go, select_among_the_first, wakeup_with_s and
+/// the interleaver): SATF participants wake at s, `from` takes both
+/// parities of t − s and of the slot itself, a mod-prime wait_and_go runs
+/// the window's per-station fallback, and a ladder up to k = n = 37 draws
+/// with p = 1/37.
 TEST(ScheduleEmitters, TilesAndMultiWordBlocksMatchSingleWordCalls) {
   struct Subject {
     std::string label;
@@ -426,18 +448,30 @@ TEST(ScheduleEmitters, TilesAndMultiWordBlocksMatchSingleWordCalls) {
   auto adapter = wu::proto::make_single_channel_adapter(make("wait_and_go"), 3);
   subjects.push_back({"adapter(wait_and_go)/C=3", adapter->oblivious_schedule(), nullptr,
                       adapter});
+  auto mod_prime = wu::proto::make_wait_and_go(37, 5, wu::comb::FamilyKind::kModPrime, 77);
+  subjects.push_back({"wait_and_go/mod_prime", mod_prime->oblivious_schedule(), mod_prime,
+                      nullptr});
+  auto full_ladder = wu::proto::make_wait_and_go(37, 37, wu::comb::FamilyKind::kRandomized, 77);
+  subjects.push_back({"wait_and_go/k=n", full_ladder->oblivious_schedule(), full_ladder,
+                      nullptr});
 
-  // Station-major order mixes the wake classes inside one tile call.
+  // Station-major order mixes the wake classes inside one tile call; wake
+  // 3 is s, so select_among_the_first and wakeup_with_s have participants.
   std::vector<std::pair<wu::mac::StationId, wu::mac::Slot>> members;
   for (const wu::mac::StationId u : {0u, 17u, 36u, 45u}) {
-    for (const wu::mac::Slot wake : {wu::mac::Slot{0}, wu::mac::Slot{10}, wu::mac::Slot{129}}) {
+    for (const wu::mac::Slot wake :
+         {wu::mac::Slot{0}, wu::mac::Slot{3}, wu::mac::Slot{10}, wu::mac::Slot{129}}) {
       members.emplace_back(u, wake);
     }
   }
   for (const Subject& subject : subjects) {
     ASSERT_NE(subject.schedule, nullptr) << subject.label;
-    for (const wu::mac::Slot from : {wu::mac::Slot{0}, wu::mac::Slot{64}, wu::mac::Slot{128}}) {
-      for (const std::size_t n_words : {2u, 5u, 8u}) {
+    // With s = 3: from 0 straddles s with t − s odd, 3 starts at s with
+    // t − s even, 64 and 128 are odd past s, 67 is even past s; 3 and 67
+    // are odd slots.
+    for (const wu::mac::Slot from : {wu::mac::Slot{0}, wu::mac::Slot{3}, wu::mac::Slot{64},
+                                     wu::mac::Slot{67}, wu::mac::Slot{128}}) {
+      for (const std::size_t n_words : {2u, 5u, 8u, 9u}) {
         std::vector<std::vector<std::uint64_t>> rows(members.size(),
                                                      std::vector<std::uint64_t>(n_words, 0));
         std::vector<wu::proto::ObliviousSchedule::TileStation> stations;
@@ -468,7 +502,64 @@ TEST(ScheduleEmitters, TilesAndMultiWordBlocksMatchSingleWordCalls) {
             ASSERT_EQ(tile[w] & specified, single & specified) << label;
             ASSERT_EQ(rows[i][w] & specified, single & specified) << label << " (tile)";
           }
+          if (subject.keep == nullptr) continue;
+          // The runtime is the independent reference: a change that moved
+          // every emitter the same way still fails here.
+          auto runtime = subject.keep->make_runtime(u, wake);
+          const wu::mac::Slot end = from + static_cast<wu::mac::Slot>(64 * n_words);
+          for (wu::mac::Slot t = wake; t < end; ++t) {
+            const bool says = runtime->transmits(t);
+            if (t < from) continue;
+            const auto bit = static_cast<std::size_t>(t - from);
+            ASSERT_EQ(((rows[i][bit / 64] >> (bit % 64)) & 1u) != 0, says)
+                << subject.label << " u=" << u << " wake=" << wake << " from=" << from
+                << " t=" << t << " (runtime)";
+          }
         }
+      }
+    }
+  }
+}
+
+/// Tiles wider than one pass of an override's stack scratch
+/// (ObliviousSchedule::kTileChunk stations) and than one 64-key kernel
+/// call: one schedule_tile over 2·kTileChunk + 44 stations must emit what
+/// each station's own schedule_block does.
+TEST(ScheduleEmitters, TilesWiderThanOneChunkMatchOneStationCalls) {
+  constexpr std::size_t kStations = 2 * wu::proto::ObliviousSchedule::kTileChunk + 44;
+  constexpr std::size_t kWords = 3;
+  for (const auto& name : oblivious_names()) {
+    wu::proto::ProtocolSpec spec;
+    spec.name = name;
+    spec.n = 1024;
+    spec.k = 64;
+    spec.s = 3;
+    spec.seed = 77;
+    const auto protocol = wu::proto::make_protocol_by_name(spec);
+    const auto* schedule = protocol->oblivious_schedule();
+    ASSERT_NE(schedule, nullptr) << name;
+    std::vector<std::uint64_t> rows(kStations * kWords, 0);
+    std::vector<wu::proto::ObliviousSchedule::TileStation> stations;
+    for (std::size_t i = 0; i < kStations; ++i) {
+      // Sorted wakes, a few stations per wake; every third wakes at s.
+      const wu::mac::Slot wake = i % 3 == 0 ? 3 : static_cast<wu::mac::Slot>(i / 8);
+      stations.push_back({static_cast<wu::mac::StationId>((7 * i) % 1024), wake,
+                          rows.data() + i * kWords});
+    }
+    std::sort(stations.begin(), stations.end(),
+              [](const auto& a, const auto& b) { return a.wake < b.wake; });
+    const wu::mac::Slot from = 64;
+    schedule->schedule_tile(stations, from, kWords);
+    for (const auto& st : stations) {
+      std::uint64_t single[kWords] = {};
+      schedule->schedule_block(st.u, st.wake, from, single, kWords);
+      for (std::size_t w = 0; w < kWords; ++w) {
+        // Bits before the wake are unspecified by contract.
+        const wu::mac::Slot block = from + static_cast<wu::mac::Slot>(64 * w);
+        const std::uint64_t specified =
+            st.wake <= block ? ~std::uint64_t{0} : ~std::uint64_t{0} << (st.wake - block);
+        ASSERT_EQ(st.out_words[w] & specified, single[w] & specified)
+            << name << " u=" << st.u << " wake=" << st.wake << " w=" << w;
       }
     }
   }

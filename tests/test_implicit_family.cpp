@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <vector>
 
 #include "combinatorics/doubling_schedule.hpp"
 #include "combinatorics/verifier.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace wc = wakeup::comb;
 namespace wu = wakeup::util;
@@ -185,6 +188,80 @@ TEST(ImplicitFamily, RandomizedMatchesReferenceDraw) {
               << "n=" << n << " k=" << k << " j=" << j << " u=" << u;
         }
       }
+    }
+  }
+}
+
+namespace {
+
+/// Undoes x ^= x >> s (the high s bits are kept, each pass recovers s more).
+std::uint64_t unxorshift(std::uint64_t y, unsigned s) {
+  std::uint64_t x = y;
+  for (unsigned done = s; done < 64; done += s) x = y ^ (x >> s);
+  return x;
+}
+
+/// The inverse of an odd multiplier mod 2^64 (Newton: each step doubles
+/// the correct low bits).
+std::uint64_t odd_inverse(std::uint64_t m) {
+  std::uint64_t inv = m;
+  for (int i = 0; i < 6; ++i) inv *= 2 - m * inv;
+  return inv;
+}
+
+/// util::mix64 run backwards.
+std::uint64_t unmix64(std::uint64_t x) {
+  x = unxorshift(x, 31);
+  x *= odd_inverse(wu::kMix64Mul2);
+  x = unxorshift(x, 27);
+  x *= odd_inverse(wu::kMix64Mul1);
+  return unxorshift(x, 30);
+}
+
+/// The `mixed_u` whose draw for set j is exactly h: hash_combine(P, b) =
+/// mix64(P + G + (b ^ (P << 6) ^ (P >> 2))) is solvable for b.
+std::uint64_t key_for_draw(std::uint64_t stream_state, std::uint64_t j, std::uint64_t h) {
+  const std::uint64_t prefix = wu::hash_combine(stream_state, wu::mix64(j));
+  return (unmix64(h) - prefix - wu::kCombineAdd) ^ (prefix << 6) ^ (prefix >> 2);
+}
+
+}  // namespace
+
+// The randomized draw's integer form is exact: (h >> 11)·2⁻⁵³ < p holds iff
+// h < randomized_bound(p) — checked on draws steered to either side of the
+// bound (mix64 is invertible) and on random ones, for power-of-two and
+// other p, through randomized_member and through the emitters' kernel.
+TEST(ImplicitFamily, RandomizedDrawIsExactInIntegerForm) {
+  std::vector<double> ps;
+  for (int j = 1; j <= 20; ++j) ps.push_back(std::ldexp(1.0, -j));
+  ps.push_back(1.0 / 3.0);
+  ps.push_back(1.0 / 37.0);
+  ps.push_back(1.0 / static_cast<double>(wc::detail::clamp_family_k(1000, 5000)));
+  ps.push_back(1.0 / static_cast<double>(wc::detail::clamp_family_k(37, 37)));
+  wu::Rng rng(20130522);
+  const std::uint64_t stream_state = wu::hash_words({rng.next_u64()});
+  for (const double p : ps) {
+    const std::uint64_t bound = wc::detail::randomized_bound(p);
+    EXPECT_EQ(bound, static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53))) << 11) << p;
+    std::vector<std::uint64_t> draws = {bound - 1, bound, bound + 1, 0, ~std::uint64_t{0}};
+    for (int i = 0; i < 64; ++i) draws.push_back(rng.next_u64());
+    for (std::size_t i = 0; i < draws.size(); ++i) {
+      const std::uint64_t h = draws[i];
+      const std::uint64_t j = i * 7 + 1;
+      const std::uint64_t key = key_for_draw(stream_state, j, h);
+      ASSERT_EQ(wu::hash_combine(wu::hash_combine(stream_state, wu::mix64(j)), key), h);
+      const bool uniform_draw = static_cast<double>(h >> 11) * 0x1.0p-53 < p;
+      ASSERT_EQ(h < bound, uniform_draw) << "p=" << p << " h=" << h;
+      ASSERT_EQ(wc::detail::randomized_member(stream_state, j, key, p), uniform_draw)
+          << "p=" << p << " h=" << h;
+      // The same lane through the emitters' kernel.
+      std::array<std::uint64_t, 64> prefix{};
+      std::array<std::uint64_t, 64> bounds{};
+      prefix[5] = wu::hash_combine(stream_state, wu::mix64(j));
+      bounds[5] = bound;
+      std::uint64_t word = 0;
+      wu::simd::hash_below(prefix.data(), bounds.data(), &key, 1, &word);
+      ASSERT_EQ(word, uniform_draw ? std::uint64_t{1} << 5 : 0) << "p=" << p << " h=" << h;
     }
   }
 }

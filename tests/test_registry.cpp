@@ -72,7 +72,9 @@ TEST(Registry, CapabilitiesMatchTheConstructedProtocols) {
     EXPECT_EQ(caps.dynamic, !protocol->requirements().needs_start_time &&
                                 !protocol->requirements().needs_collision_detection)
         << name;
-    if (caps.cheap_words) EXPECT_TRUE(caps.oblivious) << name;
+    if (caps.cheap_words) {
+      EXPECT_TRUE(caps.oblivious) << name;
+    }
   }
   EXPECT_TRUE(wp::protocol_capabilities("round_robin").oblivious);
   EXPECT_TRUE(wp::protocol_capabilities("round_robin").cheap_words);

@@ -1,8 +1,10 @@
-/// util/simd kernel suite: the runtime-dispatched table (AVX2/NEON when
-/// built and supported, scalar otherwise) must match a naive reference —
-/// and the scalar table — bit for bit on randomized inputs, so engine
-/// results never depend on the host ISA.  Also pins the force-scalar
-/// override and the first_set_below edge cases the engines rely on.
+/// util/simd kernel suite: the runtime-dispatched table (AVX-512/AVX2/NEON
+/// when built and supported, scalar otherwise) must match a naive
+/// reference — and the scalar table — bit for bit on randomized inputs, so
+/// engine results never depend on the host ISA.  hash_below's scalar twin
+/// is held to util::hash_combine and every compiled rung to the twin.
+/// Also pins the force-scalar override and the first_set_below edge cases
+/// the engines rely on.
 
 #include "util/simd.hpp"
 
@@ -140,6 +142,106 @@ TEST(SimdKernels, FirstSetBelowEdges) {
   words[0] = 1ull << 63;
   EXPECT_EQ(simd::first_set_below(words, 4, 256), 63u);
   EXPECT_EQ(simd::first_set_below(words, 4, 63), simd::kNoBit);
+}
+
+namespace {
+
+/// Random windows for hash_below: random prefixes, and bounds mixing the
+/// edges (0, 1, 2^63, 2^64 − 1) with the matrix's 2^(64 − e) and random
+/// values.
+void random_window(wu::Rng& rng, std::uint64_t* prefix, std::uint64_t* bound) {
+  for (unsigned j = 0; j < 64; ++j) {
+    prefix[j] = rng.next_u64();
+    switch (rng.next_u64() % 6) {
+      case 0: bound[j] = 0; break;
+      case 1: bound[j] = std::uint64_t{1} << 63; break;
+      case 2: bound[j] = std::uint64_t{1} << (1 + rng.next_u64() % 63); break;
+      case 3: bound[j] = j % 2 == 0 ? 1 : ~std::uint64_t{0}; break;
+      default: bound[j] = rng.next_u64(); break;
+    }
+  }
+}
+
+/// hash_below through `table`.
+std::vector<std::uint64_t> hash_words_through(const simd::Kernels& table,
+                                              const std::uint64_t* prefix,
+                                              const std::uint64_t* bound,
+                                              const std::vector<std::uint64_t>& keys) {
+  std::vector<std::uint64_t> out(keys.size(), 0xdeadbeef);
+  table.hash_below(prefix, bound, keys.data(), keys.size(), out.data());
+  return out;
+}
+
+/// The scalar table and the one the CPU dispatches to.
+struct Tables {
+  const simd::Kernels* scalar;
+  const simd::Kernels* best;
+};
+
+Tables scalar_and_best() {
+  KernelGuard guard;
+  simd::set_force_scalar(true);
+  const simd::Kernels* scalar = &simd::active();
+  simd::set_force_scalar(false);
+  return {scalar, &simd::active()};
+}
+
+/// `rung` against the scalar twin on random windows, for 0, 1 and 70 keys
+/// (past one 64-key pass).
+void expect_rung_matches_scalar(const simd::Kernels& rung, const simd::Kernels& scalar) {
+  wu::Rng rng(29);
+  for (int round = 0; round < 50; ++round) {
+    std::uint64_t prefix[64];
+    std::uint64_t bound[64];
+    random_window(rng, prefix, bound);
+    std::vector<std::uint64_t> keys(70);
+    for (auto& key : keys) key = rng.next_u64();
+    for (const std::size_t count : {std::size_t{0}, std::size_t{1}, keys.size()}) {
+      const std::vector<std::uint64_t> some(keys.begin(),
+                                            keys.begin() + static_cast<std::ptrdiff_t>(count));
+      EXPECT_EQ(hash_words_through(rung, prefix, bound, some),
+                hash_words_through(scalar, prefix, bound, some))
+          << rung.name << " round " << round << " count " << count;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(SimdKernels, HashBelowScalarTwinMatchesHashCombine) {
+  const simd::Kernels& scalar = *scalar_and_best().scalar;
+  wu::Rng rng(17);
+  for (int round = 0; round < 20; ++round) {
+    std::uint64_t prefix[64];
+    std::uint64_t bound[64];
+    random_window(rng, prefix, bound);
+    std::vector<std::uint64_t> keys(70);
+    for (auto& key : keys) key = wu::mix64(rng.next_u64());
+    const auto words = hash_words_through(scalar, prefix, bound, keys);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      std::uint64_t want = 0;
+      for (unsigned j = 0; j < 64; ++j) {
+        want |= static_cast<std::uint64_t>(wu::hash_combine(prefix[j], keys[i]) < bound[j]) << j;
+      }
+      ASSERT_EQ(words[i], want) << "round " << round << " key " << i;
+    }
+  }
+}
+
+// The AVX2 and NEON tables carry the scalar twin itself; the dispatched
+// table is the one rung that can differ from it.
+TEST(SimdKernels, HashBelowDispatchedRungMatchesScalarTwin) {
+  const Tables tables = scalar_and_best();
+  expect_rung_matches_scalar(*tables.best, *tables.scalar);
+}
+
+TEST(SimdKernels, HashBelowAvx512MatchesScalarTwin) {
+  const Tables tables = scalar_and_best();
+  if (std::strcmp(tables.best->name, "avx512") != 0) {
+    GTEST_SKIP() << "AVX-512F/DQ rung not built or not supported here (dispatching "
+                 << tables.best->name << ")";
+  }
+  expect_rung_matches_scalar(*tables.best, *tables.scalar);
 }
 
 TEST(SimdKernels, ForceScalarPinsTheScalarTable) {

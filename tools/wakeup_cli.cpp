@@ -25,7 +25,6 @@
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <mutex>
 
 #include "combinatorics/waking_search.hpp"
 #include "mac/pattern_io.hpp"
@@ -654,28 +653,31 @@ int cmd_run(const util::Args& args) {
   }
 
   std::string name;
-  util::Sample rounds;
-  std::mutex sample_mutex;
+  // Rounds by trial index (-1: no success), so the bootstrap below reads
+  // them in trial order whatever order the pool finishes them in.
+  std::vector<mac::Slot> trial_rounds(trials, -1);
   if (multichannel) {
     const std::uint32_t c = channels < 1 ? 1 : channels;
     spec.make_mc_protocol = [&args, c](std::uint64_t seed) {
       return build_mc_protocol(args, c, seed);
     };
     name = build_mc_protocol(args, c, base_seed)->name();
-    spec.per_trial_mc = [&](std::uint64_t, const sim::McSimResult& r) {
-      const std::lock_guard<std::mutex> lock(sample_mutex);
-      if (r.success) rounds.push(static_cast<double>(r.rounds));
+    spec.per_trial_mc = [&](std::uint64_t i, const sim::McSimResult& r) {
+      if (r.success) trial_rounds[i] = r.rounds;
     };
   } else {
     spec.make_protocol = [&args](std::uint64_t seed) { return build_protocol(args, seed); };
     name = build_protocol(args, base_seed)->name();
-    spec.per_trial = [&](std::uint64_t, const sim::SimResult& r) {
-      const std::lock_guard<std::mutex> lock(sample_mutex);
-      if (r.success) rounds.push(static_cast<double>(r.rounds));
+    spec.per_trial = [&](std::uint64_t i, const sim::SimResult& r) {
+      if (r.success) trial_rounds[i] = r.rounds;
     };
   }
 
   const auto out = sim::Run(spec, own_pool.get());
+  util::Sample rounds;
+  for (const mac::Slot r : trial_rounds) {
+    if (r >= 0) rounds.push(static_cast<double>(r));
+  }
 
   if (trials == 1) {
     sim::SimResult result;
