@@ -74,17 +74,7 @@ struct JsonValue {
         out << integer;
         return;
       case Kind::kString:
-        out << '"';
-        for (const char c : str) {
-          if (c == '"' || c == '\\') out << '\\';
-          if (static_cast<unsigned char>(c) < 0x20) {
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out << buf;
-          } else {
-            out << c;
-          }
-        }
-        out << '"';
+        out << '"' << util::json_escape(str) << '"';
         return;
     }
   }

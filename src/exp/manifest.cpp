@@ -1,6 +1,7 @@
 #include "exp/manifest.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -8,29 +9,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/csv.hpp"
+
 namespace wakeup::exp {
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 namespace detail {
 
@@ -53,11 +34,21 @@ std::map<std::string, std::string> parse_flat_object(const std::string& line) {
         if (i >= line.size()) throw fail("dangling escape");
         const char c = line[i];
         if (c == 'u') {
+          // The writer escapes only bytes below 0x20, as \u00XX: exactly
+          // four hex digits, one byte.
           if (i + 4 >= line.size()) throw fail("short \\u escape");
-          out += static_cast<char>(std::stoi(line.substr(i + 1, 4), nullptr, 16));
+          unsigned value = 0;
+          const char* digits = line.data() + i + 1;
+          const auto [end, ec] = std::from_chars(digits, digits + 4, value, 16);
+          if (ec != std::errc{} || end != digits + 4 || value >= 0x100) {
+            throw fail("bad \\u escape");
+          }
+          out += static_cast<char>(value);
           i += 4;
+        } else if (c == '"' || c == '\\') {
+          out += c;
         } else {
-          out += c;  // \" and \\ (we never emit other escapes)
+          throw fail("unsupported escape");  // the writer emits no others
         }
       } else {
         out += line[i];
@@ -116,10 +107,12 @@ std::uint64_t field_u64(const std::map<std::string, std::string>& fields,
                         const std::string& key) {
   const auto it = fields.find(key);
   if (it == fields.end()) throw std::runtime_error("manifest: missing field '" + key + "'");
-  std::size_t pos = 0;
-  const std::uint64_t v = std::stoull(it->second, &pos);
-  if (pos != it->second.size()) {
-    throw std::runtime_error("manifest: bad integer in '" + key + "': " + it->second);
+  // Digits only: std::stoull would wrap a leading '-' around 2^64.
+  const std::string& text = it->second;
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size()) {
+    throw std::runtime_error("manifest: bad integer in '" + key + "': " + text);
   }
   return v;
 }
@@ -177,16 +170,16 @@ std::string manifest_line(const CellRecord& record) {
   const Cell& cell = record.cell;
   const CellStats& stats = record.stats;
   std::ostringstream out;
-  out << "{\"tag\":\"" << json_escape(cell.tag) << "\""
-      << ",\"protocol\":\"" << json_escape(cell.protocol) << "\""
+  out << "{\"tag\":\"" << util::json_escape(cell.tag) << "\""
+      << ",\"protocol\":\"" << util::json_escape(cell.protocol) << "\""
       << ",\"n\":" << cell.n << ",\"k\":" << cell.k << ",\"channels\":" << cell.channels
       << ",\"pattern\":\"" << pattern_name(cell.pattern) << "\""
       << ",\"engine\":\"" << engine_name(cell.engine) << "\""
       << ",\"trials\":" << cell.trials << ",\"s\":" << cell.s
-      << ",\"arrival\":\"" << json_escape(cell.dynamic ? cell.arrival.name() : "") << "\""
+      << ",\"arrival\":\"" << util::json_escape(cell.dynamic ? cell.arrival.name() : "") << "\""
       << ",\"horizon\":" << (cell.dynamic ? cell.horizon : 0)
       << ",\"impairment\":\""
-      << json_escape(cell.impairment.clean() ? "" : cell.impairment.name()) << "\""
+      << util::json_escape(cell.impairment.clean() ? "" : cell.impairment.name()) << "\""
       << ",\"index\":" << cell.index
       << ",\"failures\":" << stats.failures
       << ",\"success_rate\":" << json_double(stats.success_rate);

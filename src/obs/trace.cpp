@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "mac/trace.hpp"
+#include "util/csv.hpp"
 
 #if defined(WAKEUP_OBS) && WAKEUP_OBS
 #include <atomic>
@@ -14,30 +15,6 @@
 #endif
 
 namespace wakeup::obs {
-
-namespace {
-
-/// JSON string escaping for event names/args (tags contain only plain
-/// ASCII, but protocol names are caller input).
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  char buf[8];
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::uint64_t trace_now_us() {
   using Clock = std::chrono::steady_clock;
@@ -84,8 +61,8 @@ void push_event(std::string&& rendered) {
 std::string event_prefix(const std::string& name, const std::string& category, char phase,
                          std::uint64_t ts_us) {
   char buf[96];
-  std::string out = "{\"name\": \"" + json_escape(name) + "\", \"cat\": \"" +
-                    json_escape(category) + "\", \"ph\": \"";
+  std::string out = "{\"name\": \"" + util::json_escape(name) + "\", \"cat\": \"" +
+                    util::json_escape(category) + "\", \"ph\": \"";
   out += phase;
   std::snprintf(buf, sizeof buf, "\", \"ts\": %llu, \"pid\": %lld, \"tid\": %u",
                 static_cast<unsigned long long>(ts_us), static_cast<long long>(state().pid),
@@ -109,7 +86,7 @@ void trace_set_process(std::int64_t pid, const std::string& name) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(pid));
   s.events.push_back("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " + std::string(buf) +
-                     ", \"args\": {\"name\": \"" + json_escape(name) + "\"}}");
+                     ", \"args\": {\"name\": \"" + util::json_escape(name) + "\"}}");
 }
 
 void trace_duration(const std::string& name, const std::string& category, std::uint64_t ts_us,
@@ -123,8 +100,8 @@ void trace_duration(const std::string& name, const std::string& category, std::u
   if (!args.empty()) {
     event += ", \"args\": {";
     for (std::size_t i = 0; i < args.size(); ++i) {
-      event += (i == 0 ? "\"" : ", \"") + json_escape(args[i].first) + "\": \"" +
-               json_escape(args[i].second) + "\"";
+      event += (i == 0 ? "\"" : ", \"") + util::json_escape(args[i].first) + "\": \"" +
+               util::json_escape(args[i].second) + "\"";
     }
     event += "}";
   }

@@ -4,337 +4,357 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "sim/dynamic.hpp"
 #include "sim/impairment_engine.hpp"
 #include "sim/interpreter.hpp"
+#include "sim/mc_batch_engine.hpp"
 #include "util/simd.hpp"
 
 namespace wakeup::sim {
 
 namespace {
 
-std::size_t clamp_tile(std::size_t words) {
-  return std::clamp<std::size_t>(words, 1, kMaxTileWords);
-}
-
-std::size_t env_tile_words() {
-  const char* env = std::getenv("WAKEUP_TILE_WORDS");
-  if (env == nullptr || env[0] == '\0') return kMaxTileWords;
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(env, &end, 10);
-  // Unparsable or zero values fall back to the default rather than
-  // silently pinning the slowest width.
-  if (end == env || *end != '\0' || parsed == 0) return kMaxTileWords;
-  return clamp_tile(static_cast<std::size_t>(parsed));
-}
-
-std::atomic<std::size_t>& tile_override() noexcept {
-  static std::atomic<std::size_t> value{0};
-  return value;
-}
+std::atomic<std::size_t> g_tile_words{kMaxTileWords};
 
 }  // namespace
 
-std::size_t tile_words() noexcept {
-  const std::size_t forced = tile_override().load(std::memory_order_relaxed);
-  if (forced != 0) return forced;
-  static const std::size_t from_env = env_tile_words();
-  return from_env;
-}
+std::size_t tile_words() noexcept { return g_tile_words.load(std::memory_order_relaxed); }
 
 void set_tile_words(std::size_t words) noexcept {
-  tile_override().store(words == 0 ? 0 : clamp_tile(words), std::memory_order_relaxed);
+  g_tile_words.store(words == 0 ? kMaxTileWords : std::min(words, kMaxTileWords),
+                     std::memory_order_relaxed);
 }
 
 bool batch_engine_supports(const proto::Protocol& protocol, const SimConfig& config) {
   return protocol.oblivious_schedule() != nullptr && !config.record_trace;
 }
 
+bool mc_batch_supports(const proto::McProtocol& protocol) {
+  const proto::ObliviousSchedule* schedule = protocol.oblivious_schedule();
+  return schedule != nullptr && schedule->schedule_channels() == protocol.channels();
+}
+
 namespace {
 
 namespace simd = util::simd;
 
-/// Transmit slots of one matrix row among the tile's pending slots, up to
-/// and including tile bit `last` (word last / 64, bit last % 64).  Rows are
-/// zero before their station's wake and pending words before the run's
-/// start, so this is the row's share of the station's [wake, tx_end].
-std::uint64_t row_transmits(const std::uint64_t* row, const std::uint64_t* pend,
-                            std::size_t last) {
-  const std::size_t lw = last / 64;
-  std::uint64_t count = 0;
-  for (std::size_t w = 0; w < lw; ++w) {
-    count += static_cast<std::uint64_t>(std::popcount(row[w] & pend[w]));
-  }
-  const std::size_t j = last % 64;
-  const std::uint64_t upto = j == 63 ? ~std::uint64_t{0} : (std::uint64_t{1} << (j + 1)) - 1;
-  return count + static_cast<std::uint64_t>(std::popcount(row[lw] & pend[lw] & upto));
+/// A start or cutoff that never comes.
+constexpr mac::Slot kNever = std::numeric_limits<mac::Slot>::max();
+/// Returned by a solo rule to stop the run at the solo's slot.
+constexpr mac::Slot kHalt = -1;
+
+/// One row of the word matrix: a station contending from `start`.
+struct TileRow {
+  mac::StationId id = 0;
+  mac::Slot start = kNever;   ///< the schedule's `wake` for this contention
+  mac::Slot cutoff = kNever;  ///< silent from this slot on (a crashed station)
+  std::uint32_t lane = 0;     ///< ObliviousSchedule::channel_lane
+};
+
+/// Outcome totals, summed over lanes, and the last slot resolved.
+struct TileTotals {
+  std::uint64_t silences = 0;
+  std::uint64_t collisions = 0;
+  std::uint64_t successes = 0;
+  mac::Slot last_slot = 0;
+};
+
+/// Bits 0..j of a word.
+constexpr std::uint64_t through(std::size_t j) {
+  return j == 63 ? ~std::uint64_t{0} : (std::uint64_t{1} << (j + 1)) - 1;
 }
 
-/// Tile-wise core.  `start` is the first slot to resolve (>= s; arrivals
-/// before it join immediately) and `carry` holds outcome counters and
-/// per-station transmits already accumulated by a warm-up prefix
-/// [s, start) run elsewhere.  Tiles are aligned to absolute 64-slot
-/// boundaries (slots below `start` are masked out of the pending words).
-/// Each round fills one station-major matrix row of W words per live
-/// station and resolves all 64 * W slots against it.
-SimResult run_batch_from(const proto::ObliviousSchedule& schedule,
-                         const mac::WakePattern& pattern, const SimConfig& config,
-                         mac::Slot start, const SimResult* carry) {
-  SimResult result;
-  if (pattern.empty()) return result;
-
-  struct Active {
-    mac::StationId id;
-    mac::Slot wake;
-    std::size_t arrival;  ///< index in pattern.arrivals()
-    bool done = false;    ///< full-resolution: already delivered
-  };
-
-  const auto& arrivals = pattern.arrivals();  // sorted by wake
-  const mac::Slot s = pattern.first_wake();
-  result.s = s;
-
-  mac::Slot budget = config.max_slots;
-  if (budget <= 0) budget = auto_slot_budget(pattern.n(), pattern.k());
-  const mac::Slot end = s + budget;  // exclusive
-
-  const std::size_t W = tile_words();
-
-  // Impairment fold: tiles are 64-aligned to absolute slots, so word w of a
-  // tile starting at tb is plan word tb/64 + w.  One OR-AND per word:
-  // corrupt slots collide regardless of transmitters, noisy slots garble an
-  // actual transmission into a collision.
-  const ImpairmentPlan* plan = config.impairment;
+/// The word-matrix tile core.  Resolves slots [from, end) over `lanes`
+/// channels, one tile of 64 * cur slots per round, cur ramping 1 -> W so
+/// short runs never buy words they cannot use.  Tiles are aligned to
+/// absolute 64-slot boundaries; slots below `from` carry no outcomes.
+/// `rows` come ordered by start and join the matrix in that order, each
+/// once its start falls inside a tile; a row holds the station's transmit
+/// bits — zero before its start, from its cutoff on and while it is
+/// silent — so each lane's (any, multi) pair is an OR reduction of its
+/// rows.  Every row whose start block is at or before the tile base comes
+/// from one schedule_tile call.
+///
+/// On each solo (on any lane) `on_solo(r, t)` decides what happens to the
+/// winning row r: kHalt stops the run at t; any other value becomes the
+/// row's next start — kNever zeroes the row (the full-resolution drain),
+/// a later slot refetches it (the dynamic head-of-line refill) — and the
+/// rest of the tile is re-reduced and re-folded without the old row.  A
+/// solo has exactly one set bit on its lane (noise and jam only add to
+/// `multi`), so the winner does not depend on row order.  `transmits`
+/// (nullable, one per row) gains each row's transmit slots, counted from
+/// the words already fetched.
+template <class OnSolo>
+TileTotals resolve_tiles(const proto::ObliviousSchedule& schedule, std::vector<TileRow>& rows,
+                         std::uint32_t lanes, mac::Slot from, mac::Slot end,
+                         const ImpairmentPlan* plan, std::uint64_t* transmits, TileTotals totals,
+                         OnSolo&& on_solo) {
   if (plan != nullptr && plan->clean()) plan = nullptr;
-  const auto fold_impairment = [plan](std::uint64_t* any_w, std::uint64_t* multi_w,
-                                      mac::Slot tb, std::size_t from_w, std::size_t tw) {
-    const std::size_t gw = static_cast<std::size_t>(tb) / 64;
-    for (std::size_t w = from_w; w < tw; ++w) {
-      const std::uint64_t corrupt = plan->corrupt_word(gw + w);
-      multi_w[w] |= (any_w[w] & plan->noise_word(gw + w)) | corrupt;
-      any_w[w] |= corrupt;
-    }
-  };
+  const std::size_t W = tile_words();
+  const simd::Kernels& kernels = simd::active();
 
-  std::vector<Active> active;
-  active.reserve(pattern.k());
-  std::vector<std::uint64_t> matrix;  // station-major: row r = W words of active[r]
-  matrix.reserve(pattern.k() * W);
+  std::vector<std::uint64_t> matrix;  // station-major: row r = W words of rows[r]
+  matrix.reserve(rows.size() * W);
   std::vector<proto::ObliviousSchedule::TileStation> tile_stations;
-  tile_stations.reserve(pattern.k());
-  std::array<std::uint64_t, kMaxTileWords> any{};
-  std::array<std::uint64_t, kMaxTileWords> multi{};
+  std::vector<std::size_t> tile_rows;  // rows[] index of each tile station
+  tile_stations.reserve(rows.size());
+  tile_rows.reserve(rows.size());
+  // Lane-major reduction rows: lane c holds words [c * W, c * W + W) of
+  // `any` and of `multi`.
+  std::vector<std::uint64_t> reduction(2 * lanes * W);
+  std::uint64_t* const any = reduction.data();
+  std::uint64_t* const multi = any + lanes * W;
   std::array<std::uint64_t, kMaxTileWords> pend{};
-  std::array<std::uint64_t, kMaxTileWords> succ{};
-
-  std::size_t next_arrival = 0;
-  std::size_t remaining = pattern.k();
-  std::uint64_t silences = carry != nullptr ? carry->silences : 0;
-  std::uint64_t collisions = carry != nullptr ? carry->collisions : 0;
-  std::uint64_t successes = carry != nullptr ? carry->successes : 0;
-  bool halted = false;
-  // Energy bookkeeping (side-state only): each station's transmits, counted
-  // from the rows the tile loop fetches anyway, its full-resolution
-  // departure slot, and the last slot examined.
-  const bool energy = config.energy != EnergyModel::kOff;
-  std::vector<std::uint64_t>& transmits = result.station_transmits;
-  std::vector<mac::Slot> depart;
-  if (energy) {
-    if (carry != nullptr) {
-      transmits = carry->station_transmits;
-    } else {
-      transmits.assign(arrivals.size(), 0);
-    }
-    depart.assign(arrivals.size(), -1);
-  }
-  mac::Slot last_slot = end - 1;
-  // Observability (side-state only): flushed once after the loop.
+  std::array<std::uint64_t, kMaxTileWords> solo{};
+  std::size_t live = 0;
   std::uint64_t obs_tiles = 0;
   std::uint64_t obs_words = 0;
 
-  // First block boundary at or below `start` (wakes are validated >= 0,
-  // so start >= 0 and plain division floors).
-  const mac::Slot first_block = start / 64 * 64;
+  mac::Slot tb = 0;
+  mac::Slot tile_end = 0;
+  std::size_t tw = 0;
 
-  // Tile ramp: the first resolve round fetches one word per station (runs
-  // that end inside it pay exactly the pre-tiling cost), doubling up to W
-  // per round — long runs amortize the fetch W-fold, short runs never buy
-  // words they cannot use.  Tiles stay 64-aligned throughout, and results
-  // are bit-identical for every ramp state (tiles are just groupings of
-  // the same masked words).
+  // Zeroes the row's bits before its start and from its cutoff on.
+  const auto mask_row = [&](const TileRow& row, std::uint64_t* words) {
+    if (row.start > tb) {
+      const auto off = static_cast<std::size_t>(row.start - tb);
+      words[off / 64] &= ~std::uint64_t{0} << (off % 64);
+    }
+    if (row.cutoff < tile_end) {
+      const auto off = static_cast<std::size_t>(row.cutoff - tb);
+      std::size_t wc = off / 64;
+      if (off % 64 != 0) words[wc++] &= (std::uint64_t{1} << (off % 64)) - 1;
+      std::fill(words + wc, words + tw, 0);
+    }
+  };
+  // Writes row r for this tile, fetching from the block holding its start
+  // (never blocks wholly before it).  With `batch`, a row whose start
+  // block is at or before tb joins the tile's schedule_tile call instead.
+  const auto fetch = [&](std::size_t r, bool batch) {
+    const TileRow& row = rows[r];
+    std::uint64_t* words = matrix.data() + r * W;
+    if (row.start >= tile_end || row.cutoff <= std::max(tb, row.start)) {
+      std::fill(words, words + tw, 0);
+      return;
+    }
+    const mac::Slot first = std::max(tb, row.start / 64 * 64);
+    const auto w0 = static_cast<std::size_t>((first - tb) / 64);
+    obs_words += tw - w0;
+    if (batch && w0 == 0) {
+      tile_stations.push_back({row.id, row.start, words});
+      tile_rows.push_back(r);
+      return;
+    }
+    std::fill(words, words + w0, 0);
+    schedule.schedule_block(row.id, row.start, first, words + w0, tw - w0);
+    mask_row(row, words);
+  };
+  // Rebuilds every lane's (any, multi) over words [w0, tw) and folds the
+  // impairment words in: corrupt slots collide regardless of transmitters,
+  // noisy slots garble an actual transmission into a collision.  Word w of
+  // the tile is plan word tb / 64 + w.
+  const auto reduce = [&](std::size_t w0) {
+    for (std::uint32_t c = 0; c < lanes; ++c) {
+      std::fill(any + c * W + w0, any + c * W + tw, 0);
+      std::fill(multi + c * W + w0, multi + c * W + tw, 0);
+    }
+    for (std::size_t r = 0; r < live; ++r) {
+      const std::size_t lane = rows[r].lane * W;
+      kernels.or_accumulate(any + lane + w0, multi + lane + w0, matrix.data() + r * W + w0,
+                            tw - w0);
+    }
+    if (plan == nullptr) return;
+    const std::size_t gw = static_cast<std::size_t>(tb) / 64;
+    for (std::uint32_t c = 0; c < lanes; ++c) {
+      for (std::size_t w = w0; w < tw; ++w) {
+        const std::uint64_t corrupt = plan->corrupt_word(gw + w);
+        multi[c * W + w] |= (any[c * W + w] & plan->noise_word(gw + w)) | corrupt;
+        any[c * W + w] |= corrupt;
+      }
+    }
+  };
+  const auto solo_word = [&](std::size_t w) {
+    std::uint64_t bits = 0;
+    for (std::uint32_t c = 0; c < lanes; ++c) bits |= any[c * W + w] & ~multi[c * W + w];
+    return bits;
+  };
+  // Adds row r's transmit slots among the pending slots through tile bit
+  // `last` (the pending masks exclude slots below `from`).
+  const auto charge = [&](std::size_t r, std::size_t last) {
+    const std::uint64_t* words = matrix.data() + r * W;
+    const std::size_t lw = last / 64;
+    auto count =
+        static_cast<std::uint64_t>(std::popcount(words[lw] & pend[lw] & through(last % 64)));
+    for (std::size_t w = 0; w < lw; ++w) {
+      count += static_cast<std::uint64_t>(std::popcount(words[w] & pend[w]));
+    }
+    transmits[r] += count;
+  };
+
+  bool halted = false;
   std::size_t cur = 1;
+  for (tb = from / 64 * 64; tb < end && !halted;
+       tb += static_cast<mac::Slot>(64 * cur), cur = std::min(cur * 2, W)) {
+    tile_end = std::min<mac::Slot>(tb + static_cast<mac::Slot>(64 * cur), end);
+    tw = static_cast<std::size_t>((tile_end - tb + 63) / 64);
 
-  for (mac::Slot tb = first_block; tb < end && !halted;
-       tb += static_cast<mac::Slot>(64 * cur), cur = std::min<std::size_t>(cur * 2, W)) {
-    const mac::Slot tile_end =
-        std::min<mac::Slot>(tb + static_cast<mac::Slot>(64 * cur), end);
-    const auto tw = static_cast<std::size_t>((tile_end - tb + 63) / 64);
-
-    // Admit every station that wakes inside this tile; row bits before the
-    // wake slot are masked off below.
-    const std::size_t first_new = active.size();
-    while (next_arrival < arrivals.size() && arrivals[next_arrival].wake < tile_end) {
-      const auto& a = arrivals[next_arrival];
-      active.push_back(Active{a.station, a.wake, next_arrival});
-      matrix.resize(active.size() * W, 0);
-      ++next_arrival;
-    }
-
-    // One schedule_tile call for every live station whose words start at
-    // tb; a station waking past the tile's first word fetches from the
-    // block containing its wake (never blocks wholly before it) and
-    // zero-fills the words before.
+    while (live < rows.size() && rows[live].start < tile_end) ++live;
+    matrix.resize(live * W);
     tile_stations.clear();
-    for (std::size_t r = 0; r < active.size(); ++r) {
-      const Active& st = active[r];
-      std::uint64_t* row = matrix.data() + r * W;
-      if (st.done) {
-        std::fill(row, row + tw, 0);
-        continue;
-      }
-      const mac::Slot from = std::max(tb, st.wake / 64 * 64);
-      const auto w0 = static_cast<std::size_t>((from - tb) / 64);
-      if (w0 == 0) {
-        tile_stations.push_back({st.id, st.wake, row});
-      } else {
-        std::fill(row, row + w0, 0);
-        schedule.schedule_block(st.id, st.wake, from, row + w0, tw - w0);
-      }
-      obs_words += tw - w0;
-    }
+    tile_rows.clear();
+    for (std::size_t r = 0; r < live; ++r) fetch(r, true);
     schedule.schedule_tile(tile_stations, tb, tw);
-    for (std::size_t r = first_new; r < active.size(); ++r) {
-      const mac::Slot from = std::max(tb, active[r].wake / 64 * 64);
-      if (active[r].wake > from) {
-        matrix[r * W + static_cast<std::size_t>((from - tb) / 64)] &=
-            ~std::uint64_t{0} << (active[r].wake - from);
-      }
+    for (std::size_t i = 0; i < tile_rows.size(); ++i) {
+      mask_row(rows[tile_rows[i]], tile_stations[i].out_words);
     }
     ++obs_tiles;
+    reduce(0);
 
-    simd::or_reduce_2pass(matrix.data(), active.size(), W, tw, any.data(), multi.data());
-    if (plan != nullptr) fold_impairment(any.data(), multi.data(), tb, 0, tw);
-
-    // Pending masks: the slots of each word inside [max(tb, start), end).
+    // Pending masks: the slots of each word inside [max(tb, from), end).
     for (std::size_t w = 0; w < tw; ++w) {
       const mac::Slot ws = tb + static_cast<mac::Slot>(64 * w);
-      const auto width = static_cast<unsigned>(std::min<mac::Slot>(tile_end - ws, 64));
-      std::uint64_t m = width == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
-      // Slots below `start` belong to the warm-up prefix (or precede s);
-      // they carry no outcomes here.
-      if (start > ws) m &= ~std::uint64_t{0} << (start - ws);
-      pend[w] = m;
+      const auto width = static_cast<std::size_t>(std::min<mac::Slot>(tile_end - ws, 64));
+      pend[w] = through(width - 1);
+      if (from > ws) pend[w] &= ~std::uint64_t{0} << (from - ws);
+    }
+
+    // Words before the first solo word (the whole tile when there is none)
+    // resolve with one kernel call per lane.
+    for (std::size_t w = 0; w < tw; ++w) solo[w] = solo_word(w) & pend[w];
+    const std::size_t hit = simd::first_set_below(solo.data(), tw, 64 * tw);
+    const std::size_t first_w = hit == simd::kNoBit ? tw : hit / 64;
+    if (first_w > 0) {
+      for (std::uint32_t c = 0; c < lanes; ++c) {
+        kernels.masked_popcount_pair(any + c * W, multi + c * W, pend.data(), first_w,
+                                     &totals.silences, &totals.collisions);
+      }
     }
 
     // The tile bit of the slot the run stopped at, if it stopped here.
     std::size_t last_bit = 64 * tw - 1;
-
-    // Fast path: no solo success anywhere in the tile — count the whole
-    // tile's silences and collisions with one kernel call.
-    for (std::size_t w = 0; w < tw; ++w) succ[w] = any[w] & ~multi[w] & pend[w];
-    const std::size_t hit = simd::first_set_below(succ.data(), tw, 64 * tw);
-    if (hit == simd::kNoBit) {
-      simd::active().masked_popcount_pair(any.data(), multi.data(), pend.data(), tw,
-                                          &silences, &collisions);
-    } else if (hit / 64 > 0) {
-      // Words before the first success word are fully resolved too.
-      simd::active().masked_popcount_pair(any.data(), multi.data(), pend.data(), hit / 64,
-                                          &silences, &collisions);
-    }
-
-    for (std::size_t w = hit == simd::kNoBit ? tw : hit / 64; w < tw && !halted; ++w) {
+    for (std::size_t w = first_w; w < tw && !halted; ++w) {
       std::uint64_t pending = pend[w];
       while (pending != 0) {
-        const std::uint64_t solo = any[w] & ~multi[w] & pending;
-        if (solo == 0) {
-          silences += static_cast<std::uint64_t>(std::popcount(~any[w] & pending));
-          collisions += static_cast<std::uint64_t>(std::popcount(multi[w] & pending));
-          break;
+        // Count outcomes up to and including the next solo slot (the rest
+        // of the word when there is none), exactly like the interpreter.
+        const std::uint64_t solos = solo_word(w) & pending;
+        const std::size_t j = solos == 0 ? 63 : static_cast<std::size_t>(std::countr_zero(solos));
+        const std::uint64_t segment = pending & through(j);
+        pending &= ~segment;
+        for (std::uint32_t c = 0; c < lanes; ++c) {
+          const std::uint64_t a = any[c * W + w];
+          const std::uint64_t m = multi[c * W + w];
+          totals.silences += static_cast<std::uint64_t>(std::popcount(~a & segment));
+          totals.collisions += static_cast<std::uint64_t>(std::popcount(m & segment));
+          totals.successes += static_cast<std::uint64_t>(std::popcount(a & ~m & segment));
         }
-        // Count outcomes up to and including the first success slot,
-        // exactly like the interpreter which stops right after it.
-        const auto j = static_cast<unsigned>(std::countr_zero(solo));
-        const std::uint64_t upto =
-            j == 63 ? ~std::uint64_t{0} : (std::uint64_t{1} << (j + 1)) - 1;
-        const std::uint64_t segment = pending & upto;
-        silences += static_cast<std::uint64_t>(std::popcount(~any[w] & segment));
-        collisions += static_cast<std::uint64_t>(std::popcount(multi[w] & segment));
-        ++successes;
-        pending &= ~upto;
+        if (solos == 0) break;
 
+        // Each lane's solo, lowest lane first, goes to the caller's rule.
         const mac::Slot t = tb + static_cast<mac::Slot>(64 * w + j);
-        mac::StationId winner = 0;
-        for (std::size_t r = 0; r < active.size(); ++r) {
-          if (!active[r].done && ((matrix[r * W + w] >> j) & 1u) != 0) {
-            winner = active[r].id;
+        for (std::uint32_t c = 0; c < lanes && !halted; ++c) {
+          if ((((any[c * W + w] & ~multi[c * W + w]) >> j) & 1) == 0) continue;
+          std::size_t r = 0;
+          while (rows[r].lane != c || ((matrix[r * W + w] >> j) & 1) == 0) ++r;
+          const mac::Slot next = on_solo(r, t);
+          if (next == kHalt) {
+            halted = true;
+            last_bit = 64 * w + j;
+            totals.last_slot = t;
             break;
           }
+          if (transmits != nullptr) charge(r, 64 * w + j);
+          rows[r].start = next;
+          fetch(r, false);
         }
+        if (halted) break;
+        reduce(w);
+      }
+    }
+
+    // Every row still on the channel transmitted its row up to the slot the
+    // run stopped at (the whole tile when it goes on).
+    if (transmits != nullptr) {
+      for (std::size_t r = 0; r < live; ++r) charge(r, last_bit);
+    }
+  }
+  if (!halted) totals.last_slot = end - 1;
+
+  if (obs::active()) {
+    static const auto c_tiles = obs::Counter::get("batch.tiles");
+    static const auto c_words = obs::Counter::get("batch.words_fetched");
+    c_tiles.add(obs_tiles);
+    c_words.add(obs_words);
+  }
+  return totals;
+}
+
+/// Static wake-up from slot `start` (>= s).  `carry` (nullable) holds the
+/// outcome counters and per-station transmits of a warm-up prefix
+/// [s, start) run elsewhere.  A solo halts the run, or under full
+/// resolution removes its winner from the channel until every station has
+/// left.
+SimResult run_static(const proto::ObliviousSchedule& schedule, const mac::WakePattern& pattern,
+                     const SimConfig& config, mac::Slot start, const SimResult* carry) {
+  SimResult result;
+  if (pattern.empty()) return result;
+  const auto& arrivals = pattern.arrivals();  // sorted by wake
+  const mac::Slot s = pattern.first_wake();
+  result.s = s;
+  mac::Slot budget = config.max_slots;
+  if (budget <= 0) budget = auto_slot_budget(pattern.n(), pattern.k());
+
+  std::vector<TileRow> rows;
+  rows.reserve(arrivals.size());
+  for (const mac::Arrival& a : arrivals) rows.push_back({a.station, a.wake});
+  TileTotals totals;
+  if (carry != nullptr) {
+    totals = {carry->silences, carry->collisions, carry->successes};
+  }
+  // Energy bookkeeping (side-state only): per-station transmits and
+  // full-resolution departure slots.
+  const bool energy = config.energy != EnergyModel::kOff;
+  std::vector<mac::Slot> depart;
+  if (energy) {
+    result.station_transmits =
+        carry != nullptr ? carry->station_transmits : std::vector<std::uint64_t>(rows.size(), 0);
+    depart.assign(rows.size(), -1);
+  }
+
+  std::size_t remaining = rows.size();
+  totals = resolve_tiles(
+      schedule, rows, 1, start, s + budget, config.impairment,
+      energy ? result.station_transmits.data() : nullptr, totals,
+      [&](std::size_t r, mac::Slot t) -> mac::Slot {
         if (!result.success) {
           result.success = true;
           result.success_slot = t;
           result.rounds = t - s;
-          result.winner = winner;
+          result.winner = rows[r].id;
         }
-        if (!config.full_resolution) {
-          halted = true;
-          last_slot = t;
-          last_bit = 64 * w + j;
-          break;
-        }
+        if (!config.full_resolution) return kHalt;
+        // Full resolution: the winner leaves the channel.
+        if (energy) depart[r] = t;
+        if (--remaining > 0) return kNever;
+        result.completed = true;
+        result.completion_slot = t;
+        result.completion_rounds = t - s;
+        return kHalt;
+      });
 
-        // Full resolution: the winner leaves the channel — its transmits
-        // end here; zero its row and re-resolve the remaining columns of
-        // the tile without it.
-        for (std::size_t r = 0; r < active.size(); ++r) {
-          if (active[r].id != winner || active[r].done) continue;
-          active[r].done = true;
-          if (energy) {
-            depart[active[r].arrival] = t;
-            transmits[active[r].arrival] +=
-                row_transmits(matrix.data() + r * W, pend.data(), 64 * w + j);
-          }
-          std::fill(matrix.begin() + static_cast<std::ptrdiff_t>(r * W + w),
-                    matrix.begin() + static_cast<std::ptrdiff_t>(r * W + tw), 0);
-        }
-        --remaining;
-        if (remaining == 0 && next_arrival == arrivals.size()) {
-          result.completed = true;
-          result.completion_slot = t;
-          result.completion_rounds = t - s;
-          halted = true;
-          last_slot = t;
-          last_bit = 64 * w + j;
-          break;
-        }
-        simd::or_reduce_2pass(matrix.data() + w, active.size(), W, tw - w, any.data() + w,
-                              multi.data() + w);
-        if (plan != nullptr) fold_impairment(any.data(), multi.data(), tb, w, tw);
-      }
-    }
-
-    // Every station still on the channel transmitted this tile's row up to
-    // the slot the run stopped at (the whole tile when it goes on).
-    if (energy) {
-      for (std::size_t r = 0; r < active.size(); ++r) {
-        if (active[r].done) continue;
-        transmits[active[r].arrival] +=
-            row_transmits(matrix.data() + r * W, pend.data(), last_bit);
-      }
-    }
-  }
-
-  result.silences = silences;
-  result.collisions = collisions;
-  result.successes = successes;
+  result.silences = totals.silences;
+  result.collisions = totals.collisions;
+  result.successes = totals.successes;
   if (energy) {
     // The awake span is arithmetic: a departed station stops transmitting
     // at its departure, and whether it keeps listening afterwards is the
     // model.  Stations waking after the last slot examined hold 0.
+    const mac::Slot last_slot = totals.last_slot;
     result.station_energy.assign(arrivals.size(), 0);
     for (std::size_t i = 0; i < arrivals.size() && arrivals[i].wake <= last_slot; ++i) {
       const mac::Slot span_end = depart[i] >= 0 && config.energy == EnergyModel::kListenUntilWoken
@@ -342,12 +362,6 @@ SimResult run_batch_from(const proto::ObliviousSchedule& schedule,
                                      : last_slot;
       result.station_energy[i] = static_cast<std::uint64_t>(span_end - arrivals[i].wake + 1);
     }
-  }
-  if (obs::active()) {
-    static const auto c_tiles = obs::Counter::get("batch.tiles");
-    static const auto c_words = obs::Counter::get("batch.words_fetched");
-    c_tiles.add(obs_tiles);
-    c_words.add(obs_words);
   }
   return result;
 }
@@ -359,8 +373,8 @@ SimResult run_wakeup_batch(const proto::Protocol& protocol, const mac::WakePatte
   if (!batch_engine_supports(protocol, config)) {
     throw std::invalid_argument("batch engine requires an oblivious protocol and no trace");
   }
-  return run_batch_from(*protocol.oblivious_schedule(), pattern, config, pattern.first_wake(),
-                        nullptr);
+  return run_static(*protocol.oblivious_schedule(), pattern, config, pattern.first_wake(),
+                    nullptr);
 }
 
 mac::Slot hybrid_warmup_slots(const proto::ObliviousSchedule& schedule,
@@ -384,9 +398,7 @@ SimResult run_wakeup_hybrid(const proto::Protocol& protocol, const mac::WakePatt
   if (pattern.empty()) return {};
   const proto::ObliviousSchedule& schedule = *protocol.oblivious_schedule();
   const mac::Slot warmup = hybrid_warmup_slots(schedule, pattern, config);
-  if (warmup == 0) {
-    return run_batch_from(schedule, pattern, config, pattern.first_wake(), nullptr);
-  }
+  if (warmup == 0) return run_static(schedule, pattern, config, pattern.first_wake(), nullptr);
 
   mac::Slot budget = config.max_slots;
   if (budget <= 0) budget = auto_slot_budget(pattern.n(), pattern.k());
@@ -398,7 +410,136 @@ SimResult run_wakeup_hybrid(const proto::Protocol& protocol, const mac::WakePatt
   // No success in the warm-up: continue word-parallel with carried counters.
   SimConfig rest_config = config;
   rest_config.max_slots = budget;  // pin the budget the warm-up was cut from
-  return run_batch_from(schedule, pattern, rest_config, pattern.first_wake() + warmup, &warm);
+  return run_static(schedule, pattern, rest_config, pattern.first_wake() + warmup, &warm);
+}
+
+McSimResult run_mc_batch(const proto::McProtocol& protocol, const mac::WakePattern& pattern,
+                         mac::Slot max_slots, const ImpairmentPlan* plan) {
+  if (!mc_batch_supports(protocol)) {
+    throw std::invalid_argument(
+        "mc batch engine requires an oblivious schedule spanning all channels");
+  }
+  McSimResult result;
+  if (pattern.empty()) return result;
+  const proto::ObliviousSchedule& schedule = *protocol.oblivious_schedule();
+  const std::uint32_t channels = protocol.channels();
+  std::vector<TileRow> rows;
+  rows.reserve(pattern.k());
+  for (const mac::Arrival& a : pattern.arrivals()) {
+    const std::uint32_t lane = schedule.channel_lane(a.station, a.wake);
+    if (lane >= channels) {
+      throw std::invalid_argument("mc batch engine: channel_lane out of range");
+    }
+    rows.push_back({a.station, a.wake, kNever, lane});
+  }
+  const mac::Slot s = pattern.first_wake();
+  result.s = s;
+  mac::Slot budget = max_slots;
+  if (budget <= 0) budget = auto_slot_budget(pattern.n(), pattern.k());
+
+  // The first solo slot over all lanes ends the run; its lowest solo lane
+  // is the success channel.
+  const TileTotals totals =
+      resolve_tiles(schedule, rows, channels, s, s + budget, plan, nullptr, {},
+                    [&](std::size_t r, mac::Slot t) -> mac::Slot {
+                      result.success = true;
+                      result.success_slot = t;
+                      result.rounds = t - s;
+                      result.success_channel = static_cast<std::int32_t>(rows[r].lane);
+                      result.winner = rows[r].id;
+                      return kHalt;
+                    });
+  result.silences = totals.silences;
+  result.collisions = totals.collisions;
+  result.successes = totals.successes;
+  return result;
+}
+
+DynamicResult run_dynamic_batch(const proto::Protocol& protocol,
+                                const mac::DynamicScenario& scenario, const ImpairmentPlan* plan,
+                                EnergyModel energy) {
+  if (!dynamic_batch_supports(protocol)) {
+    throw std::invalid_argument(
+        "dynamic batch engine requires a single-channel oblivious protocol");
+  }
+
+  DynamicResult result;
+  result.horizon = scenario.horizon();
+  result.arrivals = scenario.packets_total();
+  result.stations = scenario.stations();
+  result.delivered_per_station.assign(result.stations.size(), 0);
+  const std::size_t m = result.stations.size();
+
+  // Group the slot-sorted packet stream into per-station arrival lists,
+  // and give each station a row at its first arrival, so rows join the
+  // matrix in order.  A row contends from its head-of-line packet's start,
+  // max(arrival, previous delivery + 1), and a crashed station's row falls
+  // silent at its cutoff.  A byzantine station never follows the protocol
+  // (its interference is pre-folded into the plan's corrupt words), so it
+  // gets no row and its packets strand in the backlog.
+  std::vector<std::vector<mac::Slot>> arr(m);
+  std::vector<TileRow> rows;
+  std::vector<std::size_t> station;  // rows[r] serves result.stations[station[r]]
+  for (const mac::Arrival& p : scenario.packets()) {
+    const auto i = static_cast<std::size_t>(
+        std::lower_bound(result.stations.begin(), result.stations.end(), p.station) -
+        result.stations.begin());
+    if (arr[i].empty() && (plan == nullptr || !plan->is_byzantine(p.station))) {
+      const mac::Slot cutoff = plan != nullptr ? plan->crash_cutoff(p.station) : -1;
+      rows.push_back({p.station, p.wake, cutoff >= 0 ? cutoff : kNever});
+      station.push_back(i);
+    }
+    arr[i].push_back(p.wake);
+  }
+  std::vector<std::size_t> head(rows.size(), 0);  // delivered packets, per row
+  std::vector<std::uint64_t> transmits;
+  if (energy != EnergyModel::kOff) {
+    result.station_energy.assign(m, 0);
+    result.station_transmits.assign(m, 0);
+    transmits.assign(rows.size(), 0);
+  }
+
+  const mac::Slot horizon = scenario.horizon();
+  const TileTotals totals = resolve_tiles(
+      *protocol.oblivious_schedule(), rows, 1, 0, horizon, plan,
+      energy != EnergyModel::kOff ? transmits.data() : nullptr, {},
+      [&](std::size_t r, mac::Slot t) -> mac::Slot {
+        const std::vector<mac::Slot>& queue = arr[station[r]];
+        result.latency.push_back(static_cast<double>(t - queue[head[r]] + 1));
+        ++result.delivered_per_station[station[r]];
+        ++head[r];
+        // The delivered packet paid every slot from its start through t.
+        if (energy == EnergyModel::kListenUntilWoken) {
+          result.station_energy[station[r]] += static_cast<std::uint64_t>(t - rows[r].start + 1);
+        }
+        // The next queued packet re-contends from t + 1, a later arrival
+        // from its slot; a drained queue leaves the row silent for good.
+        return head[r] < queue.size() ? std::max(queue[head[r]], t + 1) : kNever;
+      });
+
+  if (energy != EnergyModel::kOff) {
+    // Listen components, closed arithmetically.  listen:all — every live
+    // receiver is on for the whole horizon (capped at a crash cutoff;
+    // byzantine stations pay 0).  listen:until_woken — delivered packets
+    // already paid their spans above; a still-backlogged head packet pays
+    // from its start to the horizon (or cutoff).
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const std::size_t i = station[r];
+      result.station_transmits[i] = transmits[r];
+      const mac::Slot end_eff = std::min(horizon, rows[r].cutoff);
+      if (energy == EnergyModel::kListenAll) {
+        result.station_energy[i] = static_cast<std::uint64_t>(end_eff);
+      } else if (rows[r].start < end_eff) {
+        result.station_energy[i] += static_cast<std::uint64_t>(end_eff - rows[r].start);
+      }
+    }
+  }
+
+  result.silences = totals.silences;
+  result.collisions = totals.collisions;
+  result.delivered = static_cast<std::uint64_t>(result.latency.size());
+  result.backlog = result.arrivals - result.delivered;
+  return result;
 }
 
 }  // namespace wakeup::sim

@@ -1,25 +1,39 @@
 #pragma once
 
 /// \file batch_engine.hpp
-/// Word-parallel back-end of `dispatch_wakeup` for oblivious protocols.
+/// The word-matrix tile core: the word-parallel back-end of
+/// `dispatch_wakeup`, of `dispatch_mc_wakeup` (sim/mc_batch_engine.hpp)
+/// and of `dispatch_dynamic` (sim/dynamic.hpp) for oblivious protocols.
 ///
-/// Advances one *tile* of 64 * W slots per resolve round (W = tile_words(),
+/// A static wake-up run, a C-lane run and a dynamic-traffic run are one
+/// word-matrix resolve: every station reads the same fixed 0/1 schedule
+/// matrix column by column, and the runs differ only in what happens to a
+/// row after it succeeds.  One core (sim/batch_engine.cpp) advances one
+/// *tile* of 64 * W slots per resolve round (W ramps 1 -> tile_words(),
 /// default 8 -> 512 slots): each live station contributes one row of W
 /// consecutive 64-slot schedule words to a station-major word matrix — the
-/// tile's rows come from one `proto::ObliviousSchedule::schedule_tile`
-/// call, which amortizes the virtual dispatch and lets a schedule share
-/// per-slot work across stations — and the channel is resolved for the
-/// whole tile with the util/simd.hpp kernel suite: `or_reduce_2pass` down
-/// the station axis (`any` = some station transmits, `multi` = two or
-/// more), `masked_popcount_pair` for the silence/collision totals of fully
-/// resolved words, and `first_set_below` to locate the first solo success.
-/// The full-resolution re-resolve after a winner departs runs the same
-/// reduction over the remaining columns of the matrix.  Energy accounting
-/// counts each station's transmits from the same rows.  Produces
-/// bit-identical `SimResult`s to the slot-by-slot interpreter for every
-/// tile width and kernel table (asserted by
-/// tests/test_engine_equivalence.cpp); traces are not supported, the
-/// dispatcher falls back to the interpreter for those.
+/// rows whose start block is at or before the tile base come from one
+/// `proto::ObliviousSchedule::schedule_tile` call, which lets a schedule
+/// share per-slot work across stations — and every channel lane is
+/// resolved for the whole tile with the util/simd.hpp kernels:
+/// `or_accumulate` down the station axis into the lane's (any, multi) pair,
+/// one impairment fold, `masked_popcount_pair` for the silence/collision
+/// totals of fully resolved words, and `first_set_below` over the union of
+/// the lanes to locate the first solo.  On each solo a rule set by the
+/// driver decides what happens to the winner's row:
+///
+///  - halt: static wake-up and C-lane runs stop at the first solo;
+///  - zero: the full-resolution drain removes the winner and re-resolves
+///    the rest of the tile without it;
+///  - refetch: dynamic traffic restarts the row from the station's next
+///    head-of-line start and re-resolves the rest of the tile.
+///
+/// Energy accounting counts each row's transmits from the words already
+/// fetched.  Produces bit-identical results to the slot-by-slot
+/// interpreters for every tile width and kernel table (asserted by
+/// tests/test_engine_equivalence.cpp, test_mc_engine_equivalence.cpp and
+/// test_dynamic_engine.cpp); traces are not supported, the dispatcher falls
+/// back to the interpreter for those.
 
 #include <cstddef>
 
@@ -32,14 +46,13 @@ inline constexpr std::size_t kMaxTileWords = 8;
 
 /// Tile width in effect: 64-slot words fetched per live station per
 /// resolve round, in [1, kMaxTileWords].  Defaults to kMaxTileWords;
-/// overridable via the WAKEUP_TILE_WORDS environment variable (read once)
-/// or `set_tile_words`.  Results are bit-identical for every width — only
-/// the cost profile moves (tests sweep widths, benches use width 1 as the
-/// pre-tiling scalar baseline).
+/// overridable via `set_tile_words`.  Results are bit-identical for every
+/// width — only the cost profile moves (tests sweep widths, benches use
+/// width 1 as the pre-tiling scalar baseline).
 [[nodiscard]] std::size_t tile_words() noexcept;
 
 /// Overrides the tile width (clamped to [1, kMaxTileWords]); 0 restores
-/// the environment/default value.  For tests and benches.
+/// the default.  For tests and benches.
 void set_tile_words(std::size_t words) noexcept;
 
 /// Can `run_wakeup_batch` execute this (protocol, config) pair?

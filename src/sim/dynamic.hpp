@@ -24,14 +24,15 @@
 ///    slot.  The test file keeps a per-slot loop, with per-slot copies of
 ///    the re-contenders, as the reference the skipping is checked against.
 ///  - `run_dynamic_batch` — the word-parallel engine for oblivious
-///    protocols.  It generalizes the batch engines' full-resolution drain
-///    into a *still-backlogged mask*: each scenario station owns one row of
-///    the station-major word matrix; a delivered winner's row is refetched
-///    from its next head-of-line start — and zeroed only when its queue
-///    drains — while stations whose next packet arrives mid-tile get their
-///    row bits set back from the arrival slot.  The SIMD tile machinery
-///    (or_reduce_2pass / masked_popcount_pair / first_set_below, 1->W tile
-///    ramp) is exactly the hot path of sim/batch_engine.cpp.
+///    protocols: a thin driver over the word-matrix tile core of
+///    sim/batch_engine.hpp, which static and C-lane runs share.  Each
+///    scenario station owns one row of the station-major word matrix,
+///    holding its head-of-line packet's transmit bits; on a delivery the
+///    core refetches the winner's row from its next head-of-line start —
+///    a queued packet at the following slot, a later arrival at its slot,
+///    nothing once the queue drains — and re-resolves the rest of the
+///    tile.  The driver owns the queues, the latencies, the fault rows and
+///    the listen spans.
 ///
 /// Contention start of a packet: max(arrival slot, previous delivery + 1).
 /// Queue latency of a delivered packet: delivery - arrival + 1 (a packet
@@ -110,8 +111,8 @@ struct DynamicResult {
 /// single-lane schedule (dynamic traffic is single-channel).
 [[nodiscard]] bool dynamic_batch_supports(const proto::Protocol& protocol);
 
-/// Word-parallel dynamic engine (still-backlogged mask over the word-matrix
-/// tiles).  Precondition: `dynamic_batch_supports(protocol)`; throws
+/// Word-parallel dynamic engine (the tile core's refetch rule).
+/// Precondition: `dynamic_batch_supports(protocol)`; throws
 /// std::invalid_argument otherwise.  Bit-identical to the interpreter,
 /// impaired or clean: noise/jam words fold into the tile reductions, crash
 /// cutoffs mask row bits, byzantine rows stay zero.

@@ -4,20 +4,14 @@
 /// Word-parallel back-end for oblivious C-channel protocols
 /// (proto::McProtocol::oblivious_schedule).
 ///
-/// The same word-matrix tile scheme as the single-channel batch engine
-/// (sim/batch_engine.hpp): one station-major row of tile_words() 64-slot
-/// schedule words per live station per resolve round, with one
-/// (any, multi) OR-reduction row pair per channel lane — every station's
-/// row is OR-folded into its fixed lane
-/// (`proto::ObliviousSchedule::channel_lane`) with the util/simd.hpp
-/// kernels.  Per lane, silence = ~any, collision = multi,
-/// success = any & ~multi; the first success slot over all lanes is
-/// located with one `first_set_below` over the per-word lane-solo union,
-/// and the resolved outcome totals come from `masked_popcount_pair` —
-/// replacing the per-slot `mac::resolve_multi_slot` loop.  Single-channel
-/// protocols are simply the C = 1 case of the same capability; they keep
-/// their dedicated engine, which additionally supports the
-/// full-resolution drain.
+/// A thin driver over the word-matrix tile core of sim/batch_engine.hpp,
+/// which single-channel static and dynamic runs share: each station's row
+/// is OR-folded into the (any, multi) pair of its fixed lane
+/// (`proto::ObliviousSchedule::channel_lane`).  Per lane, silence = ~any,
+/// collision = multi, success = any & ~multi; the first solo slot over all
+/// lanes halts the run, and its lowest solo lane is the success channel.
+/// The driver checks the lanes and sets `success_channel`; the multichannel
+/// model has no full-resolution drain.
 ///
 /// Produces bit-identical `McSimResult`s to the slot-by-slot multichannel
 /// interpreter (asserted by tests/test_mc_engine_equivalence.cpp).

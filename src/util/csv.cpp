@@ -1,6 +1,7 @@
 #include "util/csv.hpp"
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
@@ -18,6 +19,24 @@ std::string csv_escape(std::string_view field) {
     out.push_back(c);
   }
   out.push_back('"');
+  return out;
+}
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
   return out;
 }
 

@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file csv.hpp
-/// Minimal CSV emission for experiment results.
+/// Minimal CSV emission for experiment results, and the JSON string
+/// escaper every JSON writer shares.
 
 #include <fstream>
 #include <string>
@@ -12,6 +13,11 @@ namespace wakeup::util {
 
 /// Escapes a field per RFC 4180 (quotes fields containing , " or newline).
 [[nodiscard]] std::string csv_escape(std::string_view field);
+
+/// Escapes `text` for the inside of a JSON string: `"` and `\` get a
+/// backslash, bytes below 0x20 become `\u00XX`; every other byte passes
+/// through unchanged.
+[[nodiscard]] std::string json_escape(std::string_view text);
 
 /// Streams rows to a CSV file.  The header is written on construction.
 /// Cell values are formatted via the typed `cell` overloads; a row is

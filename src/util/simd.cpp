@@ -274,18 +274,6 @@ void set_force_scalar(bool force) noexcept {
   table().store(force ? &kScalar : &best_supported(), std::memory_order_relaxed);
 }
 
-void or_reduce_2pass(const std::uint64_t* matrix, std::size_t rows, std::size_t stride,
-                     std::size_t words, std::uint64_t* any, std::uint64_t* multi) noexcept {
-  for (std::size_t w = 0; w < words; ++w) {
-    any[w] = 0;
-    multi[w] = 0;
-  }
-  const Kernels& k = active();
-  for (std::size_t r = 0; r < rows; ++r) {
-    k.or_accumulate(any, multi, matrix + r * stride, words);
-  }
-}
-
 std::size_t first_set_below(const std::uint64_t* words, std::size_t n_words,
                             std::size_t limit_bits) noexcept {
   const std::size_t scan = n_words < (limit_bits + 63) / 64 ? n_words : (limit_bits + 63) / 64;

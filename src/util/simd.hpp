@@ -1,18 +1,18 @@
 #pragma once
 
 /// \file simd.hpp
-/// Word-matrix kernels shared by the batch engines (sim/batch_engine.cpp,
-/// sim/mc_batch_engine.cpp).
+/// Word-matrix kernels of the tile core (sim/batch_engine.cpp), which
+/// serves static, C-lane and dynamic runs alike.
 ///
-/// The engines resolve channel contention over *station-major word
-/// matrices*: one row of W consecutive 64-slot schedule words per live
+/// The core resolves channel contention over a *station-major word
+/// matrix*: one row of W consecutive 64-slot schedule words per live
 /// station per resolve round (a "tile" of 64·W slots).  Everything the
-/// block loops do to such a matrix is three data-parallel primitives:
+/// tile loop does to such a matrix is three data-parallel primitives:
 ///
-///  * `or_reduce_2pass` — the any/multi OR reduction down the station
-///    axis (`any` has a bit where >= 1 station transmits, `multi` where
-///    >= 2 do), built from per-row `or_accumulate` steps so incremental
-///    re-reductions (a winner departing mid-tile) reuse the same kernel;
+///  * `or_accumulate` — folds one station row into its lane's any/multi
+///    OR reduction (`any` has a bit where >= 1 station transmits, `multi`
+///    where >= 2 do), so a lane's reduction, and the re-reduction after a
+///    winner's row changes mid-tile, are one call per row;
 ///  * `masked_popcount_pair` — silence (`~any & mask`) and collision
 ///    (`multi & mask`) popcounts over a tile of pending-slot masks;
 ///  * `first_set_below` — first set bit over a word array below a bit
@@ -76,13 +76,6 @@ struct Kernels {
 /// WAKEUP_FORCE_SCALAR environment variable.  For tests and benches that
 /// compare the two paths in one process.
 void set_force_scalar(bool force) noexcept;
-
-/// Two-pass OR reduction down the station axis of a station-major word
-/// matrix: row r occupies matrix[r * stride .. r * stride + words).
-/// Writes any[w] / multi[w] for w < words (previous contents are
-/// overwritten).  `words` may be less than `stride` (partial tiles).
-void or_reduce_2pass(const std::uint64_t* matrix, std::size_t rows, std::size_t stride,
-                     std::size_t words, std::uint64_t* any, std::uint64_t* multi) noexcept;
 
 /// The active table's `hash_below`: out[i] is the 64-slot word of key
 /// keys[i] (a station pre-mixed as util::mix64(u)) under the window

@@ -20,6 +20,7 @@
 #include "mac/wake_pattern.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "protocols/multichannel.hpp"
 #include "protocols/round_robin.hpp"
 #include "sim/run.hpp"
 
@@ -346,5 +347,49 @@ TEST(ObsInstrumentation, BatchEngineCountsEveryFetchedWord) {
     EXPECT_EQ(obs::snapshot_value(snap, "batch.words_fetched"), 15u + 15u + 11u);
   } else {
     EXPECT_TRUE(snap.empty());
+  }
+
+  // C lanes: striped round-robin at n = 1024 over C = 2 lanes gives
+  // station u lane u % 2 and turn u / 2 of a 512-slot cycle.  Stations 900
+  // (lane 0) and 901 (lane 1) both solo at slot 450, in the fourth tile
+  // ([448, 960)), which halts the run on lane 0.  Station 900, awake from
+  // slot 0, fetches 1 + 2 + 4 + 8 words; 901, waking at 100 inside the
+  // second tile's first block, joins schedule_tile there for 2 + 4 + 8;
+  // 902, waking at 300, fetches 3 words of the third tile and then 8.
+  obs::reset();
+  const auto striped = wu::proto::make_striped_round_robin(1024, 2);
+  const wu::mac::WakePattern lanes(1024, {{900, 0}, {901, 100}, {902, 300}});
+  const auto mc =
+      wu::sim::Run({.mc_protocol = striped.get(), .pattern = &lanes, .sim = config}).mc;
+  EXPECT_EQ(mc.success_slot, 450);
+  EXPECT_EQ(mc.success_channel, 0);
+  EXPECT_EQ(mc.successes, 2u);
+  const auto mc_snap = obs::snapshot();
+  if (obs::kCompiled) {
+    EXPECT_EQ(obs::snapshot_value(mc_snap, "batch.tiles"), 4u);
+    EXPECT_EQ(obs::snapshot_value(mc_snap, "batch.words_fetched"), 15u + 14u + 11u);
+  }
+
+  // Dynamic traffic: round_robin at n = 128 (station u sends at slots
+  // u mod 128) over a 300-slot horizon, so the tiles are [0, 64), [64, 192)
+  // and [192, 300) — 1, 2 and 2 words.  Station 5 delivers its packets at
+  // slots 5 and 133, station 70 its one at 198.  Tile 1 fetches station
+  // 5's word, and after the delivery at 5 refetches it for the packet
+  // arriving at 10 (2 words); tile 2 fetches 2 words for each station;
+  // station 5's queue drains at 133, so tile 3 fetches station 70's 2.
+  obs::reset();
+  const wu::proto::RoundRobinProtocol rr(128);
+  const wu::mac::DynamicScenario scenario(128, 300, {{5, 0}, {5, 10}, {70, 100}});
+  const auto dyn = wu::sim::Run({.protocol = &rr,
+                                 .horizon = 300,
+                                 .scenario = &scenario,
+                                 .sim = {.engine = wu::sim::Engine::kBatch}})
+                       .dynamic;
+  EXPECT_EQ(dyn.delivered, 3u);
+  EXPECT_EQ(dyn.latency, (std::vector<double>{6.0, 124.0, 99.0}));
+  const auto dyn_snap = obs::snapshot();
+  if (obs::kCompiled) {
+    EXPECT_EQ(obs::snapshot_value(dyn_snap, "batch.tiles"), 3u);
+    EXPECT_EQ(obs::snapshot_value(dyn_snap, "batch.words_fetched"), 2u + 4u + 2u);
   }
 }

@@ -59,6 +59,9 @@ std::vector<std::uint64_t> random_words(wu::Rng& rng, std::size_t count, int den
 }  // namespace
 
 TEST(SimdKernels, OrReduceMatchesReferenceAcrossShapes) {
+  // Folding rows one at a time through or_accumulate must equal the
+  // reference reduction at every tile width — the tile core reduces each
+  // lane, and re-reduces mid-tile after a winner's row changes, this way.
   KernelGuard guard;
   wu::Rng rng(20130522);
   for (const bool force_scalar : {false, true}) {
@@ -68,35 +71,18 @@ TEST(SimdKernels, OrReduceMatchesReferenceAcrossShapes) {
         const std::size_t stride = 8;
         const auto matrix = random_words(rng, std::max<std::size_t>(rows, 1) * stride, 1);
         const Reduced want = reference_reduce(matrix, rows, stride, words);
-        std::vector<std::uint64_t> any(words, 0xdeadbeef);  // must be overwritten
-        std::vector<std::uint64_t> multi(words, 0xdeadbeef);
-        simd::or_reduce_2pass(matrix.data(), rows, stride, words, any.data(), multi.data());
+        std::vector<std::uint64_t> any(words, 0);
+        std::vector<std::uint64_t> multi(words, 0);
+        for (std::size_t r = 0; r < rows; ++r) {
+          simd::active().or_accumulate(any.data(), multi.data(), matrix.data() + r * stride,
+                                       words);
+        }
         EXPECT_EQ(any, want.any) << "rows=" << rows << " words=" << words
                                  << " scalar=" << force_scalar;
         EXPECT_EQ(multi, want.multi) << "rows=" << rows << " words=" << words
                                      << " scalar=" << force_scalar;
       }
     }
-  }
-}
-
-TEST(SimdKernels, OrAccumulateIsIncremental) {
-  // Folding rows one at a time through or_accumulate must equal the
-  // two-pass reduction — the engines' mid-tile re-resolve depends on it.
-  KernelGuard guard;
-  wu::Rng rng(7);
-  for (const bool force_scalar : {false, true}) {
-    simd::set_force_scalar(force_scalar);
-    const std::size_t rows = 9, words = 8;
-    const auto matrix = random_words(rng, rows * words, 2);
-    std::vector<std::uint64_t> any(words, 0);
-    std::vector<std::uint64_t> multi(words, 0);
-    for (std::size_t r = 0; r < rows; ++r) {
-      simd::active().or_accumulate(any.data(), multi.data(), matrix.data() + r * words, words);
-    }
-    const Reduced want = reference_reduce(matrix, rows, words, words);
-    EXPECT_EQ(any, want.any) << force_scalar;
-    EXPECT_EQ(multi, want.multi) << force_scalar;
   }
 }
 

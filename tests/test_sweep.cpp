@@ -10,7 +10,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exp/aggregator.hpp"
@@ -356,6 +359,13 @@ TEST(Manifest, RecordRoundTrips) {
   record.stats.rounds_median_ci = {11.5, 9.0, 14.0, 0.95};
   record.bound = 36.0;
   record.normalized_mean = record.stats.rounds.mean / record.bound;
+  // Strings that need every escape the writer emits: quote, backslash and
+  // each control byte 0x01..0x1f.
+  std::string controls;
+  for (char c = 0x01; c < 0x20; ++c) controls += c;
+  record.cell.tag += ",note=\"q\"\\" + controls;
+  record.cell.tag_hash = we::tag_hash(record.cell.tag);
+  record.cell.protocol = "p\\\"" + controls + "\"";
 
   const we::CellRecord parsed = we::parse_manifest_line(we::manifest_line(record));
   EXPECT_EQ(parsed.cell.tag, record.cell.tag);
@@ -372,6 +382,40 @@ TEST(Manifest, RecordRoundTrips) {
   EXPECT_EQ(parsed.stats.rounds_median_ci.hi, record.stats.rounds_median_ci.hi);
   EXPECT_EQ(parsed.bound, record.bound);
   EXPECT_EQ(parsed.normalized_mean, record.normalized_mean);
+}
+
+TEST(Manifest, ScannerRejectsMalformedEscapesAndSignedIntegers) {
+  // Resume, fleet merges and the claim ledger read these lines back, so a
+  // malformed one must throw the scanner's runtime_error rather than decode
+  // to other bytes: a \u escape is exactly four hex digits naming one byte
+  // (the writer emits only \u00XX), no other escape but \" and \\ exists,
+  // and integers carry no sign.
+  const auto expect_error = [](const auto& parse, const std::string& input,
+                               const std::string& what) {
+    try {
+      parse();
+      ADD_FAILURE() << "accepted " << input;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    } catch (...) {
+      ADD_FAILURE() << "wrong exception type for " << input;
+    }
+  };
+  for (const std::string line :
+       {R"({"tag":"a\u00zz"})", R"({"tag":"\u0141"})", R"({"tag":"\uzz00"})",
+        R"({"tag":"\u00"})", R"({"tag":"\n"})"}) {
+    expect_error([&] { (void)we::detail::parse_flat_object(line); }, line,
+                 "manifest: malformed line");
+  }
+  for (const std::string value : {"-1", "+1", "1x", "", "18446744073709551616"}) {
+    const std::map<std::string, std::string> fields{{"n", value}};
+    expect_error([&] { (void)we::detail::field_u64(fields, "n"); }, value, "bad integer");
+  }
+  // What the writer emits still decodes.
+  EXPECT_EQ(we::detail::parse_flat_object(R"({"tag":"a\u001f\"\\b"})").at("tag"),
+            "a\x1f\"\\b");
+  EXPECT_EQ(we::detail::field_u64({{"n", "18446744073709551615"}}, "n"),
+            18446744073709551615ull);
 }
 
 TEST(Manifest, TornTailIsDroppedMidFileDamageThrows) {
