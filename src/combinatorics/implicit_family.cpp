@@ -37,11 +37,7 @@ bool randomized_member(std::uint64_t stream_state, std::uint64_t j, std::uint64_
   // pure function of the coordinates so membership is random-accessible.
   const std::uint64_t h =
       util::hash_combine(util::hash_combine(stream_state, util::mix64(j)), mixed_u);
-  return h < randomized_bound(p);
-}
-
-std::uint64_t randomized_bound(double p) noexcept {
-  return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53))) << 11;
+  return h < util::bernoulli_threshold(p);
 }
 
 std::vector<std::uint64_t> mod_prime_primes(std::uint32_t n, std::uint32_t k) {
@@ -248,7 +244,7 @@ class ImplicitRandomized final : public ImplicitFamily {
   }
 
   /// Set j's prefix is util::hash_combine(stream_state, mix64(j)), the
-  /// bound randomized_bound(1/k).  k = 1 (p = 1, every station in every
+  /// bound util::bernoulli_threshold(1/k).  k = 1 (p = 1, every station in every
   /// set) has no 64-bit bound and keeps the per-station path.
   bool hashed_window(std::size_t from, std::size_t count, std::uint64_t* prefix,
                      std::uint64_t* bound) const override {
@@ -265,11 +261,11 @@ class ImplicitRandomized final : public ImplicitFamily {
       : ImplicitFamily(FamilyParams{n, k}, detail::randomized_length(n, k, c), "randomized"),
         stream_state_(util::hash_words({detail::randomized_stream_seed(seed, n, k)})),
         p_(1.0 / static_cast<double>(k)),
-        bound_(p_ < 1.0 ? detail::randomized_bound(p_) : 0) {}
+        bound_(p_ < 1.0 ? util::bernoulli_threshold(p_) : 0) {}
 
   std::uint64_t stream_state_;  ///< hash_words({stream seed})
   double p_;
-  std::uint64_t bound_;  ///< randomized_bound(p_) when p_ < 1
+  std::uint64_t bound_;  ///< bernoulli_threshold(p_) when p_ < 1
 };
 
 /// (n,2) bit splitter: set 0 is the universe; set 1 + 2b + side holds the

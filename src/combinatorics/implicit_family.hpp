@@ -59,18 +59,12 @@ inline constexpr std::uint64_t kRandomFamilyTag = 0x52414e44464dULL;
 /// probability p, as a pure function of (stream_seed, j, u) — the draw is
 /// h = util::hash_words({stream_seed, j, u}), and u is a member iff the
 /// 53-bit uniform (h >> 11)·2⁻⁵³ falls below p, stated exactly as
-/// h < randomized_bound(p).  Callers pass the hash's state after its first
-/// word, `stream_state` = util::hash_words({stream_seed}), and the station
-/// pre-mixed as `mixed_u` = util::mix64(u), so loops over sets or stations
-/// hoist both.
+/// h < util::bernoulli_threshold(p).  Callers pass the hash's state after
+/// its first word, `stream_state` = util::hash_words({stream_seed}), and the
+/// station pre-mixed as `mixed_u` = util::mix64(u), so loops over sets or
+/// stations hoist both.
 [[nodiscard]] bool randomized_member(std::uint64_t stream_state, std::uint64_t j,
                                      std::uint64_t mixed_u, double p) noexcept;
-
-/// ⌈p·2⁵³⌉·2¹¹ for 0 < p < 1: (h >> 11)·2⁻⁵³ < p holds exactly when
-/// h < this bound.  Both scalings by powers of two are exact, and an
-/// integer is below a real iff it is below the real's ceiling; p < 1 keeps
-/// the ceiling at most 2⁵³ − 1, so the bound fits in 64 bits.
-[[nodiscard]] std::uint64_t randomized_bound(double p) noexcept;
 
 /// Primes used by the mod-prime construction for (n, k already clamped):
 /// the first (k-1)*max(1, floor(log2 n)) + 1 primes.

@@ -37,37 +37,6 @@ bool arrives_before(const Arrival& a, const Arrival& b) noexcept {
   return a.wake != b.wake ? a.wake < b.wake : a.station < b.station;
 }
 
-/// Sorts by (slot, station) as a bottom-up natural merge: the maximal
-/// ascending runs are merged pairwise until one is left, O(P log r) for r
-/// runs.  Generated scenarios arrive as one ascending run per station, so
-/// r <= k; a shuffled replay degrades to an ordinary merge sort.  Packets
-/// with equal keys are equal, so the result is the one std::sort gives.
-void sort_by_arrival(std::vector<Arrival>& packets) {
-  std::vector<std::size_t> bounds = {0};
-  for (std::size_t i = 1; i < packets.size(); ++i) {
-    if (arrives_before(packets[i], packets[i - 1])) bounds.push_back(i);
-  }
-  if (bounds.size() == 1) return;  // already sorted
-  bounds.push_back(packets.size());
-
-  std::vector<Arrival> buffer(packets.size());
-  Arrival* src = packets.data();
-  Arrival* dst = buffer.data();
-  while (bounds.size() > 2) {
-    std::size_t kept = 1;
-    for (std::size_t r = 0; r + 1 < bounds.size(); r += 2) {
-      const std::size_t lo = bounds[r];
-      const std::size_t mid = bounds[r + 1];
-      const std::size_t hi = r + 2 < bounds.size() ? bounds[r + 2] : mid;
-      std::merge(src + lo, src + mid, src + mid, src + hi, dst + lo, arrives_before);
-      bounds[kept++] = hi;
-    }
-    bounds.resize(kept);
-    std::swap(src, dst);
-  }
-  if (src != packets.data()) packets.swap(buffer);
-}
-
 }  // namespace
 
 std::string ArrivalSpec::name() const {
@@ -127,23 +96,32 @@ ArrivalSpec ArrivalSpec::parse(const std::string& text) {
 }
 
 DynamicScenario::DynamicScenario(std::uint32_t n, Slot horizon, std::vector<Arrival> packets)
-    : n_(n), horizon_(horizon), packets_(std::move(packets)) {
+    : n_(n), horizon_(horizon) {
   if (horizon_ <= 0) throw std::invalid_argument("DynamicScenario: horizon must be positive");
-  for (const Arrival& p : packets_) {
+  for (const Arrival& p : packets) {
     if (p.station >= n_) throw std::invalid_argument("DynamicScenario: station id out of range");
     if (p.wake < 0 || p.wake >= horizon_)
       throw std::invalid_argument("DynamicScenario: packet arrival outside [0, horizon)");
   }
-  sort_by_arrival(packets_);
-  util::DynamicBitset seen(n_);
-  for (const Arrival& p : packets_) seen.set(p.station);
-  for (StationId u = 0; u < n_; ++u) {
-    if (seen.test(u)) stations_.push_back(u);
+  std::sort(packets.begin(), packets.end(), [](const Arrival& a, const Arrival& b) {
+    return a.station != b.station ? a.station < b.station : a.wake < b.wake;
+  });
+  slots_.reserve(packets.size());
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    slots_.push_back(packets[i].wake);
+    if (i + 1 == packets.size() || packets[i + 1].station != packets[i].station)
+      close_station(packets[i].station);
   }
 }
 
-DynamicScenario DynamicScenario::single_shot(const WakePattern& pattern, Slot horizon) {
-  return DynamicScenario(pattern.n(), horizon, pattern.arrivals());
+std::vector<Arrival> DynamicScenario::packets() const {
+  std::vector<Arrival> out;
+  out.reserve(slots_.size());
+  for (std::size_t i = 0; i < stations_.size(); ++i) {
+    for (const Slot t : arrivals_of(i)) out.push_back({stations_[i], t});
+  }
+  std::sort(out.begin(), out.end(), arrives_before);
+  return out;
 }
 
 namespace arrivals {
@@ -170,39 +148,47 @@ std::vector<StationId> choose_stations(std::uint32_t n, std::uint32_t k, util::R
   return out;
 }
 
-/// Failures before the first success of Bernoulli(p) — the geometric gap
-/// equivalent of a per-slot arrival draw, O(1) instead of O(gap).
-Slot geometric_gap(double p, util::Rng& rng) {
-  if (p >= 1.0) return 0;
-  const double u = 1.0 - rng.uniform01();  // in (0, 1]
-  return static_cast<Slot>(std::log(u) / std::log1p(-p));
+/// `rng.bernoulli(p)` decided on the raw draw against
+/// util::bernoulli_threshold(p): the same draws — none when p <= 0 or
+/// p >= 1 — and the same outcomes.
+auto coin(double p) {
+  const bool draws = !(p <= 0.0) && !(p >= 1.0);
+  const std::uint64_t threshold = draws ? util::bernoulli_threshold(p) : 0;
+  return [=](util::Rng& rng) { return draws ? rng.next_u64() < threshold : p >= 1.0; };
 }
 
-void poisson_stream(StationId u, double per_station_rate, Slot horizon, util::Rng& rng,
-                    std::vector<Arrival>& out) {
+// Each stream appends one station's arrival slots, ascending, drawing from
+// the station's own substream, which it owns by value.
+void poisson_stream(double per_station_rate, Slot horizon, util::Rng rng,
+                    std::vector<Slot>& out) {
   const double p = std::min(1.0, per_station_rate);
   if (p <= 0.0) return;
-  Slot t = geometric_gap(p, rng);
-  while (t < horizon) {
-    out.push_back({u, t});
-    t += 1 + geometric_gap(p, rng);
-  }
+  // Geometric gaps — failures before the first success of Bernoulli(p) —
+  // stand in for per-slot arrival draws: one draw per packet, none at p = 1.
+  const double log_q = std::log1p(-p);
+  const auto gap = [&]() -> Slot {
+    if (p >= 1.0) return 0;
+    const double u = 1.0 - rng.uniform01();  // in (0, 1]
+    return static_cast<Slot>(std::log(u) / log_q);
+  };
+  for (Slot t = gap(); t < horizon; t += 1 + gap()) out.push_back(t);
 }
 
-void bursty_stream(StationId u, double per_station_rate, double switch_p, Slot horizon,
-                   util::Rng& rng, std::vector<Arrival>& out) {
+void bursty_stream(double per_station_rate, double switch_p, Slot horizon, util::Rng rng,
+                   std::vector<Slot>& out) {
   // Symmetric on/off modulator: half the slots are ON in expectation, so the
   // ON-state arrival probability is doubled to preserve the offered load.
-  const double p_on = std::min(1.0, 2.0 * per_station_rate);
+  const auto arrive = coin(std::min(1.0, 2.0 * per_station_rate));
+  const auto toggle = coin(switch_p);
   bool on = rng.bernoulli(0.5);
   for (Slot t = 0; t < horizon; ++t) {
-    if (on && rng.bernoulli(p_on)) out.push_back({u, t});
-    if (rng.bernoulli(switch_p)) on = !on;
+    if (on && arrive(rng)) out.push_back(t);
+    if (toggle(rng)) on = !on;
   }
 }
 
-void pareto_stream(StationId u, double per_station_rate, double alpha, Slot horizon,
-                   util::Rng& rng, std::vector<Arrival>& out) {
+void pareto_stream(double per_station_rate, double alpha, Slot horizon, util::Rng rng,
+                   std::vector<Slot>& out) {
   // Pareto(alpha) gaps scaled so the mean inter-arrival matches the target
   // rate: E[x_m * U^(-1/alpha)] = x_m * alpha / (alpha - 1).
   const double target_mean = 1.0 / per_station_rate;
@@ -216,7 +202,7 @@ void pareto_stream(StationId u, double per_station_rate, double alpha, Slot hori
     if (gap > static_cast<double>(horizon - t)) return;
     t += std::max<Slot>(1, static_cast<Slot>(std::llround(gap)));
     if (t >= horizon) return;
-    out.push_back({u, t});
+    out.push_back(t);
   }
 }
 
@@ -231,30 +217,35 @@ DynamicScenario generate(const ArrivalSpec& spec, std::uint32_t n, std::uint32_t
   if (horizon <= 0) throw std::invalid_argument("arrivals::generate: horizon must be positive");
   if (k == 0 || k > n) throw std::invalid_argument("arrivals::generate: need 0 < k <= n");
 
-  const auto stations = choose_stations(n, k, rng);
+  std::vector<StationId> stations = choose_stations(n, k, rng);
+  std::sort(stations.begin(), stations.end());
   const double per_station_rate = spec.rate / static_cast<double>(stations.size());
-  std::vector<Arrival> packets;
-  packets.reserve(static_cast<std::size_t>(
-      std::min(spec.rate * static_cast<double>(horizon) * 1.25 + 16.0, 1e8)));
+  DynamicScenario scenario(n, horizon);
+  // No stream gives a station more than one packet per slot.
+  scenario.slots_.reserve(static_cast<std::size_t>(
+      std::min({spec.rate * static_cast<double>(horizon) * 1.25 + 16.0, 1e8,
+                static_cast<double>(stations.size()) * static_cast<double>(horizon)})));
   for (StationId u : stations) {
     // Independent per-station substream: station u's stream depends only on
-    // the shared rng state and u, not on how many packets others generated.
-    util::Rng sub = rng.split(0x414252ULL /* "ARR" */ ^ (std::uint64_t{u} << 24));
+    // the rng's seed and u — split() leaves the rng itself untouched — so
+    // drawing the stations in id order changes no draw.
+    const util::Rng sub = rng.split(0x414252ULL /* "ARR" */ ^ (std::uint64_t{u} << 24));
     switch (spec.kind) {
       case ArrivalKind::kPoisson:
-        poisson_stream(u, per_station_rate, horizon, sub, packets);
+        poisson_stream(per_station_rate, horizon, sub, scenario.slots_);
         break;
       case ArrivalKind::kBursty:
-        bursty_stream(u, per_station_rate, spec.param, horizon, sub, packets);
+        bursty_stream(per_station_rate, spec.param, horizon, sub, scenario.slots_);
         break;
       case ArrivalKind::kPareto:
-        pareto_stream(u, per_station_rate, spec.param, horizon, sub, packets);
+        pareto_stream(per_station_rate, spec.param, horizon, sub, scenario.slots_);
         break;
       case ArrivalKind::kReplay:
         break;  // unreachable, rejected above
     }
+    scenario.close_station(u);
   }
-  return DynamicScenario(n, horizon, std::move(packets));
+  return scenario;
 }
 
 }  // namespace arrivals

@@ -8,15 +8,16 @@
 /// packets: an `ArrivalSpec` names a stochastic arrival process (Poisson,
 /// bursty on/off, heavy-tailed Pareto, deterministic replay) and a
 /// `DynamicScenario` holds the realized packet stream over a finite horizon.
-/// A one-shot `WakePattern` is exactly the single-packet special case
-/// (`DynamicScenario::single_shot`).
+/// A one-shot `WakePattern` is exactly the single-packet special case.
 ///
 /// Determinism contract: `arrivals::generate(spec, n, k, horizon, rng)` is a
 /// pure function of its arguments and the rng state — the sweep layer feeds
 /// it the per-trial rng derived from (base_seed, cell_tag, trial), so any
 /// dynamic cell reproduces bit-identically in isolation, like wake patterns.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,44 +63,7 @@ struct ArrivalSpec {
   [[nodiscard]] static ArrivalSpec parse(const std::string& text);
 };
 
-/// A realized packet stream: which station each packet belongs to and the
-/// slot it entered that station's queue, over slots [0, horizon).
-///
-/// Generalizes WakePattern: a wake pattern is the scenario where every
-/// participating station receives exactly one packet (at its wake slot).
-class DynamicScenario {
- public:
-  DynamicScenario() = default;
-
-  /// Validates: stations < n, slots in [0, horizon), horizon > 0.  Sorts
-  /// packets by arrival slot (ties by station).  Unlike WakePattern, a
-  /// station may appear many times — once per packet.
-  DynamicScenario(std::uint32_t n, Slot horizon, std::vector<Arrival> packets);
-
-  /// The single-packet special case: one packet per pattern arrival.
-  [[nodiscard]] static DynamicScenario single_shot(const WakePattern& pattern, Slot horizon);
-
-  [[nodiscard]] std::uint32_t n() const noexcept { return n_; }
-  [[nodiscard]] Slot horizon() const noexcept { return horizon_; }
-  [[nodiscard]] bool empty() const noexcept { return packets_.empty(); }
-  /// Total packet count over the horizon.
-  [[nodiscard]] std::size_t packets_total() const noexcept { return packets_.size(); }
-  /// Packets sorted by arrival slot (ties by station id).
-  [[nodiscard]] const std::vector<Arrival>& packets() const noexcept { return packets_; }
-  /// Distinct stations with at least one packet, ascending.
-  [[nodiscard]] const std::vector<StationId>& stations() const noexcept { return stations_; }
-  /// Offered load actually realized: packets / horizon.
-  [[nodiscard]] double offered_load() const noexcept {
-    return horizon_ > 0 ? static_cast<double>(packets_.size()) / static_cast<double>(horizon_)
-                        : 0.0;
-  }
-
- private:
-  std::uint32_t n_ = 0;
-  Slot horizon_ = 0;
-  std::vector<Arrival> packets_;
-  std::vector<StationId> stations_;
-};
+class DynamicScenario;
 
 namespace arrivals {
 
@@ -111,4 +75,56 @@ namespace arrivals {
                                        Slot horizon, util::Rng& rng);
 
 }  // namespace arrivals
+
+/// A realized packet stream over slots [0, horizon), stored station-major
+/// as both dynamic engines read it: the stations with packets, ascending,
+/// and each one's arrival slots, ascending, in one flat array cut by
+/// per-station offsets.  `arrivals::generate` draws each station's stream
+/// straight into it; the packet-list constructor groups its input with one
+/// sort; `packets()` is a slot-ordered copy.  A wake pattern is the
+/// scenario where every station receives exactly one packet.
+class DynamicScenario {
+ public:
+  DynamicScenario() = default;
+
+  /// Validates: stations < n, slots in [0, horizon), horizon > 0, then
+  /// groups the packets by station.  Unlike WakePattern, a station may
+  /// appear many times — once per packet, several packets per slot too.
+  DynamicScenario(std::uint32_t n, Slot horizon, std::vector<Arrival> packets);
+
+  [[nodiscard]] std::uint32_t n() const noexcept { return n_; }
+  [[nodiscard]] Slot horizon() const noexcept { return horizon_; }
+  /// Total packet count over the horizon.
+  [[nodiscard]] std::size_t packets_total() const noexcept { return slots_.size(); }
+  /// Distinct stations with at least one packet, ascending.
+  [[nodiscard]] const std::vector<StationId>& stations() const noexcept { return stations_; }
+  /// Arrival slots of stations()[i], ascending (repeated for packets
+  /// sharing a slot).
+  [[nodiscard]] std::span<const Slot> arrivals_of(std::size_t i) const noexcept {
+    return {slots_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
+  /// A copy of every packet, sorted by arrival slot (ties by station id).
+  [[nodiscard]] std::vector<Arrival> packets() const;
+
+ private:
+  friend DynamicScenario arrivals::generate(const ArrivalSpec& spec, std::uint32_t n,
+                                            std::uint32_t k, Slot horizon, util::Rng& rng);
+
+  DynamicScenario(std::uint32_t n, Slot horizon) : n_(n), horizon_(horizon) {}
+
+  /// Ends station u's run of appended slots; a station with none is dropped.
+  void close_station(StationId u) {
+    if (slots_.size() == offsets_.back()) return;
+    stations_.push_back(u);
+    offsets_.push_back(slots_.size());
+  }
+
+  std::uint32_t n_ = 0;
+  Slot horizon_ = 0;
+  std::vector<StationId> stations_;
+  /// stations_[i] owns slots_[offsets_[i], offsets_[i + 1]).
+  std::vector<std::size_t> offsets_ = {0};
+  std::vector<Slot> slots_;
+};
+
 }  // namespace wakeup::mac

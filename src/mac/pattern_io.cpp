@@ -1,9 +1,11 @@
 #include "mac/pattern_io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 
 namespace wakeup::mac {
 
@@ -14,8 +16,25 @@ void write_pattern_csv(std::ostream& os, const WakePattern& pattern) {
   }
 }
 
-WakePattern read_pattern_csv(std::istream& is, std::uint32_t n) {
-  std::vector<Arrival> arrivals;
+namespace {
+
+/// Parses `field` whole into `out`, less the spaces, tabs and CRs around
+/// it: no sign where T has none, no other characters, nothing out of range.
+template <class T>
+bool parse_field(std::string_view field, T& out) {
+  const auto first = field.find_first_not_of(" \t\r");
+  if (first == std::string_view::npos) return false;
+  const char* end = field.data() + field.find_last_not_of(" \t\r") + 1;
+  const auto [ptr, ec] = std::from_chars(field.data() + first, end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// The "station,slot" rows of a CSV, skipping blank lines, '#' comments and
+/// a header: exactly two fields, the station parsed into 32 bits and the
+/// slot into a Slot.  `reader` and `columns` name the caller in its errors.
+std::vector<Arrival> read_rows(std::istream& is, const std::string& reader,
+                               const std::string& columns) {
+  std::vector<Arrival> rows;
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(is, line)) {
@@ -23,51 +42,38 @@ WakePattern read_pattern_csv(std::istream& is, std::uint32_t n) {
     const auto first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
     if (line.find("station") != std::string::npos) continue;  // header
-    std::istringstream row(line);
-    std::string station_field, wake_field;
-    if (!std::getline(row, station_field, ',') || !std::getline(row, wake_field)) {
-      throw std::runtime_error("read_pattern_csv: line " + std::to_string(line_no) +
-                               ": expected 'station,wake'");
-    }
-    try {
-      const auto station = std::stoull(station_field);
-      const auto wake = std::stoll(wake_field);
-      arrivals.push_back({static_cast<StationId>(station), static_cast<Slot>(wake)});
-    } catch (const std::exception&) {
-      throw std::runtime_error("read_pattern_csv: line " + std::to_string(line_no) +
-                               ": non-numeric field");
-    }
+    const auto fail = [&](const std::string& what) {
+      return std::runtime_error(reader + ": line " + std::to_string(line_no) + ": " + what);
+    };
+    const std::size_t comma = line.find(',');
+    if (comma == std::string::npos || line.find(',', comma + 1) != std::string::npos)
+      throw fail("expected '" + columns + "'");
+    const std::string_view row = line;
+    Arrival arrival;
+    if (!parse_field(row.substr(0, comma), arrival.station) ||
+        !parse_field(row.substr(comma + 1), arrival.wake))
+      throw fail("non-numeric field");
+    rows.push_back(arrival);
   }
-  return WakePattern(n, std::move(arrivals));
+  return rows;
+}
+
+}  // namespace
+
+WakePattern read_pattern_csv(std::istream& is, std::uint32_t n) {
+  return WakePattern(n, read_rows(is, "read_pattern_csv", "station,wake"));
 }
 
 DynamicScenario read_arrivals_csv(std::istream& is, std::uint32_t n, Slot horizon) {
-  std::vector<Arrival> packets;
-  std::string line;
-  std::size_t line_no = 0;
-  Slot max_slot = -1;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    if (line.find("station") != std::string::npos) continue;  // header
-    std::istringstream row(line);
-    std::string station_field, slot_field;
-    if (!std::getline(row, station_field, ',') || !std::getline(row, slot_field)) {
-      throw std::runtime_error("read_arrivals_csv: line " + std::to_string(line_no) +
-                               ": expected 'station,slot'");
-    }
-    try {
-      const auto station = std::stoull(station_field);
-      const auto slot = std::stoll(slot_field);
-      packets.push_back({static_cast<StationId>(station), static_cast<Slot>(slot)});
-      max_slot = std::max<Slot>(max_slot, static_cast<Slot>(slot));
-    } catch (const std::exception&) {
-      throw std::runtime_error("read_arrivals_csv: line " + std::to_string(line_no) +
-                               ": non-numeric field");
-    }
+  std::vector<Arrival> packets = read_rows(is, "read_arrivals_csv", "station,slot");
+  if (horizon <= 0) {  // the tightest horizon covering the trace
+    Slot max_slot = -1;
+    for (const Arrival& p : packets) max_slot = std::max(max_slot, p.wake);
+    if (max_slot == std::numeric_limits<Slot>::max())
+      throw std::runtime_error("read_arrivals_csv: slot " + std::to_string(max_slot) +
+                               " leaves no horizon");
+    horizon = max_slot + 1;
   }
-  if (horizon <= 0) horizon = max_slot + 1;  // tightest horizon covering the trace
   return DynamicScenario(n, horizon, std::move(packets));
 }
 

@@ -18,9 +18,10 @@ void write_pattern_csv(std::ostream& os, const WakePattern& pattern);
 
 /// Parses a pattern for universe size n.  Accepts an optional
 /// "station,wake" header; skips blank lines and '#' comments.  Throws
-/// std::runtime_error with a line-numbered message on malformed rows and
-/// std::invalid_argument for semantic violations (duplicate station, id out
-/// of range) via WakePattern validation.
+/// std::runtime_error with a line-numbered message on a row that is not
+/// two whole integers (a 32-bit station, a 64-bit slot; spaces, tabs and
+/// CRs around each are fine) and std::invalid_argument for semantic
+/// violations (duplicate station, id out of range) via WakePattern.
 [[nodiscard]] WakePattern read_pattern_csv(std::istream& is, std::uint32_t n);
 
 void save_pattern_csv(const std::string& path, const WakePattern& pattern);
@@ -38,9 +39,9 @@ void save_pattern_csv(const std::string& path, const WakePattern& pattern);
 
 /// Writes "station,slot" rows with a header line — the exact format
 /// read_arrivals_csv accepts, so a generated scenario can be pinned to disk
-/// and replayed (`run --arrival-file=`).  load → save → load round-trips:
-/// the scenario constructor canonicalizes packet order, so a reloaded trace
-/// is identical packet-for-packet.
+/// and replayed (`run --arrival-file=`).  Rows come in `packets()` order
+/// (by slot, ties by station), so load → save → load round-trips and a
+/// reloaded trace is identical packet-for-packet.
 void write_arrivals_csv(std::ostream& os, const DynamicScenario& scenario);
 void save_arrivals_csv(const std::string& path, const DynamicScenario& scenario);
 

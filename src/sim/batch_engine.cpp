@@ -5,6 +5,7 @@
 #include <atomic>
 #include <bit>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -470,26 +471,25 @@ DynamicResult run_dynamic_batch(const proto::Protocol& protocol,
   result.delivered_per_station.assign(result.stations.size(), 0);
   const std::size_t m = result.stations.size();
 
-  // Group the slot-sorted packet stream into per-station arrival lists,
-  // and give each station a row at its first arrival, so rows join the
-  // matrix in order.  A row contends from its head-of-line packet's start,
-  // max(arrival, previous delivery + 1), and a crashed station's row falls
-  // silent at its cutoff.  A byzantine station never follows the protocol
-  // (its interference is pre-folded into the plan's corrupt words), so it
-  // gets no row and its packets strand in the backlog.
-  std::vector<std::vector<mac::Slot>> arr(m);
-  std::vector<TileRow> rows;
+  // Each station gets a row from its first arrival; rows join the matrix
+  // ordered by start, ties by station id.  A row contends from its
+  // head-of-line packet's start, max(arrival, previous delivery + 1), and a
+  // crashed station's row falls silent at its cutoff.  A byzantine station
+  // never follows the protocol (its interference is pre-folded into the
+  // plan's corrupt words), so it gets no row and its packets strand in the
+  // backlog.
   std::vector<std::size_t> station;  // rows[r] serves result.stations[station[r]]
-  for (const mac::Arrival& p : scenario.packets()) {
-    const auto i = static_cast<std::size_t>(
-        std::lower_bound(result.stations.begin(), result.stations.end(), p.station) -
-        result.stations.begin());
-    if (arr[i].empty() && (plan == nullptr || !plan->is_byzantine(p.station))) {
-      const mac::Slot cutoff = plan != nullptr ? plan->crash_cutoff(p.station) : -1;
-      rows.push_back({p.station, p.wake, cutoff >= 0 ? cutoff : kNever});
-      station.push_back(i);
-    }
-    arr[i].push_back(p.wake);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (plan == nullptr || !plan->is_byzantine(result.stations[i])) station.push_back(i);
+  }
+  const auto first = [&](std::size_t i) { return scenario.arrivals_of(i).front(); };
+  std::stable_sort(station.begin(), station.end(),
+                   [&](std::size_t a, std::size_t b) { return first(a) < first(b); });
+  std::vector<TileRow> rows;
+  rows.reserve(station.size());
+  for (const std::size_t i : station) {
+    const mac::Slot cutoff = plan != nullptr ? plan->crash_cutoff(result.stations[i]) : -1;
+    rows.push_back({result.stations[i], first(i), cutoff >= 0 ? cutoff : kNever});
   }
   std::vector<std::size_t> head(rows.size(), 0);  // delivered packets, per row
   std::vector<std::uint64_t> transmits;
@@ -504,7 +504,7 @@ DynamicResult run_dynamic_batch(const proto::Protocol& protocol,
       *protocol.oblivious_schedule(), rows, 1, 0, horizon, plan,
       energy != EnergyModel::kOff ? transmits.data() : nullptr, {},
       [&](std::size_t r, mac::Slot t) -> mac::Slot {
-        const std::vector<mac::Slot>& queue = arr[station[r]];
+        const std::span<const mac::Slot> queue = scenario.arrivals_of(station[r]);
         result.latency.push_back(static_cast<double>(t - queue[head[r]] + 1));
         ++result.delivered_per_station[station[r]];
         ++head[r];

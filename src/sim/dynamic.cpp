@@ -4,6 +4,7 @@
 #include <bit>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "mac/channel.hpp"
@@ -48,30 +49,13 @@ class PerPacketStation final : public proto::DynamicStation {
   std::unique_ptr<proto::StationRuntime> runtime_;
 };
 
-/// Per-station bookkeeping shared by the engines: the station's sorted
-/// arrival slots and how many of its packets have been delivered.  The
-/// queue at time t is arr[delivered .. #{arr <= t}).
-struct StationQueues {
-  std::vector<mac::StationId> ids;            // ascending
-  std::vector<std::vector<mac::Slot>> slots;  // per station, ascending
-
-  explicit StationQueues(const mac::DynamicScenario& scenario) : ids(scenario.stations()) {
-    slots.resize(ids.size());
-    // packets() is slot-sorted; per-station sub-sequences stay sorted.
-    for (const mac::Arrival& p : scenario.packets()) {
-      const auto it = std::lower_bound(ids.begin(), ids.end(), p.station);
-      slots[static_cast<std::size_t>(it - ids.begin())].push_back(p.wake);
-    }
-  }
-};
-
 constexpr mac::Slot kIdle = -1;
 constexpr mac::Slot kNever = std::numeric_limits<mac::Slot>::max();
 
 /// One scenario station in the event loop.
 struct Active {
-  const std::vector<mac::Slot>* arr = nullptr;  ///< this station's arrival slots
-  std::size_t head = 0;                         ///< delivered packets
+  std::span<const mac::Slot> arr;  ///< this station's arrival slots
+  std::size_t head = 0;            ///< delivered packets
   /// First slot at which the station no longer follows the protocol: the
   /// horizon, an earlier crash cutoff, or 0 for a byzantine station.
   mac::Slot end = 0;
@@ -87,7 +71,7 @@ struct Active {
   [[nodiscard]] mac::Slot next_visit(mac::Slot t) const { return visit(dyn->next_event(t, end)); }
   /// While idle, the next visit is the arrival that refills the queue.
   [[nodiscard]] mac::Slot next_arrival() const noexcept {
-    return head < arr->size() ? visit((*arr)[head]) : kNever;
+    return head < arr.size() ? visit(arr[head]) : kNever;
   }
 };
 
@@ -107,17 +91,16 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
     result.station_transmits.assign(result.stations.size(), 0);
   }
 
-  const StationQueues queues(scenario);
   const mac::Slot horizon = scenario.horizon();
-  const std::size_t m = queues.ids.size();
+  const std::size_t m = result.stations.size();
   std::vector<Active> stations(m);
   // next[i]: the next slot at which station i must be visited — its own
   // next_event, or the arrival into its empty queue.
   std::vector<mac::Slot> next(m);
   for (std::size_t i = 0; i < m; ++i) {
     Active& st = stations[i];
-    const mac::StationId id = queues.ids[i];
-    st.arr = &queues.slots[i];
+    const mac::StationId id = result.stations[i];
+    st.arr = scenario.arrivals_of(i);
     st.end = horizon;
     if (plan != nullptr) {
       // Faulty stations still accumulate arrivals — their packets strand in
@@ -205,14 +188,13 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
     }
 
     Active& st = stations[sender];
-    const std::vector<mac::Slot>& arr = *st.arr;
-    result.latency.push_back(static_cast<double>(t - arr[st.head] + 1));
+    result.latency.push_back(static_cast<double>(t - st.arr[st.head] + 1));
     ++result.delivered_per_station[sender];
     ++st.head;
     if (energy == EnergyModel::kListenUntilWoken) {
       result.station_energy[sender] += static_cast<std::uint64_t>(t - st.busy_since + 1);
     }
-    if (st.head < arr.size() && arr[st.head] <= t) {
+    if (st.head < st.arr.size() && st.arr[st.head] <= t) {
       // The next head-of-line packet is already queued: it re-contends
       // from the following slot.
       st.busy_since = t + 1;

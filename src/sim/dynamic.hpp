@@ -12,6 +12,9 @@
 /// so  silences + collisions + delivered = horizon  and
 /// arrivals = delivered + backlog  hold as invariants.
 ///
+/// Both engines read each station's arrivals, its FIFO queue, straight from
+/// the scenario's station-major layout (`DynamicScenario::arrivals_of`).
+///
 /// Two engines with bit-identical results (tests/test_dynamic_engine.cpp):
 ///
 ///  - `run_dynamic_interpreter` — the event-driven station loop; works for

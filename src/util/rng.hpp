@@ -13,6 +13,7 @@
 ///  * `Rng` — a stateful xoshiro256** stream for sequential draws
 ///    (wake-pattern generation, randomized protocols, family sampling).
 
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
 
@@ -56,6 +57,15 @@ inline constexpr std::uint64_t kCombineAdd = 0x9e3779b97f4a7c15ULL;
   std::uint64_t acc = 0x243f6a8885a308d3ULL;  // pi fractional bits
   for (std::uint64_t w : words) acc = hash_combine(acc, mix64(w));
   return acc;
+}
+
+/// The integer form of `Rng::uniform01() < p` for p < 1: a raw draw x
+/// passes exactly when x < bernoulli_threshold(p) = ⌈p·2⁵³⌉·2¹¹, and never
+/// for p <= 0 or NaN (threshold 0).  Both scalings by powers of two are
+/// exact, an integer is below a real iff it is below the real's ceiling,
+/// and p < 1 keeps the ceiling at most 2⁵³ − 1, so the threshold fits.
+[[nodiscard]] inline std::uint64_t bernoulli_threshold(double p) noexcept {
+  return p > 0.0 ? static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53))) << 11 : 0;
 }
 
 /// xoshiro256** 1.0 — fast, high-quality 256-bit-state generator.

@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -162,7 +165,8 @@ TEST(DynamicScenario, ValidatesAndSortsPackets) {
   std::vector<wu::mac::Arrival> packets = {{3, 9}, {1, 4}, {3, 4}, {1, 0}};
   const DynamicScenario s(8, 16, packets);
   EXPECT_EQ(s.packets_total(), 4u);
-  EXPECT_TRUE(std::is_sorted(s.packets().begin(), s.packets().end(),
+  const std::vector<wu::mac::Arrival> listed = s.packets();
+  EXPECT_TRUE(std::is_sorted(listed.begin(), listed.end(),
                              [](const wu::mac::Arrival& a, const wu::mac::Arrival& b) {
                                return a.wake != b.wake ? a.wake < b.wake
                                                       : a.station < b.station;
@@ -675,6 +679,183 @@ TEST(DynamicEngine, RecontendersMatchPerSlotReference) {
     }
   }
   EXPECT_EQ(configs, 3u * 3u * 3u * 4u * 6u * 3u);
+}
+
+// ------------------------------------------------ arrival stream reference --
+//
+// The arrival streams as first written: stations in Floyd draw order, a
+// per-slot bernoulli pair for bursty, log1p per Poisson packet.  The
+// generator draws the same substreams into its station-major layout, in id
+// order and with integer-threshold coins; these pin that not one draw
+// moved.
+
+namespace stream_reference {
+
+namespace mac = wu::mac;
+namespace util = wu::util;
+
+std::vector<mac::StationId> choose_stations(std::uint32_t n, std::uint32_t k, util::Rng& rng) {
+  std::vector<mac::StationId> out;
+  std::vector<bool> chosen(n, false);
+  for (std::uint32_t j = n - k; j < n; ++j) {
+    const auto t = static_cast<mac::StationId>(rng.uniform(j + 1));
+    const mac::StationId pick = chosen[t] ? j : t;
+    chosen[pick] = true;
+    out.push_back(pick);
+  }
+  return out;
+}
+
+mac::Slot geometric_gap(double p, util::Rng& rng) {
+  if (p >= 1.0) return 0;
+  const double u = 1.0 - rng.uniform01();
+  return static_cast<mac::Slot>(std::log(u) / std::log1p(-p));
+}
+
+std::vector<mac::Slot> stream(const ArrivalSpec& spec, double rate, mac::Slot horizon,
+                              util::Rng& rng) {
+  std::vector<mac::Slot> out;
+  if (spec.kind == ArrivalKind::kPoisson) {
+    const double p = std::min(1.0, rate);
+    for (mac::Slot t = geometric_gap(p, rng); t < horizon; t += 1 + geometric_gap(p, rng)) {
+      out.push_back(t);
+    }
+  } else if (spec.kind == ArrivalKind::kBursty) {
+    const double p_on = std::min(1.0, 2.0 * rate);
+    bool on = rng.bernoulli(0.5);
+    for (mac::Slot t = 0; t < horizon; ++t) {
+      if (on && rng.bernoulli(p_on)) out.push_back(t);
+      if (rng.bernoulli(spec.param)) on = !on;
+    }
+  } else {
+    const double x_m = (1.0 / rate) * (spec.param - 1.0) / spec.param;
+    for (mac::Slot t = 0;;) {
+      const double gap = x_m * std::pow(1.0 - rng.uniform01(), -1.0 / spec.param);
+      if (gap > static_cast<double>(horizon - t)) break;
+      t += std::max<mac::Slot>(1, static_cast<mac::Slot>(std::llround(gap)));
+      if (t >= horizon) break;
+      out.push_back(t);
+    }
+  }
+  return out;
+}
+
+/// Every drawn station's stream, empty ones included, by id.
+std::map<mac::StationId, std::vector<mac::Slot>> generate(const ArrivalSpec& spec,
+                                                          std::uint32_t n, std::uint32_t k,
+                                                          mac::Slot horizon, util::Rng& rng) {
+  const std::vector<mac::StationId> stations = choose_stations(n, k, rng);
+  std::map<mac::StationId, std::vector<mac::Slot>> streams;
+  for (const mac::StationId u : stations) {
+    util::Rng sub = rng.split(0x414252ULL ^ (std::uint64_t{u} << 24));
+    streams[u] = stream(spec, spec.rate / static_cast<double>(k), horizon, sub);
+  }
+  return streams;
+}
+
+}  // namespace stream_reference
+
+/// The station-major layout's invariants, and packets() as the sorted
+/// flattening of it.
+void expect_layout(const DynamicScenario& s, const std::string& label) {
+  const std::vector<wu::mac::StationId>& ids = s.stations();
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end())) << label;
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end()) << label;
+  std::vector<wu::mac::Arrival> flat;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::span<const wu::mac::Slot> slots = s.arrivals_of(i);
+    EXPECT_FALSE(slots.empty()) << label << " station " << ids[i];
+    EXPECT_TRUE(std::is_sorted(slots.begin(), slots.end())) << label << " station " << ids[i];
+    for (const wu::mac::Slot t : slots) {
+      EXPECT_GE(t, 0) << label;
+      EXPECT_LT(t, s.horizon()) << label;
+      flat.push_back({ids[i], t});
+    }
+  }
+  EXPECT_EQ(flat.size(), s.packets_total()) << label;
+  std::sort(flat.begin(), flat.end(), [](const wu::mac::Arrival& a, const wu::mac::Arrival& b) {
+    return a.wake != b.wake ? a.wake < b.wake : a.station < b.station;
+  });
+  EXPECT_EQ(s.packets(), flat) << label;
+}
+
+TEST(ArrivalGeneration, StreamsMatchPerSlotReference) {
+  struct Shape {
+    std::uint32_t n, k;
+    wu::mac::Slot horizon;
+  };
+  // Rates at and past the per-station caps: poisson p = 1 draws no gaps,
+  // bursty p_on = 1 draws no arrival coins, switch probability 1 no flip
+  // coins; pareto past k packs every slot.
+  const std::vector<std::string> specs = {
+      "poisson:0.05", "poisson:0.9",  "poisson:16",     "poisson:1e9",
+      "bursty:0.4:0.05", "bursty:0.5:1", "bursty:8:0.1", "bursty:8:1",
+      "pareto:1.5:0.3",  "pareto:2.5:0.9", "pareto:1.5:40"};
+  const std::vector<Shape> shapes = {
+      {256, 16, 2048}, {256, 16, 1}, {64, 1, 700}, {32, 32, 300}, {1, 1, 50}};
+  for (const Shape& shape : shapes) {
+    for (const std::string& text : specs) {
+      const ArrivalSpec spec = ArrivalSpec::parse(text);
+      for (const std::uint64_t seed : {3u, 1234u}) {
+        const std::string label = text + " n=" + std::to_string(shape.n) + " k=" +
+                                  std::to_string(shape.k) + " h=" +
+                                  std::to_string(shape.horizon) + " seed=" + std::to_string(seed);
+        wu::util::Rng rng(seed);
+        wu::util::Rng reference_rng(seed);
+        const DynamicScenario s =
+            wu::mac::arrivals::generate(spec, shape.n, shape.k, shape.horizon, rng);
+        const auto streams =
+            stream_reference::generate(spec, shape.n, shape.k, shape.horizon, reference_rng);
+        EXPECT_EQ(rng.next_u64(), reference_rng.next_u64()) << label;
+
+        std::vector<wu::mac::StationId> expected_ids;
+        for (const auto& [u, slots] : streams) {
+          if (!slots.empty()) expected_ids.push_back(u);
+        }
+        ASSERT_EQ(s.stations(), expected_ids) << label;
+        for (std::size_t i = 0; i < expected_ids.size(); ++i) {
+          const std::span<const wu::mac::Slot> slots = s.arrivals_of(i);
+          EXPECT_EQ(std::vector<wu::mac::Slot>(slots.begin(), slots.end()),
+                    streams.at(expected_ids[i]))
+              << label << " station " << expected_ids[i];
+        }
+        expect_layout(s, label);
+      }
+    }
+  }
+}
+
+// Replayed packet lists group into the same layout (generated ones are
+// checked against the stream reference above).
+TEST(DynamicScenario, StationMajorLayout) {
+  std::vector<wu::mac::Arrival> shuffled;
+  wu::util::Rng rng(5);
+  for (int i = 0; i < 301; ++i) {
+    shuffled.push_back({static_cast<wu::mac::StationId>(rng.uniform(7)),
+                        static_cast<wu::mac::Slot>(rng.uniform(40))});
+  }
+  expect_layout(DynamicScenario(8, 40, shuffled), "shuffled");
+  expect_layout(DynamicScenario(8, 40, {}), "empty");
+  expect_layout(DynamicScenario(16, 20, std::vector<wu::mac::Arrival>(10, {3, 0})), "burst");
+}
+
+// The integer form of uniform01() < p behind the bursty coins is exact on
+// both sides of its threshold, for tiny, round and largest-below-one p.
+TEST(ArrivalGeneration, BernoulliThresholdIsExactInIntegerForm) {
+  wu::util::Rng rng(20130522);
+  for (const double p : {0x1.0p-60, 0.05, 1.0 / 3.0, 0.5, 1.0 - 0x1.0p-53}) {
+    const std::uint64_t threshold = wu::util::bernoulli_threshold(p);
+    EXPECT_EQ(threshold, static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53))) << 11) << p;
+    std::vector<std::uint64_t> draws = {threshold - 2048, threshold - 1, threshold,
+                                        threshold + 2047};
+    for (int i = 0; i < 64; ++i) draws.push_back(rng.next_u64());
+    for (const std::uint64_t x : draws) {
+      EXPECT_EQ(x < threshold, static_cast<double>(x >> 11) * 0x1.0p-53 < p)
+          << "p=" << p << " x=" << x;
+    }
+  }
+  EXPECT_EQ(wu::util::bernoulli_threshold(0.0), 0u);
+  EXPECT_EQ(wu::util::bernoulli_threshold(std::nan("")), 0u);
 }
 
 // ----------------------------------------------------------- Run facade --

@@ -228,7 +228,7 @@ std::uint64_t key_for_draw(std::uint64_t stream_state, std::uint64_t j, std::uin
 }  // namespace
 
 // The randomized draw's integer form is exact: (h >> 11)·2⁻⁵³ < p holds iff
-// h < randomized_bound(p) — checked on draws steered to either side of the
+// h < bernoulli_threshold(p) — checked on draws steered to either side of the
 // bound (mix64 is invertible) and on random ones, for power-of-two and
 // other p, through randomized_member and through the emitters' kernel.
 TEST(ImplicitFamily, RandomizedDrawIsExactInIntegerForm) {
@@ -241,7 +241,7 @@ TEST(ImplicitFamily, RandomizedDrawIsExactInIntegerForm) {
   wu::Rng rng(20130522);
   const std::uint64_t stream_state = wu::hash_words({rng.next_u64()});
   for (const double p : ps) {
-    const std::uint64_t bound = wc::detail::randomized_bound(p);
+    const std::uint64_t bound = wu::bernoulli_threshold(p);
     EXPECT_EQ(bound, static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53))) << 11) << p;
     std::vector<std::uint64_t> draws = {bound - 1, bound, bound + 1, 0, ~std::uint64_t{0}};
     for (int i = 0; i < 64; ++i) draws.push_back(rng.next_u64());

@@ -132,6 +132,23 @@ TEST(PatternIo, RejectsMalformedRow) {
   EXPECT_THROW(wm::read_pattern_csv(non_numeric, 10), std::runtime_error);
 }
 
+// Rows a reader cannot represent throw instead of being read as some
+// other row: an out-of-range or signed station (once wrapped to station 1),
+// trailing junk in either field, and a third field.
+const char* const kMisparsedRows[] = {"4294967297,5\n", "-4294967295,5\n", "3x,7\n",
+                                      "3,7abc\n", "3,7,9\n"};
+
+TEST(PatternIo, RejectsRowsItCannotRepresent) {
+  for (const char* text : kMisparsedRows) {
+    std::istringstream in(text);
+    EXPECT_THROW((void)wm::read_pattern_csv(in, 10), std::runtime_error) << text;
+  }
+  // Spaces around a field and CRLF line ends stay accepted.
+  std::istringstream spaced("station,wake\r\n3, 7\r\n\t4 ,\t9 \r\n");
+  const auto p = wm::read_pattern_csv(spaced, 10);
+  EXPECT_EQ(p.arrivals(), (std::vector<wm::Arrival>{{3, 7}, {4, 9}}));
+}
+
 TEST(PatternIo, SemanticValidationApplies) {
   std::istringstream dup("1,0\n1,2\n");
   EXPECT_THROW(wm::read_pattern_csv(dup, 10), std::invalid_argument);
@@ -172,6 +189,24 @@ TEST(ArrivalsIo, LoadSaveLoadRoundTripsPacketForPacket) {
   wm::write_arrivals_csv(second, loaded);
   EXPECT_EQ(first.str(), second.str());
   std::remove(path.c_str());
+}
+
+TEST(ArrivalsIo, RejectsRowsItCannotRepresent) {
+  for (const char* text : kMisparsedRows) {
+    std::istringstream in(text);
+    EXPECT_THROW((void)wm::read_arrivals_csv(in, 10, 16), std::runtime_error) << text;
+  }
+  // A trace row naming station 2^32 + 3 is not station 3.
+  std::istringstream wrapped("1,0\n4294967299,1\n");
+  EXPECT_THROW((void)wm::read_arrivals_csv(wrapped, 8, 0), std::runtime_error);
+  // A slot at the Slot maximum leaves no horizon to derive.
+  std::istringstream last_slot("1,9223372036854775807\n");
+  EXPECT_THROW((void)wm::read_arrivals_csv(last_slot, 8, 0), std::runtime_error);
+
+  std::istringstream spaced("# trace\r\nstation,slot\r\n3, 7\r\n3,2\r\n 1 ,7\r\n");
+  const auto s = wm::read_arrivals_csv(spaced, 8, 0);
+  EXPECT_EQ(s.horizon(), 8);
+  EXPECT_EQ(s.packets(), (std::vector<wm::Arrival>{{3, 2}, {1, 7}, {3, 7}}));
 }
 
 TEST(ArrivalsIo, SaveToUnwritablePathThrows) {

@@ -542,6 +542,7 @@ int cmd_run_dynamic(const util::Args& args) {
     spec.horizon = replay.horizon();
   } else {
     arrival = mac::ArrivalSpec::parse(args.get("arrival"));
+    spec.arrival = arrival;
     spec.horizon = horizon_flag > 0 ? horizon_flag : 2048;
     spec.dynamic_n = n;
     spec.dynamic_k = k;
