@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
       check.impairment = &plans.front();
       check.engine = sim::Engine::kBatch;
       const sim::SimResult b = sim::dispatch_wakeup(*protocol, patterns.front(), check);
-      check.engine = sim::Engine::kInterpret;
+      check.engine = sim::Engine::kInterpreter;
       const sim::SimResult a = sim::dispatch_wakeup(*protocol, patterns.front(), check);
       if (!same(a, b)) {
         std::printf("BIT-IDENTITY FAIL: %s %s\n", cell.protocol.c_str(), cell.impairment);

@@ -32,7 +32,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 struct Timed {
-  sim::CellResult cell;
+  sim::CellStats cell;
   double per_trial_s = 0;
 };
 
@@ -58,7 +58,7 @@ Timed timed_cell(const proto::McProtocol& protocol, std::uint32_t n, std::uint32
   }
   Timed out;
   const auto start = std::chrono::steady_clock::now();
-  out.cell = sim::Run(spec, &bench::pool()).cell;
+  out.cell = sim::Run(spec, &bench::pool()).trials.finalize();
   out.per_trial_s = seconds_since(start) / static_cast<double>(trials);
   return out;
 }
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
 
       std::vector<sim::McSimResult> interp_results, batch_results;
       const Timed interp =
-          timed_cell(*protocol, n, cell_k, trials, sim::Engine::kInterpret, &interp_results);
+          timed_cell(*protocol, n, cell_k, trials, sim::Engine::kInterpreter, &interp_results);
       // kAuto: native strategies take the C-lane batch engine; the adapter
       // rides the single-channel stack — that IS its fast path.
       const Timed batch =

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   const std::vector<ObsCell> cells = {
       {"wakeup_with_k", 1 << 14, 64, trials, sim::Engine::kBatch},
       {"wait_and_go", 1 << 13, 64, trials, sim::Engine::kBatch},
-      {"wakeup_with_k", 1 << 11, 32, trials, sim::Engine::kInterpret},
+      {"wakeup_with_k", 1 << 11, 32, trials, sim::Engine::kInterpreter},
   };
 
   bench::JsonReport json("obs");

@@ -27,7 +27,7 @@ int main() {
             [n, k, kind](util::Rng& rng) {
               return mac::patterns::generate(kind, n, k, 0, rng);
             });
-        const auto result = sim::Run(cell, &bench::pool()).cell;
+        const auto result = sim::Run(cell, &bench::pool()).trials.finalize();
         const double bound = util::scenario_ab_bound(n, k);
         sink.cell(std::uint64_t{n})
             .cell(std::uint64_t{k})

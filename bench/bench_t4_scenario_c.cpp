@@ -50,7 +50,7 @@ int main() {
         auto cell = bench::cell_for("wakeup_matrix", n, k, /*s=*/0, pattern_case.gen,
                                     /*trials=*/k >= 128 ? 10 : 16);
         cell.cell_tag = util::hash_words({n, k, util::mix64(pattern_case.label[0])});
-        const auto result = sim::Run(cell, &bench::pool()).cell;
+        const auto result = sim::Run(cell, &bench::pool()).trials.finalize();
         const double bound = util::scenario_c_bound(n, k);
         if (std::string(pattern_case.label) == "simultaneous") {
           xs.push_back(bound);

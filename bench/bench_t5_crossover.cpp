@@ -27,13 +27,14 @@ int main() {
       return mac::patterns::simultaneous(n, k, 0, rng);
     };
     const auto rr = sim::Run(bench::cell_for("round_robin", n, k, 0, pattern_gen, 12),
-                                  &bench::pool()).cell;
-    const auto satf = sim::Run(
-        bench::cell_for("select_among_the_first", n, k, 0, pattern_gen, 12), &bench::pool()).cell;
+                                  &bench::pool()).trials.finalize();
+    const auto satf = sim::Run(bench::cell_for("select_among_the_first", n, k, 0, pattern_gen, 12),
+                               &bench::pool())
+                          .trials.finalize();
     const auto ws = sim::Run(bench::cell_for("wakeup_with_s", n, k, 0, pattern_gen, 12),
-                                  &bench::pool()).cell;
+                                  &bench::pool()).trials.finalize();
     const auto wk = sim::Run(bench::cell_for("wakeup_with_k", n, k, 0, pattern_gen, 12),
-                                  &bench::pool()).cell;
+                                  &bench::pool()).trials.finalize();
     sink.cell(std::uint64_t{k})
         .cell(rr.rounds.mean, 1)
         .cell(satf.rounds.mean, 1)

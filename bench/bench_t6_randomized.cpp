@@ -25,13 +25,14 @@ int main() {
         return mac::patterns::simultaneous(n, k, 0, rng);
       };
       const auto rpdn = sim::Run(bench::cell_for("rpd_n", n, k, 0, pattern_gen, 48),
-                                      &bench::pool()).cell;
+                                      &bench::pool()).trials.finalize();
       const auto rpdk = sim::Run(bench::cell_for("rpd_k", n, k, 0, pattern_gen, 48),
-                                      &bench::pool()).cell;
+                                      &bench::pool()).trials.finalize();
       const auto aloha = sim::Run(bench::cell_for("slotted_aloha", n, k, 0, pattern_gen, 48),
-                                       &bench::pool()).cell;
-      const auto backoff = sim::Run(
-          bench::cell_for("binary_backoff", n, k, 0, pattern_gen, 48), &bench::pool()).cell;
+                                       &bench::pool()).trials.finalize();
+      const auto backoff = sim::Run(bench::cell_for("binary_backoff", n, k, 0, pattern_gen, 48),
+                                    &bench::pool())
+                               .trials.finalize();
       const double logn = std::max(1.0, std::log2(static_cast<double>(n)));
       const double logk = std::max(1.0, std::log2(static_cast<double>(k)));
       sink.cell(std::uint64_t{n})

@@ -54,11 +54,11 @@ int main() {
     for (const auto& pattern_case : cases) {
       auto gen = [&pattern_case, k](util::Rng& rng) { return pattern_case.gen(rng, k); };
       const auto matrix = sim::Run(bench::cell_for("wakeup_matrix", n, k, 0, gen, 12),
-                                        &bench::pool()).cell;
+                                        &bench::pool()).trials.finalize();
       const auto local = sim::Run(bench::cell_for("local_doubling", n, k, 0, gen, 12),
-                                       &bench::pool()).cell;
+                                       &bench::pool()).trials.finalize();
       const auto rpd =
-          sim::Run(bench::cell_for("rpd_n", n, k, 0, gen, 12), &bench::pool()).cell;
+          sim::Run(bench::cell_for("rpd_n", n, k, 0, gen, 12), &bench::pool()).trials.finalize();
       sink.cell(std::uint64_t{n})
           .cell(std::uint64_t{k})
           .cell(pattern_case.label)

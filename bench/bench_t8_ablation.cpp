@@ -49,7 +49,7 @@ int main() {
       for (std::uint32_t k : {64u, 128u, 256u}) {
         const auto result =
             sim::Run(matrix_cell(n, k, c, mac::patterns::Kind::kSimultaneous),
-                          &bench::pool()).cell;
+                          &bench::pool()).trials.finalize();
         const double bound = util::scenario_c_bound(n, k);
         sink.cell(std::uint64_t{c})
             .cell(std::uint64_t{k})
@@ -68,7 +68,7 @@ int main() {
     sim::ResultsSink sink("t8_ablation_patterns", {"pattern", "k", "mean", "p95", "max"});
     for (const auto kind : mac::patterns::all_kinds()) {
       for (std::uint32_t k : {8u, 32u}) {
-        const auto result = sim::Run(matrix_cell(n, k, 2, kind), &bench::pool()).cell;
+        const auto result = sim::Run(matrix_cell(n, k, 2, kind), &bench::pool()).trials.finalize();
         sink.cell(std::string(mac::patterns::kind_name(kind)))
             .cell(std::uint64_t{k})
             .cell(result.rounds.mean, 1)

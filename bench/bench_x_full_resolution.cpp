@@ -38,7 +38,7 @@ int main() {
           proto::make_protocol_by_name(probe)->requirements().needs_collision_detection;
       cell.sim.feedback =
           needs_cd ? mac::FeedbackModel::kCollisionDetection : mac::FeedbackModel::kNone;
-      const auto result = sim::Run(cell, &bench::pool()).cell;
+      const auto result = sim::Run(cell, &bench::pool()).trials.finalize();
       sink.cell(name)
           .cell(std::uint64_t{k})
           .cell(result.completion.mean, 1)

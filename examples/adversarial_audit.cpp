@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     };
     cell.trials = 16;
     cell.base_seed = 5;
-    const auto typical = sim::Run(cell, nullptr).cell;
+    const auto typical = sim::Run(cell, nullptr).trials.finalize();
 
     const auto worst =
         sim::search_worst_pattern(factory, n, k, /*restarts=*/6, /*steps=*/40, /*seed=*/11, {});

@@ -45,7 +45,7 @@ int main() {
     cell.dynamic_k = k;
     cell.trials = trials;
     cell.base_seed = 777;
-    const auto result = sim::Run(cell, &pool).cell;
+    const auto result = sim::Run(cell, &pool).trials.finalize();
     table.cell(name)
         .cell(result.throughput.mean, 3)
         .cell(result.latency.median, 1)

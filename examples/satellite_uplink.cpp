@@ -44,7 +44,7 @@ int main() {
       cell.trials = trials;
       cell.base_seed = 99;
       cell.cell_tag = k;
-      return sim::Run(cell, &pool).cell;
+      return sim::Run(cell, &pool).trials.finalize();
     };
 
     const auto with_s = cell_for("wakeup_with_s");

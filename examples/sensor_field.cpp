@@ -39,7 +39,7 @@ int main() {
     cell.trials = trials;
     cell.base_seed = 4242;
     cell.cell_tag = k;
-    const auto result = sim::Run(cell, &pool).cell;
+    const auto result = sim::Run(cell, &pool).trials.finalize();
 
     const double bound = util::scenario_c_bound(n, k);
     table.cell(std::uint64_t{k})

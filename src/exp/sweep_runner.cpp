@@ -16,7 +16,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "exp/aggregator.hpp"
 #include "exp/claim_ledger.hpp"
 #include "exp/sweep_report.hpp"
 #include "mac/wake_pattern.hpp"
@@ -103,15 +102,11 @@ CellRecord run_cell_impl(const SweepSpec& spec, const Cell& cell, const SweepOpt
     run.make_protocol = [&cell](std::uint64_t seed) {
       return build_registry_protocol(cell, seed);
     };
-    Aggregator aggregator(cell.trials, /*dynamic=*/true);
-    run.per_trial_dynamic = [&aggregator](std::uint64_t i, const sim::DynamicResult& r) {
-      aggregator.add(i, r);
-    };
-    (void)sim::Run(run, trial_pool);
     CellRecord record;
     record.cell = cell;
-    record.stats =
-        aggregator.finalize(options.ci_resamples, ci_seed(spec.base_seed, cell.tag_hash));
+    record.stats = sim::Run(run, trial_pool)
+                       .trials.finalize(options.ci_resamples,
+                                        ci_seed(spec.base_seed, cell.tag_hash));
     return record;  // theory bounds are one-shot statements; no bound column
   }
   run.trial_csv = options.trial_csv;
@@ -151,27 +146,13 @@ CellRecord run_cell_impl(const SweepSpec& spec, const Cell& cell, const SweepOpt
     };
   }
 
-  Aggregator aggregator(cell.trials);
-  if (multichannel) {
-    run.per_trial_mc = [&aggregator](std::uint64_t i, const sim::McSimResult& r) {
-      aggregator.add(i, r);
-    };
-  } else {
-    run.per_trial = [&aggregator](std::uint64_t i, const sim::SimResult& r) {
-      aggregator.add(i, r);
-    };
-  }
-
-  (void)sim::Run(run, trial_pool);
-
   CellRecord record;
   record.cell = cell;
-  record.stats =
-      aggregator.finalize(options.ci_resamples, ci_seed(spec.base_seed, cell.tag_hash));
+  record.stats = sim::Run(run, trial_pool)
+                     .trials.finalize(options.ci_resamples,
+                                      ci_seed(spec.base_seed, cell.tag_hash));
   record.bound = cell_bound(cell);
-  record.normalized_mean = record.bound > 0 && record.stats.rounds.count > 0
-                               ? record.stats.rounds.mean / record.bound
-                               : 0.0;
+  record.normalized_mean = sim::normalized_mean(record.stats, record.bound);
   return record;
 }
 

@@ -7,9 +7,10 @@
 /// pool (cell-level parallelism composes with the facade's trial-level
 /// parallelism without oversubscription: a `sim::Run` issued from inside a
 /// pool worker detects the pool via `util::ThreadPool::current()` and runs
-/// its trials inline), streams every finished cell through `exp::Aggregator`
-/// into the append-only JSONL manifest, and finally writes a CSV + JSON
-/// report in grid order.
+/// its trials inline), finalizes each cell's trials — collected once by
+/// `sim::Run` into a `sim::CellTrials` — into one `CellStats` appended to
+/// the JSONL manifest, and finally writes a CSV + JSON report in grid
+/// order.
 ///
 /// Interruption contract: kill the process at any point; re-running with
 /// `resume = true` re-reads the manifest, skips completed cells (dropping a

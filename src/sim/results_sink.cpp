@@ -102,14 +102,6 @@ void TrialCsvSink::write(std::uint64_t trial, const McSimResult& result) {
   csv_.end_row();
 }
 
-std::function<void(std::uint64_t, const SimResult&)> TrialCsvSink::recorder() {
-  return [this](std::uint64_t trial, const SimResult& result) { write(trial, result); };
-}
-
-std::function<void(std::uint64_t, const McSimResult&)> TrialCsvSink::mc_recorder() {
-  return [this](std::uint64_t trial, const McSimResult& result) { write(trial, result); };
-}
-
 std::size_t TrialCsvSink::rows() const {
   const std::scoped_lock lock(mutex_);
   return csv_.rows();

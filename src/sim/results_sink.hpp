@@ -11,11 +11,10 @@
 ///
 /// `TrialCsvSink` is the streaming counterpart for Monte-Carlo sweeps: one
 /// CSV row per trial, written as trials complete, nothing accumulated in
-/// memory — the per-trial hook of `sim::RunSpec` feeds it directly, which
-/// is what lets sweeps scale past n = 10^6 stations without holding every
+/// memory — `sim::RunSpec::trial_csv` feeds it directly, which is what
+/// lets sweeps scale past n = 10^6 stations without holding every
 /// per-trial result.
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -63,9 +62,7 @@ class ResultsSink {
 /// run and -1 for single-channel runs.  Writes are serialized by a mutex
 /// (the RunSpec per-trial contract delivers distinct trials concurrently),
 /// so rows appear in completion order; the trial column identifies them.
-///
-/// Plug into a sweep either through `RunSpec::trial_csv` or by composing
-/// `recorder()` / `mc_recorder()` into the per-trial callbacks.
+/// Plug into a run or sweep through `RunSpec::trial_csv`.
 class TrialCsvSink {
  public:
   /// Opens `path` and writes the header.  Throws std::runtime_error when
@@ -74,10 +71,6 @@ class TrialCsvSink {
 
   void write(std::uint64_t trial, const SimResult& result);
   void write(std::uint64_t trial, const McSimResult& result);
-
-  /// Adapters matching RunSpec::per_trial / RunSpec::per_trial_mc.
-  [[nodiscard]] std::function<void(std::uint64_t, const SimResult&)> recorder();
-  [[nodiscard]] std::function<void(std::uint64_t, const McSimResult&)> mc_recorder();
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] std::size_t rows() const;

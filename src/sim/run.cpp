@@ -1,6 +1,5 @@
 #include "sim/run.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -14,18 +13,6 @@
 namespace wakeup::sim {
 
 namespace {
-
-struct TrialOut {
-  bool success = false;
-  double rounds = 0;
-  double collisions = 0;
-  double silences = 0;
-  bool completed = false;
-  double completion = 0;
-  bool has_energy = false;
-  double energy_mean = 0;  ///< mean station energy of this trial
-  double energy_max = 0;   ///< max station energy of this trial
-};
 
 // Spec-level spellings of the public seed hooks (bottom of this file).
 std::uint64_t trial_seed(const RunSpec& spec, std::uint64_t i) {
@@ -80,36 +67,6 @@ std::vector<mac::Slot> resolve_adversarial_jam(const RunSpec& spec,
                                             spec.cell_tag}),
                           spec.sim)
       .slots;
-}
-
-CellResult aggregate(const RunSpec& spec, const std::vector<TrialOut>& outs) {
-  util::Sample rounds, collisions, silences, completion, energy_mean, energy_max;
-  CellResult result;
-  result.trials = spec.trials;
-  for (const TrialOut& out : outs) {
-    // Energy is paid whether or not the trial reached wake-up — failed
-    // trials burn the whole budget, which is exactly what an energy
-    // measurement must see.
-    if (out.has_energy) {
-      energy_mean.push(out.energy_mean);
-      energy_max.push(out.energy_max);
-    }
-    if (!out.success) {
-      ++result.failures;
-      continue;
-    }
-    rounds.push(out.rounds);
-    collisions.push(out.collisions);
-    silences.push(out.silences);
-    if (out.completed) completion.push(out.completion);
-  }
-  result.rounds = util::Summary::of(rounds);
-  result.collisions = util::Summary::of(collisions);
-  result.silences = util::Summary::of(silences);
-  result.completion = util::Summary::of(completion);
-  result.energy_mean = util::Summary::of(energy_mean);
-  result.energy_max = util::Summary::of(energy_max);
-  return result;
 }
 
 void for_each_trial(std::uint64_t trials, util::ThreadPool* pool,
@@ -223,7 +180,6 @@ void run_dynamic(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
   const bool randomized =
       protocol->requirements().randomized && static_cast<bool>(spec.make_protocol);
 
-  std::vector<DynamicResult> results(spec.trials);
   for_each_trial(spec.trials, pool, [&](std::size_t i) {
     const std::uint64_t seed = trial_seed(spec, i);
     util::Rng rng(seed);
@@ -248,40 +204,14 @@ void run_dynamic(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
     }
     DynamicResult r = dispatch_dynamic(rebuilt ? *rebuilt : *protocol, scenario,
                                        spec.sim.engine, plan_ptr, spec.sim.energy);
-    if (spec.per_trial_dynamic) spec.per_trial_dynamic(i, r);
-    results[i] = std::move(r);
-  });
-
-  util::Sample throughput, jain, collisions, silences, latency, energy_mean, energy_max;
-  std::uint64_t peak_backlog = 0;
-  CellResult& cell = out.cell;
-  cell.trials = spec.trials;
-  for (const DynamicResult& r : results) {
-    throughput.push(r.throughput());
-    jain.push(r.jain());
-    collisions.push(static_cast<double>(r.collisions));
-    silences.push(static_cast<double>(r.silences));
-    for (const double l : r.latency) latency.push(l);
-    cell.packet_arrivals += r.arrivals;
-    cell.delivered += r.delivered;
-    cell.backlog += r.backlog;
-    peak_backlog = std::max(peak_backlog, r.backlog);
-    TrialOut e;
-    fold_energy(r.station_energy, e);
-    if (e.has_energy) {
-      energy_mean.push(e.energy_mean);
-      energy_max.push(e.energy_max);
+    if (obs::active()) {
+      static const auto g_peak_backlog = obs::Gauge::get("dynamic.peak_backlog");
+      g_peak_backlog.maximize(r.backlog);
     }
-  }
-  cell.throughput = util::Summary::of(throughput);
-  cell.jain = util::Summary::of(jain);
-  cell.collisions = util::Summary::of(collisions);
-  cell.silences = util::Summary::of(silences);
-  cell.latency = util::Summary::of(latency);
-  cell.energy_mean = util::Summary::of(energy_mean);
-  cell.energy_max = util::Summary::of(energy_max);
-  if (obs::active()) obs::Gauge::get("dynamic.peak_backlog").maximize(peak_backlog);
-  if (spec.trials == 1) out.dynamic = std::move(results.front());
+    if (spec.per_trial_dynamic) spec.per_trial_dynamic(i, r);
+    out.trials.add(i, r);
+    if (spec.trials == 1) out.dynamic = std::move(r);
+  });
 }
 
 // ---------------------------------------------------------- static cells --
@@ -301,11 +231,7 @@ struct SingleChannel {
                          const SimConfig& config) {
     return dispatch_wakeup(protocol, pattern, config);
   }
-  static void record(const RunSpec& spec, RunOutcome& out, std::uint64_t i, const Result& r,
-                     TrialOut& t) {
-    t.completed = r.completed;
-    t.completion = static_cast<double>(r.completion_rounds);
-    fold_energy(r.station_energy, t);
+  static void record(const RunSpec& spec, RunOutcome& out, std::uint64_t i, const Result& r) {
     if (spec.trials == 1) out.sim = r;
     if (spec.per_trial) spec.per_trial(i, r);
   }
@@ -324,9 +250,7 @@ struct MultiChannel {
                          const SimConfig& config) {
     return dispatch_mc_wakeup(protocol, pattern, config);
   }
-  static void record(const RunSpec& spec, RunOutcome& out, std::uint64_t i, const Result& r,
-                     TrialOut& t) {
-    (void)t;  // the C-channel model has no full-resolution drain and no energy
+  static void record(const RunSpec& spec, RunOutcome& out, std::uint64_t i, const Result& r) {
     if (spec.trials == 1) out.mc = r;
     if (spec.per_trial_mc) spec.per_trial_mc(i, r);
   }
@@ -361,7 +285,6 @@ void run_static(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
       impaired ? Model::jam(spec, *protocol) : std::vector<mac::Slot>{};
   const std::vector<mac::Slot>* jam_override = jam_slots.empty() ? nullptr : &jam_slots;
 
-  std::vector<TrialOut> outs(spec.trials);
   for_each_trial(spec.trials, pool, [&](std::size_t i) {
     const std::uint64_t seed = trial_seed(spec, i);
     util::Rng rng(seed);
@@ -377,15 +300,10 @@ void run_static(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
       cfg.impairment = &plan;
     }
     const typename Model::Result r = Model::dispatch(rebuilt ? *rebuilt : *protocol, pattern, cfg);
-    TrialOut& t = outs[i];
-    t.success = r.success;
-    t.rounds = static_cast<double>(r.rounds);
-    t.collisions = static_cast<double>(r.collisions);
-    t.silences = static_cast<double>(r.silences);
-    Model::record(spec, out, i, r, t);
+    out.trials.add(i, r);
+    Model::record(spec, out, i, r);
     if (spec.trial_csv != nullptr) spec.trial_csv->write(i, r);
   });
-  out.cell = aggregate(spec, outs);
 }
 
 }  // namespace
@@ -402,6 +320,7 @@ RunOutcome Run(const RunSpec& spec, util::ThreadPool* pool) {
   RunOutcome out;
   out.multichannel = spec.mc_protocol != nullptr || static_cast<bool>(spec.make_mc_protocol);
   out.dynamic_mode = spec.horizon > 0;
+  out.trials = CellTrials(spec.trials, out.dynamic_mode);
   if (out.dynamic_mode) {
     run_dynamic(spec, pool, out);
   } else if (out.multichannel) {
@@ -412,9 +331,9 @@ RunOutcome Run(const RunSpec& spec, util::ThreadPool* pool) {
   return out;
 }
 
-double normalized_mean(const CellResult& result, double bound) {
-  if (bound <= 0.0 || result.rounds.count == 0) return 0.0;
-  return result.rounds.mean / bound;
+double normalized_mean(const CellStats& stats, double bound) {
+  if (bound <= 0.0 || stats.rounds.count == 0) return 0.0;
+  return stats.rounds.mean / bound;
 }
 
 // Seed derivations — the documented RunSpec contract, stable since the

@@ -16,11 +16,15 @@
 /// auto r = sim::Run({.protocol = &rr, .pattern = &pattern}).sim;
 /// // Single run, C channels, forced slot interpreter:
 /// auto m = sim::Run({.mc_protocol = &striped, .pattern = &pattern,
-///                    .sim = {.engine = sim::Engine::kInterpret}}).mc;
+///                    .sim = {.engine = sim::Engine::kInterpreter}}).mc;
 /// // Sweep cell (protocol built once, one pattern per trial):
 /// auto c = sim::Run({.make_protocol = factory, .make_pattern = gen,
-///                    .trials = 256, .base_seed = 1}, &pool).cell;
+///                    .trials = 256, .base_seed = 1}, &pool).trials.finalize();
 /// ```
+///
+/// `Run` summarizes nothing: it adds every trial to one `CellTrials`
+/// (sim/cell_trials.hpp), and the caller finalizes it once — with or
+/// without bootstrap CIs — into the cell's `CellStats`.
 ///
 /// Seed contract (unchanged from the pre-facade harness): trial i derives
 /// its seed as hash(base_seed, "TR", cell_tag, i) and the wake pattern
@@ -38,43 +42,15 @@
 #include "mac/wake_pattern.hpp"
 #include "protocols/multichannel.hpp"
 #include "protocols/protocol.hpp"
+#include "sim/cell_trials.hpp"
 #include "sim/dynamic.hpp"
 #include "sim/mc_simulator.hpp"
 #include "sim/simulator.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace wakeup::sim {
 
 class TrialCsvSink;
-
-/// Aggregated outcome of a cell (single runs are 1-trial cells).
-struct CellResult {
-  util::Summary rounds;      ///< rounds to wake-up over successful trials
-  util::Summary collisions;
-  util::Summary silences;
-  util::Summary completion;  ///< full-resolution rounds (if enabled)
-  std::uint64_t trials = 0;
-  std::uint64_t failures = 0;  ///< trials that exhausted the slot budget
-
-  // -- Dynamic traffic (horizon > 0 runs; zero otherwise) ---------------
-  util::Summary throughput;  ///< delivered packets per slot, per trial
-  util::Summary jain;        ///< Jain's fairness index, per trial
-  /// Queue latency pooled over every delivered packet of every trial (in
-  /// trial order, so the percentiles are thread-count-independent).
-  util::Summary latency;
-  std::uint64_t packet_arrivals = 0;  ///< total packets arrived, all trials
-  std::uint64_t delivered = 0;
-  std::uint64_t backlog = 0;  ///< still queued at the horizon, all trials
-
-  // -- Energy accounting (SimConfig::energy != kOff; zero otherwise) ----
-  /// Per-trial mean and max station energy (slots spent transmitting or
-  /// listening under the selected EnergyModel), summarized over trials.
-  /// Filled for static single-channel and dynamic runs; the C-channel
-  /// model does not account energy yet.
-  util::Summary energy_mean;
-  util::Summary energy_max;
-};
 
 /// What to run.  Exactly one of {protocol, mc_protocol, make_protocol,
 /// make_mc_protocol} selects the protocol and the channel model; exactly
@@ -147,16 +123,17 @@ struct RunSpec {
   TrialCsvSink* trial_csv = nullptr;
 };
 
-/// Everything a Run produces.  `cell` aggregates all trials; for 1-trial
-/// specs the matching per-run result (`sim` or `mc`, per the channel
-/// model) is filled too.
+/// Everything a Run produces.  `trials` holds every trial of the cell,
+/// unsummarized (`trials.finalize()` yields the cell's CellStats); for
+/// 1-trial specs the matching per-run result (`sim`, `mc` or `dynamic`,
+/// per the model) is filled too.
 struct RunOutcome {
   bool multichannel = false;  ///< which of sim/mc is meaningful
   bool dynamic_mode = false;  ///< spec.horizon > 0: `dynamic` is meaningful
   SimResult sim;              ///< trials == 1, single-channel
   McSimResult mc;             ///< trials == 1, C-channel
   DynamicResult dynamic;      ///< trials == 1, dynamic traffic
-  CellResult cell;
+  CellTrials trials;
 };
 
 /// Executes `spec`.  With `pool` null, multi-trial specs run on the
@@ -170,7 +147,7 @@ struct RunOutcome {
 
 /// Convenience: mean rounds normalized by a theory bound, the headline
 /// statistic of the scaling tables.
-[[nodiscard]] double normalized_mean(const CellResult& result, double bound);
+[[nodiscard]] double normalized_mean(const CellStats& stats, double bound);
 
 // -- Seed-contract hooks ----------------------------------------------------
 //

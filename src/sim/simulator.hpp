@@ -17,7 +17,6 @@
 /// interpreter (sim/interpreter.hpp) or the word-parallel batch engine for
 /// oblivious protocols (sim/batch_engine.hpp) — per SimConfig::engine.
 
-#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,8 +40,6 @@ enum class Engine : std::uint8_t {
   /// Force the word-parallel batch engine; throws std::invalid_argument if
   /// the protocol is not oblivious or a trace is requested.
   kBatch,
-  /// RunSpec-facade spelling of kInterpreter.
-  kInterpret = kInterpreter,
 };
 
 /// Channel-energy cost model (De Marco–Kowalski–Stachowiak: energy = the
@@ -120,23 +117,6 @@ struct SimResult {
 
   std::optional<mac::ExecutionTrace> trace;
 };
-
-/// Per-trial reduction of a station-energy vector into `out`'s
-/// has_energy / energy_mean / energy_max; leaves `out` alone when energy
-/// accounting was off (empty vector).
-template <class Out>
-void fold_energy(const std::vector<std::uint64_t>& station_energy, Out& out) {
-  if (station_energy.empty()) return;
-  out.has_energy = true;
-  double sum = 0;
-  std::uint64_t max = 0;
-  for (const std::uint64_t e : station_energy) {
-    sum += static_cast<double>(e);
-    max = std::max(max, e);
-  }
-  out.energy_mean = sum / static_cast<double>(station_energy.size());
-  out.energy_max = static_cast<double>(max);
-}
 
 /// The automatic slot budget used when SimConfig::max_slots <= 0.
 [[nodiscard]] mac::Slot auto_slot_budget(std::uint32_t n, std::size_t k);

@@ -126,8 +126,9 @@ struct BootstrapCI {
                                                                     std::uint64_t seed);
 
   /// Same percentile bootstrap for the p-quantile of a sample (`mean` holds
-  /// the point estimate, i.e. sample.quantile(p)).  The sweep aggregator
-  /// uses p = 0.5 for median CIs alongside the mean CIs.
+  /// the point estimate, i.e. sample.quantile(p)).  The cell collector
+  /// (sim/cell_trials.hpp) uses p = 0.5 for median CIs alongside the mean
+  /// CIs.
   [[nodiscard]] static BootstrapCI of_quantile(const Sample& sample, double p, double level,
                                                std::uint64_t resamples, std::uint64_t seed);
 };

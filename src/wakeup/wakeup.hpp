@@ -66,6 +66,7 @@
 
 #include "sim/adversary.hpp"       // IWYU pragma: export
 #include "sim/batch_engine.hpp"    // IWYU pragma: export
+#include "sim/cell_trials.hpp"     // IWYU pragma: export
 #include "sim/dynamic.hpp"         // IWYU pragma: export
 #include "sim/interpreter.hpp"     // IWYU pragma: export
 #include "sim/mc_batch_engine.hpp" // IWYU pragma: export

@@ -889,11 +889,13 @@ TEST(DynamicRun, SeedContractAndThreadCountDeterminism) {
     expect_identical(inline_trials[i], pooled_trials[i], "trial " + std::to_string(i));
   }
   EXPECT_TRUE(inline_out.dynamic_mode);
-  EXPECT_EQ(inline_out.cell.failures, 0u);
-  EXPECT_EQ(inline_out.cell.throughput.mean, pooled_out.cell.throughput.mean);
-  EXPECT_EQ(inline_out.cell.jain.mean, pooled_out.cell.jain.mean);
-  EXPECT_EQ(inline_out.cell.latency.p99, pooled_out.cell.latency.p99);
-  EXPECT_EQ(inline_out.cell.packet_arrivals, pooled_out.cell.packet_arrivals);
+  EXPECT_EQ(inline_out.trials.finalize().failures, 0u);
+  EXPECT_EQ(inline_out.trials.finalize().throughput.mean,
+            pooled_out.trials.finalize().throughput.mean);
+  EXPECT_EQ(inline_out.trials.finalize().jain.mean, pooled_out.trials.finalize().jain.mean);
+  EXPECT_EQ(inline_out.trials.finalize().latency.p99, pooled_out.trials.finalize().latency.p99);
+  EXPECT_EQ(inline_out.trials.finalize().packet_arrivals,
+            pooled_out.trials.finalize().packet_arrivals);
 
   // Same (base_seed, cell_tag) => same traffic, trial by trial.
   std::vector<wu::sim::DynamicResult> again(spec.trials);
@@ -918,7 +920,7 @@ TEST(DynamicRun, FixedScenarioReplayAndValidation) {
   EXPECT_TRUE(out.dynamic_mode);
   EXPECT_EQ(out.dynamic.arrivals, 3u);
   EXPECT_EQ(out.dynamic.delivered, 3u);
-  EXPECT_EQ(out.cell.packet_arrivals, 3u);
+  EXPECT_EQ(out.trials.finalize().packet_arrivals, 3u);
 
   // Dynamic specs reject pattern sources, mc protocols, and static sinks.
   {

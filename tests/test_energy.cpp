@@ -140,7 +140,7 @@ TEST(EnergyParity, StaticEnginesBitIdenticalAcrossTilesAndKernels) {
           const auto pattern = wu::mac::patterns::generate(kind, 200, 16, 0, rng);
 
           wu::sim::SimConfig interp;
-          interp.engine = wu::sim::Engine::kInterpret;
+          interp.engine = wu::sim::Engine::kInterpreter;
           interp.energy = model;
           const auto reference = run_one(*protocol, pattern, interp);
           ASSERT_EQ(reference.station_energy.size(), pattern.k());
@@ -188,7 +188,7 @@ TEST(EnergyParity, FullResolutionDrainAgreesAcrossEngines) {
             wu::mac::patterns::generate(wu::mac::patterns::Kind::kUniform, 64, 8, 3, rng);
 
         wu::sim::SimConfig interp;
-        interp.engine = wu::sim::Engine::kInterpret;
+        interp.engine = wu::sim::Engine::kInterpreter;
         interp.full_resolution = true;
         interp.energy = model;
         const auto reference = run_one(*protocol, pattern, interp);
@@ -228,7 +228,7 @@ TEST(EnergyParity, ImpairedChannelsPreserveStaticParity) {
       wu::sim::SimConfig interp;
       interp.max_slots = budget;
       interp.impairment = &plan;
-      interp.engine = wu::sim::Engine::kInterpret;
+      interp.engine = wu::sim::Engine::kInterpreter;
       interp.energy = model;
       const auto reference = run_one(*protocol, pattern, interp);
 
@@ -249,7 +249,7 @@ TEST(EnergyParity, AccountingNeverPerturbsTheSimulatedOutcome) {
   // kOff vs each model: everything except the energy vectors is identical,
   // and kOff leaves the vectors empty.
   const auto protocol = registry_protocol("wakeup_with_k", 128, 8);
-  for (const auto engine : {wu::sim::Engine::kInterpret, wu::sim::Engine::kBatch}) {
+  for (const auto engine : {wu::sim::Engine::kInterpreter, wu::sim::Engine::kBatch}) {
     wu::util::Rng rng(7);
     const auto pattern =
         wu::mac::patterns::generate(wu::mac::patterns::Kind::kUniform, 128, 8, 0, rng);

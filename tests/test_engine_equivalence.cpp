@@ -376,7 +376,7 @@ TEST(SimdMatrix, CellsBitIdenticalAcrossTileAndKernel) {
     wu::util::simd::set_force_scalar(false);
     std::vector<wu::sim::SimResult> reference(spec.trials);
     auto interp_spec = spec;
-    interp_spec.sim.engine = wu::sim::Engine::kInterpret;
+    interp_spec.sim.engine = wu::sim::Engine::kInterpreter;
     interp_spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) {
       reference[i] = r;
     };

@@ -122,7 +122,7 @@ TEST(ImpairmentEquivalence, StaticEnginesBitIdenticalUnderEveryKind) {
         wu::sim::SimConfig config;
         config.max_slots = budget;
         config.impairment = &plan;
-        config.engine = wu::sim::Engine::kInterpret;
+        config.engine = wu::sim::Engine::kInterpreter;
         const auto reference = wu::sim::dispatch_wakeup(*protocol, pattern, config);
 
         for (const std::size_t tile : tile_widths()) {
@@ -171,7 +171,7 @@ TEST(ImpairmentEquivalence, MultichannelEnginesBitIdenticalWideband) {
         wu::sim::SimConfig config;
         config.max_slots = budget;
         config.impairment = &plan;
-        config.engine = wu::sim::Engine::kInterpret;
+        config.engine = wu::sim::Engine::kInterpreter;
         const auto reference = wu::sim::dispatch_mc_wakeup(*protocol, pattern, config);
 
         for (const std::size_t tile : tile_widths()) {

@@ -108,7 +108,7 @@ TEST(PaperOrdering, ScenarioAlgorithmsBeatGenerousBoundsOnAverage) {
     };
     cell.trials = 16;
     cell.base_seed = 99;
-    const auto result = ws::Run(cell, &pool).cell;
+    const auto result = ws::Run(cell, &pool).trials.finalize();
     EXPECT_EQ(result.failures, 0u) << name;
     return result.rounds.mean;
   };
@@ -146,7 +146,7 @@ TEST(PaperOrdering, KnowledgeHelps) {
       cell.trials = 12;
       cell.base_seed = 7;
       cell.cell_tag = tag;
-      sum += ws::Run(cell, &pool).cell.rounds.mean;
+      sum += ws::Run(cell, &pool).trials.finalize().rounds.mean;
     }
     return sum / 4.0;
   };

@@ -91,7 +91,7 @@ TEST(McEngineEquivalence, BitIdenticalAcrossSeededTrials) {
         const std::string label = strategy.label + " kind=" +
                                   std::string(wm::patterns::kind_name(kind)) + " trial=" +
                                   std::to_string(trial);
-        const auto reference = run_mc(*strategy.protocol, pattern, ws::Engine::kInterpret);
+        const auto reference = run_mc(*strategy.protocol, pattern, ws::Engine::kInterpreter);
         expect_identical(reference, run_mc(*strategy.protocol, pattern, ws::Engine::kBatch),
                          label + " batch");
         expect_identical(reference, run_mc(*strategy.protocol, pattern, ws::Engine::kAuto),
@@ -113,7 +113,7 @@ TEST(McEngineEquivalence, BudgetExhaustionCountersMatch) {
     for (const wm::Slot budget : {1, 2, 63, 64, 65, 130}) {
       const std::string label = strategy.label + " budget=" + std::to_string(budget);
       const auto reference =
-          run_mc(*strategy.protocol, pattern, ws::Engine::kInterpret, budget);
+          run_mc(*strategy.protocol, pattern, ws::Engine::kInterpreter, budget);
       expect_identical(reference,
                        run_mc(*strategy.protocol, pattern, ws::Engine::kBatch, budget),
                        label + " batch");
@@ -142,7 +142,7 @@ TEST(McEngineEquivalence, TileWidthsAndKernelsBitIdentical) {
     for (const wm::Slot budget : {wm::Slot{0}, wm::Slot{65}, wm::Slot{129}, wm::Slot{513}}) {
       ws::set_tile_words(0);
       wakeup::util::simd::set_force_scalar(false);
-      const auto reference = run_mc(*strategy.protocol, pattern, ws::Engine::kInterpret, budget);
+      const auto reference = run_mc(*strategy.protocol, pattern, ws::Engine::kInterpreter, budget);
       for (const std::size_t tile : {1u, 2u, 8u}) {
         for (const bool scalar : {false, true}) {
           ws::set_tile_words(tile);
@@ -219,18 +219,18 @@ TEST(McEngineEquivalence, CellsBitIdenticalToSlotLoop) {
 
     std::vector<ws::McSimResult> interpreted(spec.trials), batched(spec.trials);
     auto interp_spec = spec;
-    interp_spec.sim.engine = ws::Engine::kInterpret;
+    interp_spec.sim.engine = ws::Engine::kInterpreter;
     interp_spec.per_trial_mc = [&](std::uint64_t i, const ws::McSimResult& r) {
       interpreted[i] = r;
     };
-    const auto plain = ws::Run(interp_spec, nullptr).cell;
+    const auto plain = ws::Run(interp_spec, nullptr).trials.finalize();
 
     auto auto_spec = spec;
     auto_spec.per_trial_mc = [&](std::uint64_t i, const ws::McSimResult& r) {
       batched[i] = r;
     };
     wu::ThreadPool pool(3);
-    const auto fast = ws::Run(auto_spec, &pool).cell;
+    const auto fast = ws::Run(auto_spec, &pool).trials.finalize();
 
     for (std::uint64_t i = 0; i < spec.trials; ++i) {
       expect_identical(interpreted[i], batched[i],

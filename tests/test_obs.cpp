@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include "protocols/multichannel.hpp"
 #include "protocols/round_robin.hpp"
 #include "sim/run.hpp"
+#include "util/thread_pool.hpp"
 
 namespace wu = wakeup;
 namespace obs = wakeup::obs;
@@ -391,5 +393,37 @@ TEST(ObsInstrumentation, BatchEngineCountsEveryFetchedWord) {
   if (obs::kCompiled) {
     EXPECT_EQ(obs::snapshot_value(dyn_snap, "batch.tiles"), 3u);
     EXPECT_EQ(obs::snapshot_value(dyn_snap, "batch.words_fetched"), 2u + 4u + 2u);
+  }
+}
+
+TEST(ObsInstrumentation, DynamicPeakBacklogIsTheLargestTrialBacklog) {
+  // round_robin at n = 128 gives the k = 16 active stations 16 of every
+  // 128 slots, far below the offered poisson:0.9, so every trial strands
+  // packets — a different number in each of the four.
+  ObsReset guard;
+  obs::set_enabled(true);
+  std::vector<std::uint64_t> backlogs(4);
+  wu::sim::RunSpec spec;
+  spec.make_protocol = [](std::uint64_t) {
+    return std::make_shared<wu::proto::RoundRobinProtocol>(128);
+  };
+  spec.horizon = 512;
+  spec.arrival = wu::mac::ArrivalSpec::parse("poisson:0.9");
+  spec.dynamic_n = 128;
+  spec.dynamic_k = 16;
+  spec.trials = backlogs.size();
+  spec.per_trial_dynamic = [&](std::uint64_t i, const wu::sim::DynamicResult& r) {
+    backlogs[i] = r.backlog;
+  };
+  wu::util::ThreadPool pool(2);
+  (void)wu::sim::Run(spec, &pool);
+
+  const std::uint64_t peak = *std::max_element(backlogs.begin(), backlogs.end());
+  EXPECT_GT(peak, *std::min_element(backlogs.begin(), backlogs.end()));
+  const auto snap = obs::snapshot();
+  if (obs::kCompiled) {
+    EXPECT_EQ(obs::snapshot_value(snap, "dynamic.peak_backlog"), peak);
+  } else {
+    EXPECT_TRUE(snap.empty());
   }
 }

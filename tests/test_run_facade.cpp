@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "protocols/multichannel.hpp"
@@ -19,6 +21,7 @@
 #include "protocols/rpd.hpp"
 #include "sim/results_sink.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace ws = wakeup::sim;
 namespace wp = wakeup::proto;
@@ -41,7 +44,7 @@ ws::RunSpec basic_cell(std::uint32_t n, std::uint32_t k, std::uint64_t trials) {
 }  // namespace
 
 TEST(RunFacade, RunsAllTrials) {
-  const auto result = ws::Run(basic_cell(32, 4, 20)).cell;
+  const auto result = ws::Run(basic_cell(32, 4, 20)).trials.finalize();
   EXPECT_EQ(result.trials, 20u);
   EXPECT_EQ(result.failures, 0u);
   EXPECT_EQ(result.rounds.count, 20u);
@@ -53,10 +56,10 @@ TEST(RunFacade, DeterministicAcrossPoolChoices) {
   // an explicit multi-worker pool must agree bitwise — the seed contract
   // keys randomness by trial index, never by thread.
   wu::ThreadPool inline_pool(0);
-  const auto inline_result = ws::Run(basic_cell(64, 8, 32), &inline_pool).cell;
-  const auto shared_result = ws::Run(basic_cell(64, 8, 32)).cell;
+  const auto inline_result = ws::Run(basic_cell(64, 8, 32), &inline_pool).trials.finalize();
+  const auto shared_result = ws::Run(basic_cell(64, 8, 32)).trials.finalize();
   wu::ThreadPool pool4(4);
-  const auto pool4_result = ws::Run(basic_cell(64, 8, 32), &pool4).cell;
+  const auto pool4_result = ws::Run(basic_cell(64, 8, 32), &pool4).trials.finalize();
   EXPECT_DOUBLE_EQ(inline_result.rounds.mean, shared_result.rounds.mean);
   EXPECT_DOUBLE_EQ(inline_result.rounds.mean, pool4_result.rounds.mean);
   EXPECT_DOUBLE_EQ(inline_result.rounds.median, shared_result.rounds.median);
@@ -68,8 +71,8 @@ TEST(RunFacade, CellTagChangesTrialStreams) {
   auto a = basic_cell(64, 8, 16);
   auto b = basic_cell(64, 8, 16);
   b.cell_tag = 1;
-  const auto ra = ws::Run(a).cell;
-  const auto rb = ws::Run(b).cell;
+  const auto ra = ws::Run(a).trials.finalize();
+  const auto rb = ws::Run(b).trials.finalize();
   // Different tags -> different patterns -> (almost surely) different stats.
   EXPECT_NE(ra.rounds.mean, rb.rounds.mean);
 }
@@ -77,7 +80,7 @@ TEST(RunFacade, CellTagChangesTrialStreams) {
 TEST(RunFacade, FailuresCounted) {
   auto spec = basic_cell(64, 4, 10);
   spec.sim.max_slots = 1;  // nothing succeeds in one slot unless id matches slot 0
-  const auto result = ws::Run(spec).cell;
+  const auto result = ws::Run(spec).trials.finalize();
   EXPECT_EQ(result.failures + result.rounds.count, 10u);
   EXPECT_GT(result.failures, 0u);
 }
@@ -94,7 +97,7 @@ TEST(RunFacade, DeterministicProtocolConstructedOncePerCell) {
   spec.make_pattern = [](wu::Rng& rng) { return wm::patterns::simultaneous(32, 4, 0, rng); };
   spec.trials = 16;
   wu::ThreadPool inline_pool(0);  // construction counting: no worker races
-  const auto result = ws::Run(spec, &inline_pool).cell;
+  const auto result = ws::Run(spec, &inline_pool).trials.finalize();
   EXPECT_EQ(result.trials, 16u);
   EXPECT_EQ(constructions, 1u);
 }
@@ -128,11 +131,114 @@ TEST(RunFacade, PerTrialSinkSeesEveryTrialOnce) {
     ++seen[i];
     results[i] = r;
   };
-  const auto agg = ws::Run(spec).cell;
+  const auto agg = ws::Run(spec).trials.finalize();
   for (int c : seen) EXPECT_EQ(c, 1);
   std::uint64_t successes = 0;
   for (const auto& r : results) successes += r.success ? 1 : 0;
   EXPECT_EQ(successes, agg.trials - agg.failures);
+}
+
+namespace {
+
+/// The per-trial reference a cell summary must reproduce: samples pushed
+/// in trial order from the per-trial hooks, energy for every trial, the
+/// rest for successful ones, then `Summary::of` and `BootstrapCI::of_mean`.
+struct Reference {
+  wu::Sample rounds, collisions, silences, energy_mean, energy_max;
+  std::uint64_t failures = 0;
+
+  template <class Result>
+  explicit Reference(const std::vector<Result>& trials) {
+    for (const Result& r : trials) {
+      if constexpr (std::is_same_v<Result, ws::SimResult>) {
+        if (!r.station_energy.empty()) {
+          double sum = 0;
+          std::uint64_t max = 0;
+          for (const std::uint64_t e : r.station_energy) {
+            sum += static_cast<double>(e);
+            max = std::max(max, e);
+          }
+          energy_mean.push(sum / static_cast<double>(r.station_energy.size()));
+          energy_max.push(static_cast<double>(max));
+        }
+      }
+      if (!r.success) {
+        ++failures;
+        continue;
+      }
+      rounds.push(static_cast<double>(r.rounds));
+      collisions.push(static_cast<double>(r.collisions));
+      silences.push(static_cast<double>(r.silences));
+    }
+  }
+};
+
+void expect_same(const wu::Summary& a, const wu::Summary& b, const char* what) {
+  EXPECT_EQ(a.count, b.count) << what;
+  EXPECT_EQ(a.mean, b.mean) << what;
+  EXPECT_EQ(a.stddev, b.stddev) << what;
+  EXPECT_EQ(a.min, b.min) << what;
+  EXPECT_EQ(a.median, b.median) << what;
+  EXPECT_EQ(a.p95, b.p95) << what;
+  EXPECT_EQ(a.p99, b.p99) << what;
+  EXPECT_EQ(a.max, b.max) << what;
+}
+
+void expect_same(const wu::BootstrapCI& a, const wu::BootstrapCI& b, const char* what) {
+  EXPECT_EQ(a.mean, b.mean) << what;
+  EXPECT_EQ(a.lo, b.lo) << what;
+  EXPECT_EQ(a.hi, b.hi) << what;
+}
+
+void expect_matches(const ws::CellStats& stats, const Reference& ref, std::uint64_t trials) {
+  EXPECT_EQ(stats.trials, trials);
+  EXPECT_EQ(stats.failures, ref.failures);
+  expect_same(stats.rounds, wu::Summary::of(ref.rounds), "rounds");
+  expect_same(stats.collisions, wu::Summary::of(ref.collisions), "collisions");
+  expect_same(stats.silences, wu::Summary::of(ref.silences), "silences");
+  expect_same(stats.energy_mean, wu::Summary::of(ref.energy_mean), "energy_mean");
+  expect_same(stats.energy_max, wu::Summary::of(ref.energy_max), "energy_max");
+  expect_same(stats.rounds_mean_ci, wu::BootstrapCI::of_mean(ref.rounds, 0.95, 2000, 9),
+              "rounds mean CI");
+  expect_same(stats.rounds_median_ci,
+              wu::BootstrapCI::of_quantile(ref.rounds, 0.5, 0.95, 2000, 9), "rounds median CI");
+  expect_same(stats.energy_mean_ci, wu::BootstrapCI::of_mean(ref.energy_mean, 0.95, 2000, 9),
+              "energy mean CI");
+}
+
+}  // namespace
+
+TEST(RunFacade, CellSummaryMatchesPerTrialReference) {
+  // Static, energy on, a budget some trials exhaust: failed trials pay
+  // energy but carry no rounds, so the two bootstrap samples differ in size.
+  auto spec = basic_cell(64, 4, 40);
+  spec.sim.max_slots = 24;
+  spec.sim.energy = ws::EnergyModel::kListenAll;
+  std::vector<ws::SimResult> results(spec.trials);
+  spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) { results[i] = r; };
+  wu::ThreadPool pool(4);
+  const ws::CellStats stats = ws::Run(spec, &pool).trials.finalize(2000, 9);
+  const Reference ref(results);
+  EXPECT_GT(ref.failures, 0u);
+  EXPECT_EQ(ref.energy_mean.size(), spec.trials);
+  expect_matches(stats, ref, spec.trials);
+
+  // C lanes: no energy, and the same summary code.
+  ws::RunSpec mc;
+  mc.make_mc_protocol = [](std::uint64_t seed) {
+    return wp::make_group_wait_and_go(128, 16, 4, wakeup::comb::FamilyKind::kRandomized, seed);
+  };
+  mc.make_pattern = [](wu::Rng& rng) { return wm::patterns::simultaneous(128, 16, 0, rng); };
+  mc.trials = 30;
+  mc.base_seed = 5;
+  mc.sim.max_slots = 6;
+  std::vector<ws::McSimResult> mc_results(mc.trials);
+  mc.per_trial_mc = [&](std::uint64_t i, const ws::McSimResult& r) { mc_results[i] = r; };
+  const ws::CellStats mc_stats = ws::Run(mc, &pool).trials.finalize(2000, 9);
+  const Reference mc_ref(mc_results);
+  EXPECT_GT(mc_ref.rounds.size(), 1u);
+  EXPECT_EQ(mc_stats.energy_mean.count, 0u);
+  expect_matches(mc_stats, mc_ref, mc.trials);
 }
 
 TEST(RunFacade, RandomizedProtocolSeedsVaryPerTrial) {
@@ -142,19 +248,19 @@ TEST(RunFacade, RandomizedProtocolSeedsVaryPerTrial) {
   };
   spec.make_pattern = [](wu::Rng& rng) { return wm::patterns::simultaneous(64, 8, 0, rng); };
   spec.trials = 24;
-  const auto result = ws::Run(spec).cell;
+  const auto result = ws::Run(spec).trials.finalize();
   EXPECT_EQ(result.failures, 0u);
   // With varying coins the rounds should not all be identical.
   EXPECT_GT(result.rounds.max, result.rounds.min);
 }
 
 TEST(RunFacade, NormalizedMean) {
-  ws::CellResult r;
+  ws::CellStats r;
   r.rounds.count = 5;
   r.rounds.mean = 50.0;
   EXPECT_DOUBLE_EQ(ws::normalized_mean(r, 10.0), 5.0);
   EXPECT_DOUBLE_EQ(ws::normalized_mean(r, 0.0), 0.0);
-  ws::CellResult empty;
+  ws::CellStats empty;
   EXPECT_DOUBLE_EQ(ws::normalized_mean(empty, 10.0), 0.0);
 }
 
@@ -163,11 +269,11 @@ TEST(RunFacade, NestedRunInsideAPoolWorkerStaysInline) {
   // (deadlock risk with few workers) — it detects the worker context and
   // runs inline.  One worker makes any deadlock deterministic.
   wu::ThreadPool pool(1);
-  ws::CellResult inner_result;
+  ws::CellStats inner_result;
   pool.parallel_for(0, 1, [&](std::size_t) {
-    inner_result = ws::Run(basic_cell(32, 4, 8)).cell;
+    inner_result = ws::Run(basic_cell(32, 4, 8)).trials.finalize();
   });
-  const auto reference = ws::Run(basic_cell(32, 4, 8)).cell;
+  const auto reference = ws::Run(basic_cell(32, 4, 8)).trials.finalize();
   EXPECT_EQ(inner_result.trials, 8u);
   EXPECT_DOUBLE_EQ(inner_result.rounds.mean, reference.rounds.mean);
 }
@@ -226,9 +332,9 @@ TEST(RunFacade, SingleRunFillsBothSimAndCell) {
   EXPECT_FALSE(out.multichannel);
   ASSERT_TRUE(out.sim.success);
   EXPECT_EQ(out.sim.success_slot, 18);
-  EXPECT_EQ(out.cell.trials, 1u);
-  EXPECT_EQ(out.cell.failures, 0u);
-  EXPECT_DOUBLE_EQ(out.cell.rounds.mean, static_cast<double>(out.sim.rounds));
+  EXPECT_EQ(out.trials.finalize().trials, 1u);
+  EXPECT_EQ(out.trials.finalize().failures, 0u);
+  EXPECT_DOUBLE_EQ(out.trials.finalize().rounds.mean, static_cast<double>(out.sim.rounds));
 }
 
 TEST(RunFacade, SingleMcRunFillsMc) {
@@ -238,7 +344,7 @@ TEST(RunFacade, SingleMcRunFillsMc) {
   EXPECT_TRUE(out.multichannel);
   ASSERT_TRUE(out.mc.success);
   EXPECT_EQ(out.mc.success_channel, static_cast<std::int32_t>(5 % 4));
-  EXPECT_EQ(out.cell.trials, 1u);
+  EXPECT_EQ(out.trials.finalize().trials, 1u);
 }
 
 TEST(RunFacade, McCellAggregatesTrials) {
@@ -255,9 +361,9 @@ TEST(RunFacade, McCellAggregatesTrials) {
   };
   const auto out = ws::Run(spec, nullptr);
   EXPECT_TRUE(out.multichannel);
-  EXPECT_EQ(out.cell.trials, 12u);
-  EXPECT_EQ(out.cell.failures, 0u);
-  EXPECT_EQ(out.cell.rounds.count, 12u);
+  EXPECT_EQ(out.trials.finalize().trials, 12u);
+  EXPECT_EQ(out.trials.finalize().failures, 0u);
+  EXPECT_EQ(out.trials.finalize().rounds.count, 12u);
   for (const int c : seen) EXPECT_EQ(c, 1);
 }
 
@@ -275,9 +381,9 @@ TEST(RunFacade, McCellDeterministicAcrossThreadCounts) {
     spec.base_seed = 9;
     return spec;
   };
-  const auto inline_result = ws::Run(build(), nullptr).cell;
+  const auto inline_result = ws::Run(build(), nullptr).trials.finalize();
   wu::ThreadPool pool(4);
-  const auto pooled = ws::Run(build(), &pool).cell;
+  const auto pooled = ws::Run(build(), &pool).trials.finalize();
   EXPECT_DOUBLE_EQ(inline_result.rounds.mean, pooled.rounds.mean);
   EXPECT_DOUBLE_EQ(inline_result.silences.mean, pooled.silences.mean);
   EXPECT_EQ(inline_result.failures, pooled.failures);
@@ -289,8 +395,8 @@ TEST(RunFacade, FixedPatternIsReusedAcrossTrials) {
   const wp::RoundRobinProtocol rr(32);
   const wm::WakePattern pattern(32, {{7, 0}, {20, 0}});
   const auto out = ws::Run({.protocol = &rr, .pattern = &pattern, .trials = 6});
-  EXPECT_EQ(out.cell.rounds.count, 6u);
-  EXPECT_DOUBLE_EQ(out.cell.rounds.min, out.cell.rounds.max);
+  EXPECT_EQ(out.trials.finalize().rounds.count, 6u);
+  EXPECT_DOUBLE_EQ(out.trials.finalize().rounds.min, out.trials.finalize().rounds.max);
 }
 
 TEST(RunFacade, StreamingTrialCsvWritesOneRowPerTrial) {
@@ -303,7 +409,7 @@ TEST(RunFacade, StreamingTrialCsvWritesOneRowPerTrial) {
     spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) { results[i] = r; };
     wu::ThreadPool pool(4);
     const auto out = ws::Run(spec, &pool);
-    EXPECT_EQ(out.cell.trials, 40u);
+    EXPECT_EQ(out.trials.finalize().trials, 40u);
     EXPECT_EQ(sink.rows(), 40u);
   }
   // Parse back: every trial appears exactly once with its own counters.
@@ -378,8 +484,8 @@ TEST(RunFacade, RandomizedMcProtocolsRebuildPerTrial) {
     return wp::make_random_channel_rpd(128, 4, seed);
   };
   const auto out = ws::Run(counting, nullptr);
-  EXPECT_EQ(out.cell.failures, 0u);
+  EXPECT_EQ(out.trials.finalize().failures, 0u);
   // One cell-level construction plus one rebuild per trial.
   EXPECT_EQ(builds.load(), 1u + 16u);
-  EXPECT_GT(out.cell.rounds.max, out.cell.rounds.min);
+  EXPECT_GT(out.trials.finalize().rounds.max, out.trials.finalize().rounds.min);
 }

@@ -341,6 +341,110 @@ TEST(Aggregator, ZeroResamplesDegeneratesCIs) {
   EXPECT_DOUBLE_EQ(stats.rounds_mean_ci.hi, 20.0);
 }
 
+TEST(Aggregator, CompletionCountsCompletedTrialsAndEnergyCountsFailedOnes) {
+  // Full resolution: trials 0 and 3 drain (completion 12 and 20), trial 1
+  // wakes up but does not drain, trial 2 exhausts its budget.  Energy
+  // (stations' slots) lands for all four, the failed trial included.
+  std::vector<ws::SimResult> trials = {
+      trial_result(true, 4, 0, 0), trial_result(true, 6, 0, 0),
+      trial_result(false, -1, 0, 0), trial_result(true, 2, 0, 0)};
+  trials[0].completed = true;
+  trials[0].completion_rounds = 12;
+  trials[3].completed = true;
+  trials[3].completion_rounds = 20;
+  trials[0].station_energy = {3, 5};     // mean 4, max 5
+  trials[1].station_energy = {6, 6, 9};  // mean 7, max 9
+  trials[2].station_energy = {10, 20};   // mean 15, max 20
+  trials[3].station_energy = {1};        // mean 1, max 1
+  we::Aggregator agg(trials.size());
+  for (std::size_t i = 0; i < trials.size(); ++i) agg.add(i, trials[i]);
+
+  const we::CellStats stats = agg.finalize();
+  EXPECT_EQ(stats.failures, 1u);
+  EXPECT_DOUBLE_EQ(stats.success_rate, 0.75);
+  EXPECT_EQ(stats.rounds.count, 3u);
+  EXPECT_DOUBLE_EQ(stats.rounds.mean, 4.0);
+  EXPECT_EQ(stats.completion.count, 2u);
+  EXPECT_DOUBLE_EQ(stats.completion.mean, 16.0);
+  EXPECT_DOUBLE_EQ(stats.completion.min, 12.0);
+  EXPECT_DOUBLE_EQ(stats.completion.max, 20.0);
+  EXPECT_EQ(stats.energy_mean.count, 4u);
+  EXPECT_DOUBLE_EQ(stats.energy_mean.mean, 6.75);  // (4 + 7 + 15 + 1) / 4
+  EXPECT_DOUBLE_EQ(stats.energy_mean.max, 15.0);
+  EXPECT_EQ(stats.energy_max.count, 4u);
+  EXPECT_DOUBLE_EQ(stats.energy_max.mean, 8.75);  // (5 + 9 + 20 + 1) / 4
+  EXPECT_DOUBLE_EQ(stats.energy_max.max, 20.0);
+  EXPECT_DOUBLE_EQ(stats.energy_mean_ci.lo, 6.75);  // no resamples
+  EXPECT_DOUBLE_EQ(stats.energy_mean_ci.hi, 6.75);
+}
+
+TEST(Aggregator, DynamicPoolsLatencyInTrialOrderAndSumsCounts) {
+  const auto dynamic_result = [](std::uint64_t arrivals, std::uint64_t delivered,
+                                 std::uint64_t collisions, std::uint64_t silences,
+                                 std::vector<std::uint64_t> per_station,
+                                 std::vector<double> latency,
+                                 std::vector<std::uint64_t> energy) {
+    ws::DynamicResult r;
+    r.horizon = 10;
+    r.arrivals = arrivals;
+    r.delivered = delivered;
+    r.backlog = arrivals - delivered;
+    r.collisions = collisions;
+    r.silences = silences;
+    r.delivered_per_station = std::move(per_station);
+    r.latency = std::move(latency);
+    r.station_energy = std::move(energy);
+    return r;
+  };
+  // Throughput 0.3 / 0.2 / 0.1, Jain 0.9 / 1 / 0.5, energy means 10 / 5 /
+  // 6 and maxima 10 / 6 / 10.
+  const std::vector<ws::DynamicResult> trials = {
+      dynamic_result(4, 3, 2, 5, {2, 1}, {1, 3, 8}, {10, 10}),
+      dynamic_result(2, 2, 1, 7, {1, 1}, {2, 4}, {4, 6}),
+      dynamic_result(5, 1, 6, 3, {1, 0}, {20}, {10, 2}),
+  };
+  we::Aggregator forward(trials.size(), /*dynamic=*/true);
+  for (std::size_t i = 0; i < trials.size(); ++i) forward.add(i, trials[i]);
+  we::Aggregator backward(trials.size(), /*dynamic=*/true);
+  for (std::size_t i = trials.size(); i-- > 0;) backward.add(i, trials[i]);
+
+  const we::CellStats stats = forward.finalize(500, 42);
+  EXPECT_EQ(stats.trials, 3u);
+  EXPECT_EQ(stats.failures, 0u);
+  EXPECT_DOUBLE_EQ(stats.success_rate, 1.0);
+  EXPECT_EQ(stats.rounds.count, 0u);
+  EXPECT_EQ(stats.packet_arrivals, 11u);
+  EXPECT_EQ(stats.delivered, 6u);
+  EXPECT_EQ(stats.backlog, 5u);
+  EXPECT_DOUBLE_EQ(stats.throughput.mean, 0.2);
+  EXPECT_DOUBLE_EQ(stats.jain.mean, 0.8);
+  EXPECT_DOUBLE_EQ(stats.collisions.mean, 3.0);
+  EXPECT_DOUBLE_EQ(stats.silences.mean, 5.0);
+  // Latency pools every delivered packet: {1, 3, 8, 2, 4, 20}.
+  EXPECT_EQ(stats.latency.count, 6u);
+  EXPECT_DOUBLE_EQ(stats.latency.mean, 38.0 / 6.0);
+  EXPECT_DOUBLE_EQ(stats.latency.median, 3.5);
+  EXPECT_DOUBLE_EQ(stats.latency.min, 1.0);
+  EXPECT_DOUBLE_EQ(stats.latency.max, 20.0);
+  EXPECT_DOUBLE_EQ(stats.energy_mean.mean, 7.0);
+  EXPECT_DOUBLE_EQ(stats.energy_max.mean, 26.0 / 3.0);
+  EXPECT_LE(stats.rounds_mean_ci.lo, stats.throughput.mean);
+  EXPECT_GE(stats.rounds_mean_ci.hi, stats.throughput.mean);
+
+  // Samples are read in trial order whatever the add order: 0.3 + 0.2 +
+  // 0.1 and 0.1 + 0.2 + 0.3 round differently, so the throughput mean
+  // would move by an ulp.
+  const we::CellStats reversed = backward.finalize(500, 42);
+  EXPECT_EQ(reversed.throughput.mean, stats.throughput.mean);
+  EXPECT_EQ(reversed.latency.mean, stats.latency.mean);
+  EXPECT_EQ(reversed.latency.p95, stats.latency.p95);
+  EXPECT_EQ(reversed.packet_arrivals, stats.packet_arrivals);
+  EXPECT_EQ(reversed.rounds_mean_ci.lo, stats.rounds_mean_ci.lo);
+  EXPECT_EQ(reversed.rounds_mean_ci.hi, stats.rounds_mean_ci.hi);
+  EXPECT_EQ(reversed.rounds_median_ci.lo, stats.rounds_median_ci.lo);
+  EXPECT_EQ(reversed.energy_mean_ci.hi, stats.energy_mean_ci.hi);
+}
+
 // -------------------------------------------------------------- manifest --
 
 TEST(Manifest, RecordRoundTrips) {

@@ -466,27 +466,34 @@ int cmd_sweep(const util::Args& args) {
   return 0;
 }
 
+/// `run`'s --n and --channels: in [1, 2^32 − 1].
+std::uint32_t u32_flag(const util::Args& args, const char* key, std::int64_t fallback) {
+  return static_cast<std::uint32_t>(
+      bounded_flag(args, key, fallback, 1, std::numeric_limits<std::uint32_t>::max()));
+}
+
+/// `run`'s --k: in [1, n], except that --pattern-file decouples the
+/// pattern's k from the flag, which then only parameterizes the protocol.
+std::uint32_t k_flag(const util::Args& args) {
+  const std::int64_t hi = args.has("pattern-file") ? std::numeric_limits<std::uint32_t>::max()
+                                                   : u32_flag(args, "n", 1024);
+  return static_cast<std::uint32_t>(bounded_flag(args, "k", 8, 1, hi));
+}
+
 proto::ProtocolPtr build_protocol(const util::Args& args, std::uint64_t seed) {
   proto::ProtocolSpec spec;
   spec.name = args.get("protocol", "wakeup_matrix");
-  spec.n = static_cast<std::uint32_t>(args.get_int("n", 1024));
-  spec.k = static_cast<std::uint32_t>(args.get_int("k", 8));
+  spec.n = u32_flag(args, "n", 1024);
+  spec.k = k_flag(args);
   spec.s = args.get_int("s", 0);
   spec.seed = seed;
   return proto::make_protocol_by_name(spec);
 }
 
-sim::Engine parse_engine(const std::string& label) {
-  if (label == "auto") return sim::Engine::kAuto;
-  if (label == "interpret") return sim::Engine::kInterpret;
-  if (label == "batch") return sim::Engine::kBatch;
-  throw std::invalid_argument("unknown engine: " + label);
-}
-
 proto::McProtocolPtr build_mc_protocol(const util::Args& args, std::uint32_t channels,
                                        std::uint64_t seed) {
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 1024));
-  const auto k = static_cast<std::uint32_t>(args.get_int("k", 8));
+  const std::uint32_t n = u32_flag(args, "n", 1024);
+  const std::uint32_t k = k_flag(args);
   const std::string strategy = args.get("mc", "adapter");
   if (strategy == "adapter") {
     return proto::make_single_channel_adapter(build_protocol(args, seed), channels);
@@ -502,11 +509,11 @@ proto::McProtocolPtr build_mc_protocol(const util::Args& args, std::uint32_t cha
 /// `run --arrival=...` / `run --arrival-file=...`: sustained-load traffic on
 /// per-station packet queues instead of a one-shot wake pattern.
 int cmd_run_dynamic(const util::Args& args) {
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 1024));
-  const auto k = static_cast<std::uint32_t>(args.get_int("k", 8));
-  const auto trials = static_cast<std::uint64_t>(args.get_int("trials", 1));
+  const std::uint32_t n = u32_flag(args, "n", 1024);
+  const std::uint32_t k = k_flag(args);
+  const auto trials = static_cast<std::uint64_t>(bounded_flag(args, "trials", 1, 1, 1'000'000'000));
   const auto base_seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  if (args.get_int("channels", 1) != 1 || args.has("mc")) {
+  if (u32_flag(args, "channels", 1) != 1 || args.has("mc")) {
     throw std::invalid_argument("dynamic traffic is single-channel — drop --channels/--mc");
   }
   if (args.has("trace") || args.get_flag("cd")) {
@@ -526,7 +533,7 @@ int cmd_run_dynamic(const util::Args& args) {
   sim::RunSpec spec;
   spec.trials = trials;
   spec.base_seed = base_seed;
-  spec.sim.engine = parse_engine(args.get("engine", "auto"));
+  spec.sim.engine = exp::parse_engine(args.get("engine", "auto"));
   spec.sim.energy = parse_energy_flag(args);
   spec.impairment = parse_impairment_flags(args);
   spec.make_protocol = [&args](std::uint64_t seed) { return build_protocol(args, seed); };
@@ -549,7 +556,7 @@ int cmd_run_dynamic(const util::Args& args) {
   }
 
   const auto out = sim::Run(spec, own_pool.get());
-  const sim::CellResult& cell = out.cell;
+  const sim::CellStats cell = out.trials.finalize();
 
   std::cout << "protocol: " << build_protocol(args, base_seed)->name() << "\n"
             << "n=" << n << " k=" << k << " arrival=" << arrival.name()
@@ -591,15 +598,17 @@ int cmd_run_dynamic(const util::Args& args) {
 
 int cmd_run(const util::Args& args) {
   if (args.has("arrival") || args.has("arrival-file")) return cmd_run_dynamic(args);
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 1024));
-  const auto k = static_cast<std::uint32_t>(args.get_int("k", 8));
-  const auto trials = static_cast<std::uint64_t>(args.get_int("trials", 1));
+  const std::uint32_t n = u32_flag(args, "n", 1024);
+  const std::uint32_t k = k_flag(args);
+  const auto trials = static_cast<std::uint64_t>(bounded_flag(args, "trials", 1, 1, 1'000'000'000));
   const auto base_seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto channels = static_cast<std::uint32_t>(args.get_int("channels", 1));
+  const std::uint32_t channels = u32_flag(args, "channels", 1);
   const bool multichannel = channels > 1 || args.has("mc");
-  if (multichannel && (args.has("trace") || args.get_flag("cd"))) {
+  if (multichannel && (args.has("trace") || args.get_flag("cd") ||
+                       parse_energy_flag(args) != sim::EnergyModel::kOff)) {
     throw std::invalid_argument(
-        "--trace and --cd are single-channel features; drop --channels/--mc to use them");
+        "--trace, --cd and --energy are single-channel features (the C-channel model accounts "
+        "no energy); drop --channels/--mc to use them");
   }
   const std::string metrics_path = metrics_flag(args);
   const std::string trace_path = trace_path_flag(args);
@@ -626,7 +635,7 @@ int cmd_run(const util::Args& args) {
   spec.trial_csv = csv.get();
   spec.impairment = parse_impairment_flags(args);
   spec.sim.max_slots = args.get_int("max-slots", 0);
-  spec.sim.engine = parse_engine(args.get("engine", "auto"));
+  spec.sim.engine = exp::parse_engine(args.get("engine", "auto"));
   spec.sim.energy = parse_energy_flag(args);
   spec.sim.record_trace = trace_print || !trace_path.empty();
   spec.sim.record_transmitters = spec.sim.record_trace;
@@ -654,31 +663,20 @@ int cmd_run(const util::Args& args) {
   }
 
   std::string name;
-  // Rounds by trial index (-1: no success), so the bootstrap below reads
-  // them in trial order whatever order the pool finishes them in.
-  std::vector<mac::Slot> trial_rounds(trials, -1);
   if (multichannel) {
-    const std::uint32_t c = channels < 1 ? 1 : channels;
-    spec.make_mc_protocol = [&args, c](std::uint64_t seed) {
-      return build_mc_protocol(args, c, seed);
+    spec.make_mc_protocol = [&args, channels](std::uint64_t seed) {
+      return build_mc_protocol(args, channels, seed);
     };
-    name = build_mc_protocol(args, c, base_seed)->name();
-    spec.per_trial_mc = [&](std::uint64_t i, const sim::McSimResult& r) {
-      if (r.success) trial_rounds[i] = r.rounds;
-    };
+    name = build_mc_protocol(args, channels, base_seed)->name();
   } else {
     spec.make_protocol = [&args](std::uint64_t seed) { return build_protocol(args, seed); };
     name = build_protocol(args, base_seed)->name();
-    spec.per_trial = [&](std::uint64_t i, const sim::SimResult& r) {
-      if (r.success) trial_rounds[i] = r.rounds;
-    };
   }
 
   const auto out = sim::Run(spec, own_pool.get());
-  util::Sample rounds;
-  for (const mac::Slot r : trial_rounds) {
-    if (r >= 0) rounds.push(static_cast<double>(r));
-  }
+  // The CI stream is the run's base seed; the collector reads every trial
+  // from its trial slot, so the bracket is thread-count-independent.
+  const sim::CellStats cell = out.trials.finalize(2000, base_seed);
 
   if (trials == 1) {
     sim::SimResult result;
@@ -719,8 +717,8 @@ int cmd_run(const util::Args& args) {
   if (csv) std::cout << "[per-trial csv] " << csv->path() << " (" << csv->rows() << " rows)\n";
   if (spec.sim.energy != sim::EnergyModel::kOff) {
     std::cout << "energy (" << sim::energy_model_name(spec.sim.energy)
-              << "): station mean=" << out.cell.energy_mean.mean
-              << " max=" << out.cell.energy_max.mean << " slots\n";
+              << "): station mean=" << cell.energy_mean.mean
+              << " max=" << cell.energy_max.mean << " slots\n";
   }
   if (!trace_path.empty()) {
     // Single-trial runs carry the slot-by-slot ExecutionTrace; render it as
@@ -735,14 +733,13 @@ int cmd_run(const util::Args& args) {
   }
 
   if (trials > 1) {
-    const auto summary = util::Summary::of(rounds);
-    const auto ci = util::BootstrapCI::of_mean(rounds, 0.95, 2000, base_seed);
-    std::cout << "trials=" << trials << " success=" << rounds.size() << "\n"
-              << "rounds mean=" << summary.mean << " [" << ci.lo << ", " << ci.hi
-              << "]95%  median=" << summary.median << " p95=" << summary.p95
-              << " max=" << summary.max << "\n";
+    const util::Summary& rounds = cell.rounds;
+    std::cout << "trials=" << trials << " success=" << rounds.count << "\n"
+              << "rounds mean=" << rounds.mean << " [" << cell.rounds_mean_ci.lo << ", "
+              << cell.rounds_mean_ci.hi << "]95%  median=" << rounds.median
+              << " p95=" << rounds.p95 << " max=" << rounds.max << "\n";
   }
-  return out.cell.failures == 0 ? 0 : 1;
+  return cell.failures == 0 ? 0 : 1;
 }
 
 int cmd_adversary(const util::Args& args) {
