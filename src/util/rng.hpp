@@ -12,7 +12,11 @@
 ///    lazy transmission-matrix membership, per-trial substream derivation).
 ///  * `Rng` — a stateful xoshiro256** stream for sequential draws
 ///    (wake-pattern generation, randomized protocols, family sampling).
+///    Its generator, `Xoshiro256ss`, steps a GF(2)-linear state, so `jump`
+///    skips any number of draws exactly: the bootstrap CIs
+///    (util/stats.cpp) split one stream into eight lanes this way.
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
@@ -71,10 +75,24 @@ inline constexpr std::uint64_t kCombineAdd = 0x9e3779b97f4a7c15ULL;
 /// xoshiro256** 1.0 — fast, high-quality 256-bit-state generator.
 class Xoshiro256ss {
  public:
+  /// A polynomial over GF(2) of degree < 256: bit b of word i is the
+  /// coefficient of x^(64i + b), the layout of the reference
+  /// implementation's JUMP and LONG_JUMP constants.
+  using Jump = std::array<std::uint64_t, 4>;
+
   /// Seeds the four state words via SplitMix64 (never all-zero).
   explicit constexpr Xoshiro256ss(std::uint64_t seed) noexcept : s_{} {
     std::uint64_t sm = seed;
     for (auto& w : s_) w = splitmix64_next(sm);
+  }
+
+  /// Resumes a stream from its state words (never all-zero).
+  explicit constexpr Xoshiro256ss(const std::array<std::uint64_t, 4>& state) noexcept
+      : s_(state) {}
+
+  /// The state words s[0..4) of the reference implementation.
+  [[nodiscard]] constexpr const std::array<std::uint64_t, 4>& state() const noexcept {
+    return s_;
   }
 
   [[nodiscard]] constexpr std::uint64_t next() noexcept {
@@ -95,11 +113,28 @@ class Xoshiro256ss {
   static constexpr result_type max() noexcept { return ~0ULL; }
   constexpr result_type operator()() noexcept { return next(); }
 
+  /// Exactly what `m` calls of next() do to the state.
+  void advance(std::uint64_t m) noexcept { jump(jump_for(m)); }
+
+  /// s <- q(A)·s, where A is next()'s linear map on the state: 256 steps
+  /// that sum the states whose coefficient in q is set, as the reference
+  /// jump() does for its constant.
+  void jump(const Jump& q) noexcept;
+
+  /// x^m mod P, where P is A's characteristic polynomial, so that
+  /// jump(jump_for(m)) = A^m by Cayley–Hamilton: one product per set bit
+  /// of m over a table of x^(2^j).
+  [[nodiscard]] static Jump jump_for(std::uint64_t m) noexcept;
+
+  /// x^(2^j) mod P by j squarings; j = 128 and 192 are the reference
+  /// JUMP and LONG_JUMP constants.
+  [[nodiscard]] static Jump jump_pow2(unsigned j) noexcept;
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int r) noexcept {
     return (x << r) | (x >> (64 - r));
   }
-  std::uint64_t s_[4];
+  std::array<std::uint64_t, 4> s_;
 };
 
 /// Convenience wrapper with the uniform/bernoulli draws the library needs.
@@ -131,7 +166,8 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
+  /// Uniform integer in [lo, hi] inclusive; lo >= hi returns lo.  Any
+  /// range is defined, the full int64 one included.
   [[nodiscard]] std::int64_t uniform_range(std::int64_t lo, std::int64_t hi) noexcept;
 
   /// Uniform double in [0, 1) with 53 bits of precision.

@@ -69,8 +69,36 @@ void hash_below_scalar(const std::uint64_t* prefix, const std::uint64_t* bound,
   }
 }
 
+/// Eight Xoshiro256ss lanes, two at a time so that their steps overlap and
+/// each pair's states stay in registers; the reduction is Rng::uniform's
+/// multiply.
+bool draw_lanes_scalar(std::uint64_t* state, std::uint64_t bound, std::size_t rounds,
+                       std::uint32_t* out) {
+  const auto resume = [&](std::size_t l) {
+    return util::Xoshiro256ss({state[l], state[8 + l], state[16 + l], state[24 + l]});
+  };
+  std::uint64_t flagged = 0;
+  for (std::size_t l = 0; l < 8; l += 2) {
+    util::Xoshiro256ss a = resume(l);
+    util::Xoshiro256ss b = resume(l + 1);
+    for (std::size_t d = 0; d < rounds; ++d) {
+      const __uint128_t ma = static_cast<__uint128_t>(a.next()) * bound;
+      const __uint128_t mb = static_cast<__uint128_t>(b.next()) * bound;
+      out[8 * d + l] = static_cast<std::uint32_t>(ma >> 64);
+      out[8 * d + l + 1] = static_cast<std::uint32_t>(mb >> 64);
+      flagged |= static_cast<std::uint64_t>(static_cast<std::uint64_t>(ma) < bound) |
+                 static_cast<std::uint64_t>(static_cast<std::uint64_t>(mb) < bound);
+    }
+    for (std::size_t w = 0; w < 4; ++w) {
+      state[8 * w + l] = a.state()[w];
+      state[8 * w + l + 1] = b.state()[w];
+    }
+  }
+  return flagged != 0;
+}
+
 constexpr Kernels kScalar{or_accumulate_scalar, masked_popcount_pair_scalar, hash_below_scalar,
-                          "scalar"};
+                          draw_lanes_scalar, "scalar"};
 
 // --------------------------------------------------------------- AVX2 --
 
@@ -136,7 +164,7 @@ __attribute__((target("avx2"))) void masked_popcount_pair_avx2(
 }
 
 constexpr Kernels kAvx2{or_accumulate_avx2, masked_popcount_pair_avx2, hash_below_scalar,
-                        "avx2"};
+                        draw_lanes_scalar, "avx2"};
 
 // ------------------------------------------------------------ AVX-512 --
 
@@ -152,6 +180,11 @@ __attribute__((target("avx512f,avx512dq"))) inline __m512i shl64(__m512i x, unsi
 
 __attribute__((target("avx512f,avx512dq"))) inline __m512i shr64(__m512i x, unsigned n) {
   return reinterpret_cast<__m512i>(reinterpret_cast<U64x8>(x) >> n);
+}
+
+__attribute__((target("avx512f,avx512dq"))) inline __m512i rotl64(__m512i x, unsigned n) {
+  const auto v = reinterpret_cast<U64x8>(x);
+  return reinterpret_cast<__m512i>((v << n) | (v >> (64 - n)));  // one vprolq
 }
 
 /// The scalar twin eight lanes at a time: each 8-slot group of the window
@@ -187,8 +220,51 @@ __attribute__((target("avx512f,avx512dq"))) void hash_below_avx512(
   }
 }
 
+/// The scalar twin with lane l in 64-bit element l of four registers.  The
+/// multiplies by 5 and 9 are shift-adds.  For bound < 2³², x·bound comes
+/// from two vpmuludq products of x's 32-bit halves: with x = xh·2³² + xl,
+/// the high word is (xh·bound + ⌊xl·bound / 2³²⌋) >> 32, a sum that stays
+/// below 2⁶⁴, and the low word is xl·bound + (xh·bound << 32) mod 2⁶⁴.  The
+/// maskz forms give each intrinsic an explicit source, which GCC 12's
+/// unmasked ones lack (-Wuninitialized).
+__attribute__((target("avx512f,avx512dq"))) bool draw_lanes_avx512(std::uint64_t* state,
+                                                                   std::uint64_t bound,
+                                                                   std::size_t rounds,
+                                                                   std::uint32_t* out) {
+  __m512i s0 = _mm512_loadu_si512(state);
+  __m512i s1 = _mm512_loadu_si512(state + 8);
+  __m512i s2 = _mm512_loadu_si512(state + 16);
+  __m512i s3 = _mm512_loadu_si512(state + 24);
+  const __m512i n = _mm512_set1_epi64(static_cast<long long>(bound));
+  constexpr __mmask8 kAll = 0xff;
+  __mmask8 flagged = 0;
+  for (std::size_t d = 0; d < rounds; ++d) {
+    const __m512i r = rotl64(_mm512_add_epi64(s1, shl64(s1, 2)), 7);  // rotl(s1 * 5, 7)
+    const __m512i x = _mm512_add_epi64(r, shl64(r, 3));                // r * 9
+    const __m512i t = shl64(s1, 17);
+    s2 = _mm512_xor_si512(s2, s0);
+    s3 = _mm512_xor_si512(s3, s1);
+    s1 = _mm512_xor_si512(s1, s2);
+    s0 = _mm512_xor_si512(s0, s3);
+    s2 = _mm512_xor_si512(s2, t);
+    s3 = rotl64(s3, 45);
+    const __m512i low_product = _mm512_maskz_mul_epu32(kAll, x, n);
+    const __m512i high_product = _mm512_maskz_mul_epu32(kAll, shr64(x, 32), n);
+    const __m512i j = shr64(_mm512_add_epi64(high_product, shr64(low_product, 32)), 32);
+    const __m512i low = _mm512_add_epi64(low_product, shl64(high_product, 32));
+    flagged |= _mm512_cmplt_epu64_mask(low, n);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * d),
+                        _mm512_maskz_cvtepi64_epi32(kAll, j));
+  }
+  _mm512_storeu_si512(state, s0);
+  _mm512_storeu_si512(state + 8, s1);
+  _mm512_storeu_si512(state + 16, s2);
+  _mm512_storeu_si512(state + 24, s3);
+  return flagged != 0;
+}
+
 constexpr Kernels kAvx512{or_accumulate_avx2, masked_popcount_pair_avx2, hash_below_avx512,
-                          "avx512"};
+                          draw_lanes_avx512, "avx512"};
 
 #endif  // WAKEUP_SIMD_X86
 
@@ -238,7 +314,7 @@ void masked_popcount_pair_neon(const std::uint64_t* any, const std::uint64_t* mu
 }
 
 constexpr Kernels kNeon{or_accumulate_neon, masked_popcount_pair_neon, hash_below_scalar,
-                        "neon"};
+                        draw_lanes_scalar, "neon"};
 
 #endif  // WAKEUP_SIMD_NEON
 

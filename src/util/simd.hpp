@@ -2,7 +2,8 @@
 
 /// \file simd.hpp
 /// Word-matrix kernels of the tile core (sim/batch_engine.cpp), which
-/// serves static, C-lane and dynamic runs alike.
+/// serves static, C-lane and dynamic runs alike, and the lane draws of the
+/// bootstrap CIs (util/stats.cpp).
 ///
 /// The core resolves channel contention over a *station-major word
 /// matrix*: one row of W consecutive 64-slot schedule words per live
@@ -25,18 +26,25 @@
 /// by every station (a non-adaptive schedule is one fixed 0/1 matrix, so
 /// all stations read the same column at a slot).
 ///
+/// The bootstrap adds a fifth, `draw_lanes`: eight xoshiro256** streams
+/// stepped in lockstep, each draw reduced to [0, bound) by Lemire's
+/// multiply as util::Rng::uniform does, with a flag on every draw where
+/// uniform could have rejected.  The CIs jump one stream to eight
+/// starting points (Xoshiro256ss::jump) and draw eight resamples at once.
+///
 /// Each primitive has a portable std::uint64_t implementation and, when
 /// the build enables WAKEUP_SIMD, vectorized variants: AVX2 on x86-64
 /// (picked at runtime via cpuid), an AVX-512F/DQ rung above it whose
-/// `hash_below` mixes 8 lanes at once (`vpmullq`; the word kernels stay
-/// AVX2), and NEON on arm64.  Tables without a vector `hash_below` carry
-/// the scalar twin.  Selection is one atomic table pointer;
-/// `set_force_scalar` (or the WAKEUP_FORCE_SCALAR environment variable,
-/// read once at startup) pins the scalar table so tests and benches can
-/// compare the paths bit for bit in-process.  All kernels are exact — the
-/// SIMD and scalar tables must produce identical outputs for identical
-/// inputs (tests/test_simd_kernels.cpp), so engine results never depend on
-/// the host ISA.
+/// `hash_below` mixes 8 lanes at once (`vpmullq`) and whose `draw_lanes`
+/// holds the eight states in four registers (the word kernels stay AVX2),
+/// and NEON on arm64.  Tables without a vector `hash_below` or
+/// `draw_lanes` carry the scalar twin.  Selection is one atomic table
+/// pointer; `set_force_scalar` (or the WAKEUP_FORCE_SCALAR environment
+/// variable, read once at startup) pins the scalar table so tests and
+/// benches can compare the paths bit for bit in-process.  All kernels are
+/// exact — the SIMD and scalar tables must produce identical outputs for
+/// identical inputs (tests/test_simd_kernels.cpp), so engine results and
+/// CIs never depend on the host ISA.
 
 #include <cstddef>
 #include <cstdint>
@@ -53,6 +61,14 @@ inline constexpr std::size_t kNoBit = static_cast<std::size_t>(-1);
 /// and popcount(multi[w] & mask[w]) to *collisions.  `hash_below` writes,
 /// for every i < count, out[i] = the word whose bit j (j < 64) is
 /// util::hash_combine(prefix[j], keys[i]) < bound[j].
+///
+/// `draw_lanes` steps eight xoshiro256** streams `rounds` times; word w of
+/// lane l's state is state[8w + l], and the call leaves the stepped states
+/// there.  With x lane l's output in round d, out[8d + l] = ⌊x·bound / 2⁶⁴⌋,
+/// which is util::Rng::uniform(bound) whenever uniform does not reject.
+/// It returns true iff some round's low word x·bound mod 2⁶⁴ is below
+/// bound, a superset of the draws uniform rejects.  Requires
+/// 1 <= bound < 2³².
 struct Kernels {
   void (*or_accumulate)(std::uint64_t* any, std::uint64_t* multi, const std::uint64_t* row,
                         std::size_t words);
@@ -61,6 +77,8 @@ struct Kernels {
                                std::uint64_t* silences, std::uint64_t* collisions);
   void (*hash_below)(const std::uint64_t* prefix, const std::uint64_t* bound,
                      const std::uint64_t* keys, std::size_t count, std::uint64_t* out);
+  bool (*draw_lanes)(std::uint64_t* state, std::uint64_t bound, std::size_t rounds,
+                     std::uint32_t* out);
   const char* name;  ///< "scalar", "avx2", "avx512", "neon"
 };
 

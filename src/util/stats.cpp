@@ -8,6 +8,7 @@
 
 #include "util/math.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace wakeup::util {
 
@@ -25,21 +26,150 @@ double sorted_quantile(const std::vector<double>& sorted, double p) {
 
 /// Sets the percentile ends of `ci` from the resampled statistics: the
 /// values a full sort would put at ranks floor(q * (R - 1)) for q = alpha
-/// and 1 - alpha, found by two selections.
-void set_percentile_ends(std::vector<double>& stats, BootstrapCI& ci) {
+/// and 1 - alpha.  One pass counts the statistics into buckets
+/// ⌊(x − min)·scale⌋, which IEEE rounding keeps monotone in x, so each
+/// bucket holds a contiguous run of ranks; a second pass copies out the
+/// one or two buckets that hold the two ranks, and each rank is selected
+/// inside its bucket.  No pass over the statistics branches on them, so
+/// unlike a selection over all R of them none mispredicts.
+void set_percentile_ends(const std::vector<double>& stats, BootstrapCI& ci) {
   const double alpha = (1.0 - ci.level) / 2.0;
+  const std::size_t size = stats.size();
   const auto rank = [&](double q) {
-    return static_cast<std::size_t>(q * static_cast<double>(stats.size() - 1));
+    return static_cast<std::size_t>(q * static_cast<double>(size - 1));
   };
-  const std::size_t lo = rank(alpha);
-  const std::size_t hi = rank(1.0 - alpha);
-  const auto at = [&](std::size_t r) { return stats.begin() + static_cast<std::ptrdiff_t>(r); };
-  std::nth_element(stats.begin(), at(lo), stats.end());
-  ci.lo = stats[lo];
-  // Everything past `lo` is now the upper order statistics, so the second
-  // selection only needs that tail.
-  if (hi > lo) std::nth_element(at(lo + 1), at(hi), stats.end());
-  ci.hi = stats[hi];
+  double min = stats[0];
+  double max = stats[0];
+  for (const double x : stats) {
+    min = x < min ? x : min;
+    max = x > max ? x : max;
+  }
+  const double spread = max - min;
+  if (!(spread > 0.0)) {  // max == min: every rank holds the one value
+    ci.lo = ci.hi = min;
+    return;
+  }
+  // An infinite spread gets one bucket, as x - min may be inf or NaN; the
+  // comparison below sends both to the last bucket.  Buckets fit in int64_t,
+  // whose conversion from double is one instruction.
+  const std::int64_t buckets = std::isfinite(spread) ? static_cast<std::int64_t>(size / 4 + 1) : 1;
+  const double scale = static_cast<double>(buckets) / spread;
+  const auto bucket_of = [&](double x) {
+    const double t = (x - min) * scale;
+    return t < static_cast<double>(buckets - 1) ? static_cast<std::int64_t>(t) : buckets - 1;
+  };
+  std::vector<std::size_t> counts(static_cast<std::size_t>(buckets));
+  for (const double x : stats) ++counts[static_cast<std::size_t>(bucket_of(x))];
+
+  struct Band {
+    std::size_t rank;
+    std::int64_t bucket = 0;
+    std::size_t below = 0;  // statistics in earlier buckets
+    std::vector<double> values{};
+    std::size_t size = 0;
+  };
+  std::array<Band, 2> bands{Band{rank(alpha)}, Band{rank(1.0 - alpha)}};
+  for (Band& band : bands) {
+    const auto count = [&] { return counts[static_cast<std::size_t>(band.bucket)]; };
+    for (; band.below + count() <= band.rank; ++band.bucket) band.below += count();
+    band.values.resize(count() + 1);
+  }
+  // Every statistic is written, and only a band's own advance its size.
+  for (const double x : stats) {
+    const std::int64_t b = bucket_of(x);
+    for (Band& band : bands) {
+      band.values[band.size] = x;
+      band.size += static_cast<std::size_t>(b == band.bucket);
+    }
+  }
+  const auto select = [](Band& band) {
+    const auto at = band.values.begin() + static_cast<std::ptrdiff_t>(band.rank - band.below);
+    std::nth_element(band.values.begin(), at,
+                     band.values.begin() + static_cast<std::ptrdiff_t>(band.size));
+    return *at;
+  };
+  ci.lo = select(bands[0]);
+  ci.hi = select(bands[1]);
+}
+
+constexpr std::size_t kLanes = 8;
+
+/// Resamples each lane draws: ⌈R/8⌉.
+std::uint64_t lane_resamples(std::uint64_t resamples) {
+  return resamples / kLanes + static_cast<std::uint64_t>(resamples % kLanes != 0);
+}
+
+/// x^distance mod P for the lane jump, cached per thread: a cell-sharded
+/// sweep finalizes cells concurrently, and one thread sees only a few
+/// distances (one per sample size).
+Xoshiro256ss::Jump lane_jump(std::uint64_t distance) {
+  struct Entry {
+    std::uint64_t distance;
+    Xoshiro256ss::Jump jump;
+  };
+  thread_local std::array<Entry, 8> cache{};
+  thread_local std::size_t filled = 0;
+  for (std::size_t i = 0; i < std::min(filled, cache.size()); ++i) {
+    if (cache[i].distance == distance) return cache[i].jump;
+  }
+  Entry& slot = cache[filled++ % cache.size()];
+  slot = {distance, Xoshiro256ss::jump_for(distance)};
+  return slot.jump;
+}
+
+/// Draws R resamples of n indices into [0, n) exactly as R·n calls of
+/// Rng(stream_seed).uniform(n) would, in blocks: `fold(picks, rounds,
+/// lanes)` receives picks[lanes·d + l], lane l's d-th index of the block,
+/// for d < rounds, with `lanes` a std::integral_constant, and each lane's
+/// indices arrive in stream order.  After a resample's n indices,
+/// `done(lane, r)` closes resample r of that lane, and must leave the
+/// lane's state clear.
+///
+/// Lane l of eight covers resamples [l·L, (l + 1)·L), L = ⌈R/8⌉, and
+/// starts at draw l·L·n of the stream (Xoshiro256ss::jump); the lanes draw
+/// in lockstep through simd::draw_lanes, and the last ones may close
+/// resamples in [R, 8L), which the caller discards.  A draw the kernel
+/// flags is one where uniform could reject and shift every later draw
+/// (probability < n/2⁶⁴), so a flag sends the whole stream through one
+/// serial lane instead, as does n >= 2³², which the kernel's multiply
+/// does not reach.
+template <class Fold, class Done>
+void resample_stream(std::uint64_t stream_seed, std::size_t n, std::uint64_t resamples,
+                     Fold&& fold, Done&& done) {
+  constexpr std::size_t kRounds = 256;
+  const std::uint64_t per_lane = lane_resamples(resamples);
+  std::uint64_t distance = 0;
+  if (n < (std::uint64_t{1} << 32) && !__builtin_mul_overflow(per_lane, n, &distance)) {
+    std::array<std::uint64_t, 4 * kLanes> state;
+    Xoshiro256ss lane(stream_seed);
+    const Xoshiro256ss::Jump jump = lane_jump(distance);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      if (l > 0) lane.jump(jump);
+      for (std::size_t w = 0; w < 4; ++w) state[kLanes * w + l] = lane.state()[w];
+    }
+    const simd::Kernels& kernels = simd::active();
+    std::array<std::uint32_t, kRounds * kLanes> picks;
+    bool flagged = false;
+    for (std::uint64_t step = 0; step < per_lane && !flagged; ++step) {
+      for (std::size_t drawn = 0; drawn < n; drawn += kRounds) {
+        const std::size_t rounds = std::min(kRounds, n - drawn);
+        flagged |= kernels.draw_lanes(state.data(), n, rounds, picks.data());
+        fold(picks.data(), rounds, std::integral_constant<std::size_t, kLanes>{});
+      }
+      for (std::size_t l = 0; l < kLanes; ++l) done(l, l * per_lane + step);
+    }
+    if (!flagged) return;
+  }
+  Rng rng(stream_seed);
+  std::array<std::uint64_t, kRounds> picks;
+  for (std::uint64_t r = 0; r < resamples; ++r) {
+    for (std::size_t drawn = 0; drawn < n; drawn += kRounds) {
+      const std::size_t rounds = std::min(kRounds, n - drawn);
+      for (std::size_t d = 0; d < rounds; ++d) picks[d] = rng.uniform(n);
+      fold(picks.data(), rounds, std::integral_constant<std::size_t, 1>{});
+    }
+    done(0, r);
+  }
 }
 
 /// Percentile-bootstrap CIs of the means of K samples of one size on the
@@ -62,19 +192,36 @@ std::array<BootstrapCI, K> mean_cis(const std::array<const Sample*, K>& samples,
   std::array<std::vector<double>, K> means;
   for (std::size_t k = 0; k < K; ++k) {
     values[k] = samples[k]->values().data();
-    means[k].resize(resamples);
+    means[k].resize(kLanes * lane_resamples(resamples));
   }
-  Rng rng(hash_words({seed, 0x424f4f54ULL /* "BOOT" */}));
+  std::array<std::array<double, kLanes>, K> sums{};
   const auto size = static_cast<double>(n);
-  for (std::uint64_t r = 0; r < resamples; ++r) {
-    std::array<double, K> acc{};
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t j = rng.uniform(n);
-      for (std::size_t k = 0; k < K; ++k) acc[k] += values[k][j];
-    }
-    for (std::size_t k = 0; k < K; ++k) means[k][r] = acc[k] / size;
+  resample_stream(
+      hash_words({seed, 0x424f4f54ULL /* "BOOT" */}), n, resamples,
+      [&](const auto* picks, std::size_t rounds, auto lanes) {
+        // Local sums, which the value loads cannot alias, and lanes
+        // interleaved, so that each add waits on its lane's previous one only.
+        constexpr std::size_t kWidth = decltype(lanes)::value;
+        std::array<std::array<double, kWidth>, K> acc;
+        for (std::size_t k = 0; k < K; ++k) std::copy_n(sums[k].begin(), kWidth, acc[k].begin());
+        for (std::size_t d = 0; d < rounds; ++d) {
+          for (std::size_t l = 0; l < kWidth; ++l) {
+            const std::size_t j = picks[kWidth * d + l];
+            for (std::size_t k = 0; k < K; ++k) acc[k][l] += values[k][j];
+          }
+        }
+        for (std::size_t k = 0; k < K; ++k) std::copy_n(acc[k].begin(), kWidth, sums[k].begin());
+      },
+      [&](std::size_t lane, std::uint64_t r) {
+        for (std::size_t k = 0; k < K; ++k) {
+          means[k][r] = sums[k][lane] / size;
+          sums[k][lane] = 0.0;
+        }
+      });
+  for (std::size_t k = 0; k < K; ++k) {
+    means[k].resize(resamples);
+    set_percentile_ends(means[k], cis[k]);
   }
-  for (std::size_t k = 0; k < K; ++k) set_percentile_ends(means[k], cis[k]);
   return cis;
 }
 
@@ -189,47 +336,61 @@ BootstrapCI BootstrapCI::of_quantile(const Sample& sample, double p, double leve
   const std::size_t n = values.size();
   if (n == 0) return ci;
 
-  // Sort once.  rank_of[i] is the sorted position of values[i]; tied values
-  // get adjacent positions holding equal values, so any of them reads the
-  // same order statistic.
+  // Sort once into tie classes: class c holds the c-th smallest distinct
+  // value, so a resample's order statistic at rank k is the value of the
+  // first class whose running draw count exceeds k.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return values[a] < values[b]; });
   std::vector<double> sorted(n);
-  std::vector<std::size_t> rank_of(n);
+  std::vector<double> classes;
+  std::vector<std::size_t> class_of(n);
   for (std::size_t s = 0; s < n; ++s) {
     sorted[s] = values[order[s]];
-    rank_of[order[s]] = s;
+    if (s == 0 || sorted[s - 1] < sorted[s]) classes.push_back(sorted[s]);
+    class_of[order[s]] = classes.size() - 1;
   }
   ci.mean = sorted_quantile(sorted, p);
   ci.lo = ci.hi = ci.mean;
   if (n < 2 || resamples == 0) return ci;
 
-  // Distinct stream tag from of_mean so the two CIs of one cell draw
-  // independent resamples even when seeded identically.
-  Rng rng(hash_words({seed, 0x51424f4f54ULL /* "QBOOT" */}));
   const double clamped_p = std::clamp(p, 0.0, 1.0);
   const double pos = clamped_p * static_cast<double>(n - 1);
   const auto lo_rank = static_cast<std::size_t>(pos);
   const std::size_t hi_rank = std::min(lo_rank + 1, n - 1);
   const double frac = pos - static_cast<double>(lo_rank);
-  // A resample is its per-position draw counts; its order statistic at
-  // rank k is the sorted value at the first position whose running count
-  // exceeds k.
-  std::vector<std::uint32_t> counts(n);
-  std::vector<double> quantiles(resamples);
-  for (std::uint64_t r = 0; r < resamples; ++r) {
-    for (std::size_t i = 0; i < n; ++i) ++counts[rank_of[rng.uniform(n)]];
-    std::size_t s = 0;
-    std::uint64_t seen = counts[0];
-    while (seen <= lo_rank) seen += counts[++s];
-    const double lo_value = sorted[s];
-    while (seen <= hi_rank) seen += counts[++s];
-    const double hi_value = sorted[s];
-    quantiles[r] = lo_value * (1.0 - frac) + hi_value * frac;
-    std::fill(counts.begin(), counts.end(), 0U);
-  }
+  const std::size_t m = classes.size();
+  std::vector<std::size_t> counts(kLanes * m);  // lane l's class counts at [l·m, (l + 1)·m)
+  std::vector<double> quantiles(kLanes * lane_resamples(resamples));
+  // Distinct stream tag from of_mean so the two CIs of one cell draw
+  // independent resamples even when seeded identically.
+  resample_stream(
+      hash_words({seed, 0x51424f4f54ULL /* "QBOOT" */}), n, resamples,
+      [&](const auto* picks, std::size_t rounds, auto lanes) {
+        // Lanes interleaved, so that a lane's increments land far apart.
+        constexpr std::size_t kWidth = decltype(lanes)::value;
+        for (std::size_t d = 0; d < rounds; ++d) {
+          for (std::size_t l = 0; l < kWidth; ++l) ++counts[l * m + class_of[picks[kWidth * d + l]]];
+        }
+      },
+      [&](std::size_t lane, std::uint64_t r) {
+        // The order statistic at rank k is the first class whose running
+        // count exceeds k, i.e. the number of classes whose running count
+        // does not; one pass over the classes, clearing them.
+        std::size_t* const count = counts.data() + lane * m;
+        std::size_t seen = 0;
+        std::size_t lo_class = 0;
+        std::size_t hi_class = 0;
+        for (std::size_t c = 0; c < m; ++c) {
+          seen += count[c];
+          count[c] = 0;
+          lo_class += static_cast<std::size_t>(seen <= lo_rank);
+          hi_class += static_cast<std::size_t>(seen <= hi_rank);
+        }
+        quantiles[r] = classes[lo_class] * (1.0 - frac) + classes[hi_class] * frac;
+      });
+  quantiles.resize(resamples);
   set_percentile_ends(quantiles, ci);
   return ci;
 }

@@ -106,29 +106,40 @@ struct LinearFit {
 };
 
 /// Percentile bootstrap confidence interval for the mean of a sample.
+///
+/// Resample r of R is n draws of Rng::uniform(n) on one seeded stream, taken
+/// in stream order.  The draws run in eight lanes: lane l takes resamples
+/// [l·⌈R/8⌉, (l + 1)·⌈R/8⌉) from its own exact jump into the stream
+/// (Xoshiro256ss::jump) through util::simd::draw_lanes, so every CI is
+/// bit-identical to one serial pass on every kernel table.  The percentile
+/// ends are the order statistics at ranks floor(q·(R − 1)), q = (1 − level)/2
+/// and 1 − q.
 struct BootstrapCI {
   double mean = 0.0;
   double lo = 0.0;
   double hi = 0.0;
   double level = 0.95;
 
-  /// Resamples `resamples` times with replacement (seeded, deterministic).
-  /// Degenerate samples (size < 2) return [mean, mean].
+  /// Resamples `resamples` times with replacement on the "BOOT" stream of
+  /// `seed`; each resampled mean adds its draws in stream order and divides
+  /// by n.  Degenerate samples (size < 2) return [mean, mean].
   [[nodiscard]] static BootstrapCI of_mean(const Sample& sample, double level,
                                            std::uint64_t resamples, std::uint64_t seed);
 
   /// {of_mean(a, ...), of_mean(b, ...)}, bit for bit.  When the samples
   /// have one size the two calls would draw the same resample indices, so
-  /// they share one draw pass.
+  /// they share one pass, each lane summing both samples per draw.
   [[nodiscard]] static std::pair<BootstrapCI, BootstrapCI> of_means(const Sample& a,
                                                                     const Sample& b, double level,
                                                                     std::uint64_t resamples,
                                                                     std::uint64_t seed);
 
-  /// Same percentile bootstrap for the p-quantile of a sample (`mean` holds
-  /// the point estimate, i.e. sample.quantile(p)).  The cell collector
-  /// (sim/cell_trials.hpp) uses p = 0.5 for median CIs alongside the mean
-  /// CIs.
+  /// Same percentile bootstrap for the p-quantile of a sample, on the
+  /// "QBOOT" stream (`mean` holds the point estimate, i.e.
+  /// sample.quantile(p)).  Each resample counts its draws per tie class
+  /// (equal values share a class) and reads its order statistics off the
+  /// running counts.  The cell collector (sim/cell_trials.hpp) uses p = 0.5
+  /// for median CIs alongside the mean CIs.
   [[nodiscard]] static BootstrapCI of_quantile(const Sample& sample, double p, double level,
                                                std::uint64_t resamples, std::uint64_t seed);
 };

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -114,15 +116,24 @@ wu::Sample real_sample(std::size_t n, std::uint64_t seed) {
   return s;
 }
 
+/// n copies of one value: one tie class, and every resampled statistic equal.
+wu::Sample equal_sample(std::size_t n) {
+  wu::Sample s;
+  for (std::size_t i = 0; i < n; ++i) s.push(6.5);
+  return s;
+}
+
 const std::size_t kSizes[] = {0, 1, 2, 3, 32, 48, 257};
 const double kLevels[] = {0.5, 0.95, 0.999};
-const std::uint64_t kResamples[] = {1, 2, 2000};
+// The resamples are drawn in eight lanes of ⌈R/8⌉: R = 1, 2, 7 and 9 leave
+// empty lanes, 9 and 1003 a short last one, 8 and 2000 fill every lane.
+const std::uint64_t kResamples[] = {1, 2, 7, 8, 9, 1003, 2000};
 
 }  // namespace
 
 TEST(BootstrapCI, OfMeanMatchesTheNaiveReferenceBitForBit) {
   for (const std::size_t n : kSizes) {
-    for (const wu::Sample& s : {tied_sample(n, n), real_sample(n, n)}) {
+    for (const wu::Sample& s : {tied_sample(n, n), real_sample(n, n), equal_sample(n)}) {
       for (const double level : kLevels) {
         for (const std::uint64_t resamples : kResamples) {
           SCOPED_TRACE(testing::Message() << "n=" << n << " level=" << level
@@ -137,7 +148,7 @@ TEST(BootstrapCI, OfMeanMatchesTheNaiveReferenceBitForBit) {
 
 TEST(BootstrapCI, OfQuantileMatchesTheNaiveReferenceBitForBit) {
   for (const std::size_t n : kSizes) {
-    for (const wu::Sample& s : {tied_sample(n, n + 1), real_sample(n, n + 1)}) {
+    for (const wu::Sample& s : {tied_sample(n, n + 1), real_sample(n, n + 1), equal_sample(n)}) {
       for (const double p : {0.0, 0.25, 0.5, 0.95, 1.0}) {
         for (const double level : kLevels) {
           for (const std::uint64_t resamples : kResamples) {
@@ -185,6 +196,51 @@ TEST(BootstrapCI, SelectionEdgeCases) {
   const auto top = wu::BootstrapCI::of_quantile(s, 1.0, 0.95, 2000, 4);
   expect_same_ci(top, naive_of_quantile(s, 1.0, 0.95, 2000, 4));
   EXPECT_LE(top.hi, s.max());
+}
+
+TEST(BootstrapCI, ConcurrentCallsMatchTheNaiveReference) {
+  // Cell-sharded sweeps finalize cells on several threads at once, each
+  // with its own cache of lane jumps.  Twelve (n, R) pairs give each
+  // thread more jump distances than its cache holds.
+  struct Case {
+    wu::Sample rounds;
+    wu::Sample energy;
+    std::uint64_t resamples;
+    std::uint64_t seed;
+    std::array<wu::BootstrapCI, 3> want;  // mean, energy mean, median
+  };
+  std::vector<Case> cases;
+  for (const std::size_t n : {12, 32, 45, 48}) {
+    for (const std::uint64_t resamples : {9, 1003, 2000}) {
+      const std::uint64_t seed = 100 * n + resamples;
+      Case c{tied_sample(n, seed), real_sample(n, seed + 1), resamples, seed, {}};
+      c.want = {naive_of_mean(c.rounds, 0.95, resamples, seed),
+                naive_of_mean(c.energy, 0.95, resamples, seed),
+                naive_of_quantile(c.rounds, 0.5, 0.95, resamples, seed)};
+      cases.push_back(std::move(c));
+    }
+  }
+  const auto same = [](const wu::BootstrapCI& a, const wu::BootstrapCI& b) {
+    return bits(a.mean) == bits(b.mean) && bits(a.lo) == bits(b.lo) && bits(a.hi) == bits(b.hi);
+  };
+  std::array<std::size_t, 4> mismatches{};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread computes every case, starting at its own offset.
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        const Case& c = cases[(i + 3 * t) % cases.size()];
+        const auto [mean, energy] =
+            wu::BootstrapCI::of_means(c.rounds, c.energy, 0.95, c.resamples, c.seed);
+        const auto median = wu::BootstrapCI::of_quantile(c.rounds, 0.5, 0.95, c.resamples, c.seed);
+        mismatches[t] += static_cast<std::size_t>(!same(mean, c.want[0])) +
+                         static_cast<std::size_t>(!same(energy, c.want[1])) +
+                         static_cast<std::size_t>(!same(median, c.want[2]));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < 4; ++t) EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
 }
 
 TEST(BootstrapCI, ContainsTrueMeanForTightSample) {

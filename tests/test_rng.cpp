@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -72,6 +74,29 @@ TEST(Rng, UniformRangeDegenerate) {
   wu::Rng rng(17);
   EXPECT_EQ(rng.uniform_range(5, 5), 5);
   EXPECT_EQ(rng.uniform_range(5, 4), 5);  // inverted: returns lo
+}
+
+TEST(Rng, UniformRangeSpansPastInt64) {
+  // hi - lo overflows int64_t on both ranges; the draw is the unsigned-span
+  // formula, and the full range is one raw draw offset by lo.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  wu::Rng rng(43), ref(43);
+  for (int i = 0; i < 200; ++i) {
+    const std::int64_t v = rng.uniform_range(-2, kMax);
+    EXPECT_GE(v, -2);
+    const std::uint64_t span = static_cast<std::uint64_t>(kMax) + 3;
+    EXPECT_EQ(v, static_cast<std::int64_t>(static_cast<std::uint64_t>(-2) + ref.uniform(span)));
+  }
+  bool saw_negative = false, saw_positive = false;
+  for (int i = 0; i < 200; ++i) {
+    const std::int64_t v = rng.uniform_range(kMin, kMax);
+    EXPECT_EQ(v, static_cast<std::int64_t>(static_cast<std::uint64_t>(kMin) + ref.next_u64()));
+    saw_negative = saw_negative || v < 0;
+    saw_positive = saw_positive || v > 0;
+  }
+  EXPECT_TRUE(saw_negative);
+  EXPECT_TRUE(saw_positive);
 }
 
 TEST(Rng, Uniform01InHalfOpenInterval) {
@@ -172,4 +197,30 @@ TEST(Xoshiro, KnownNonZeroOutput) {
   bool nonzero = false;
   for (int i = 0; i < 8; ++i) nonzero = nonzero || gen.next() != 0;
   EXPECT_TRUE(nonzero);
+}
+
+TEST(Xoshiro, AdvanceEqualsRepeatedNext) {
+  for (const std::uint64_t m : {0ULL, 1ULL, 255ULL, 256ULL, 257ULL, 12000ULL}) {
+    wu::Xoshiro256ss jumped(1234), stepped(1234);
+    jumped.advance(m);
+    for (std::uint64_t i = 0; i < m; ++i) (void)stepped.next();
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(jumped.next(), stepped.next()) << "m=" << m;
+  }
+  // 2^40 + 12345 draws are too many to step, so the table product that
+  // advance() forms is held to forty squarings of x and 12345 steps.
+  wu::Xoshiro256ss jumped(99), stepped(99);
+  jumped.advance((std::uint64_t{1} << 40) + 12345);
+  stepped.jump(wu::Xoshiro256ss::jump_pow2(40));
+  for (int i = 0; i < 12345; ++i) (void)stepped.next();
+  EXPECT_EQ(jumped.state(), stepped.state());
+}
+
+TEST(Xoshiro, SquaringReproducesTheReferenceJumpConstants) {
+  using Jump = wu::Xoshiro256ss::Jump;
+  EXPECT_EQ(wu::Xoshiro256ss::jump_pow2(128),
+            (Jump{0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
+                  0x39abdc4529b1661cULL}));
+  EXPECT_EQ(wu::Xoshiro256ss::jump_pow2(192),
+            (Jump{0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL, 0x77710069854ee241ULL,
+                  0x39109bb02acbe635ULL}));
 }

@@ -2,14 +2,16 @@
 /// when built and supported, scalar otherwise) must match a naive
 /// reference — and the scalar table — bit for bit on randomized inputs, so
 /// engine results never depend on the host ISA.  hash_below's scalar twin
-/// is held to util::hash_combine and every compiled rung to the twin.
-/// Also pins the force-scalar override and the first_set_below edge cases
-/// the engines rely on.
+/// is held to util::hash_combine, draw_lanes' to util::Rng::uniform, and
+/// every compiled rung to the twin.  Also pins the force-scalar override,
+/// draw_lanes' rejection flag and the first_set_below edge cases the
+/// engines rely on.
 
 #include "util/simd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstring>
 #include <vector>
@@ -228,6 +230,88 @@ TEST(SimdKernels, HashBelowAvx512MatchesScalarTwin) {
                  << tables.best->name << ")";
   }
   expect_rung_matches_scalar(*tables.best, *tables.scalar);
+}
+
+namespace {
+
+const std::uint64_t kLaneBounds[] = {2, 3, 48, (std::uint64_t{1} << 32) - 1};
+
+/// Eight lanes in draw_lanes' layout, lane l seeded as Xoshiro256ss(seed + l).
+std::array<std::uint64_t, 32> lane_states(std::uint64_t seed) {
+  std::array<std::uint64_t, 32> state{};
+  for (std::size_t l = 0; l < 8; ++l) {
+    const wu::Xoshiro256ss lane(seed + l);
+    for (std::size_t w = 0; w < 4; ++w) state[8 * w + l] = lane.state()[w];
+  }
+  return state;
+}
+
+struct LaneDraws {
+  std::vector<std::uint32_t> out;
+  std::array<std::uint64_t, 32> state;
+  bool flagged;
+};
+
+LaneDraws draw_lanes_through(const simd::Kernels& table, std::array<std::uint64_t, 32> state,
+                             std::uint64_t bound, std::size_t rounds) {
+  LaneDraws draws{std::vector<std::uint32_t>(8 * rounds, 0xdeadbeef), state, false};
+  draws.flagged = table.draw_lanes(draws.state.data(), bound, rounds, draws.out.data());
+  return draws;
+}
+
+}  // namespace
+
+TEST(SimdKernels, DrawLanesScalarTwinMatchesUniform) {
+  const simd::Kernels& scalar = *scalar_and_best().scalar;
+  for (const std::uint64_t bound : kLaneBounds) {
+    const LaneDraws draws = draw_lanes_through(scalar, lane_states(bound), bound, 300);
+    // No flag: no draw of these streams is one uniform could reject.
+    ASSERT_FALSE(draws.flagged) << "bound " << bound;
+    for (std::size_t l = 0; l < 8; ++l) {
+      wu::Rng rng(bound + l);
+      for (std::size_t d = 0; d < 300; ++d) {
+        ASSERT_EQ(draws.out[8 * d + l], rng.uniform(bound)) << "bound " << bound << " lane " << l;
+      }
+      wu::Xoshiro256ss stepped(bound + l);
+      for (std::size_t d = 0; d < 300; ++d) (void)stepped.next();
+      for (std::size_t w = 0; w < 4; ++w) EXPECT_EQ(draws.state[8 * w + l], stepped.state()[w]);
+    }
+  }
+}
+
+TEST(SimdKernels, DrawLanesAvx512MatchesScalarTwin) {
+  const Tables tables = scalar_and_best();
+  if (std::strcmp(tables.best->name, "avx512") != 0) {
+    GTEST_SKIP() << "AVX-512F/DQ rung not built or not supported here (dispatching "
+                 << tables.best->name << ")";
+  }
+  for (const std::uint64_t bound : kLaneBounds) {
+    for (const std::size_t rounds : {0, 1, 5, 300}) {
+      const auto state = lane_states(7 * bound + rounds);
+      const LaneDraws want = draw_lanes_through(*tables.scalar, state, bound, rounds);
+      const LaneDraws got = draw_lanes_through(*tables.best, state, bound, rounds);
+      EXPECT_EQ(got.out, want.out) << "bound " << bound << " rounds " << rounds;
+      EXPECT_EQ(got.state, want.state) << "bound " << bound << " rounds " << rounds;
+      EXPECT_EQ(got.flagged, want.flagged) << "bound " << bound << " rounds " << rounds;
+    }
+  }
+}
+
+TEST(SimdKernels, DrawLanesFlagsALowWordBelowTheBound) {
+  // s1 = 0 makes a lane's next output rotl(0 · 5, 7) · 9 = 0, whose low
+  // word 0 is below every bound: the draw Rng::uniform would reject.
+  const Tables tables = scalar_and_best();
+  for (const simd::Kernels* table : {tables.scalar, tables.best}) {
+    for (const std::uint64_t bound : kLaneBounds) {
+      auto state = lane_states(bound);
+      state[8 * 1 + 5] = 0;  // lane 5's s1
+      const LaneDraws draws = draw_lanes_through(*table, state, bound, 3);
+      EXPECT_TRUE(draws.flagged) << table->name << " bound " << bound;
+      EXPECT_EQ(draws.out[5], 0u) << table->name << " bound " << bound;
+      // The same lanes without the crafted state raise nothing.
+      EXPECT_FALSE(draw_lanes_through(*table, lane_states(bound), bound, 3).flagged);
+    }
+  }
 }
 
 TEST(SimdKernels, ForceScalarPinsTheScalarTable) {
