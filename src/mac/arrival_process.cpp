@@ -1,11 +1,15 @@
 #include "mac/arrival_process.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 
 #include "util/dynamic_bitset.hpp"
+#include "util/simd.hpp"
 
 namespace wakeup::mac {
 namespace {
@@ -148,13 +152,19 @@ std::vector<StationId> choose_stations(std::uint32_t n, std::uint32_t k, util::R
   return out;
 }
 
-/// `rng.bernoulli(p)` decided on the raw draw against
+/// Station u's own substream: it depends only on the rng's seed and u —
+/// split() leaves the rng itself untouched — so drawing the stations in id
+/// order changes no draw.
+util::Rng station_substream(const util::Rng& rng, StationId u) {
+  return rng.split(0x414252ULL /* "ARR" */ ^ (std::uint64_t{u} << 24));
+}
+
+/// `rng.bernoulli(p)` as a lane coin, decided on the raw draw against
 /// util::bernoulli_threshold(p): the same draws — none when p <= 0 or
 /// p >= 1 — and the same outcomes.
-auto coin(double p) {
+util::simd::LaneCoin lane_coin(double p) {
   const bool draws = !(p <= 0.0) && !(p >= 1.0);
-  const std::uint64_t threshold = draws ? util::bernoulli_threshold(p) : 0;
-  return [=](util::Rng& rng) { return draws ? rng.next_u64() < threshold : p >= 1.0; };
+  return {draws ? util::bernoulli_threshold(p) : 0, draws, p >= 1.0};
 }
 
 // Each stream appends one station's arrival slots, ascending, drawing from
@@ -172,19 +182,6 @@ void poisson_stream(double per_station_rate, Slot horizon, util::Rng rng,
     return static_cast<Slot>(std::log(u) / log_q);
   };
   for (Slot t = gap(); t < horizon; t += 1 + gap()) out.push_back(t);
-}
-
-void bursty_stream(double per_station_rate, double switch_p, Slot horizon, util::Rng rng,
-                   std::vector<Slot>& out) {
-  // Symmetric on/off modulator: half the slots are ON in expectation, so the
-  // ON-state arrival probability is doubled to preserve the offered load.
-  const auto arrive = coin(std::min(1.0, 2.0 * per_station_rate));
-  const auto toggle = coin(switch_p);
-  bool on = rng.bernoulli(0.5);
-  for (Slot t = 0; t < horizon; ++t) {
-    if (on && arrive(rng)) out.push_back(t);
-    if (toggle(rng)) on = !on;
-  }
 }
 
 void pareto_stream(double per_station_rate, double alpha, Slot horizon, util::Rng rng,
@@ -206,6 +203,69 @@ void pareto_stream(double per_station_rate, double alpha, Slot horizon, util::Rn
   }
 }
 
+/// The bursty streams of a station list, eight stations at a time:
+/// `stream(i, out)` draws the lane group that starts at station i, then
+/// appends lane i mod 8's slots.  Each lane resumes its station's
+/// substream after the initial on/off coin, and util::simd's bursty_lanes
+/// draws the rest in lockstep, a chunk of slots per call.
+class BurstyLanes {
+ public:
+  BurstyLanes(double per_station_rate, double switch_p, Slot horizon, const util::Rng& rng,
+              std::span<const StationId> stations)
+      // Symmetric on/off modulator: half the slots are ON in expectation, so
+      // the ON-state arrival probability is doubled to preserve the offered
+      // load.
+      : arrive_(lane_coin(std::min(1.0, 2.0 * per_station_rate))),
+        flip_(lane_coin(switch_p)),
+        horizon_(horizon),
+        rng_(rng),
+        stations_(stations) {}
+
+  void stream(std::size_t i, std::vector<Slot>& out) {
+    if (i % kLanes == 0) draw(stations_.subspan(i, std::min(kLanes, stations_.size() - i)));
+    const std::vector<Slot>& lane = lanes_[i % kLanes];
+    out.insert(out.end(), lane.begin(), lane.end());
+  }
+
+ private:
+  static constexpr std::size_t kLanes = 8;
+  static constexpr std::size_t kChunk = 4096;
+
+  void draw(std::span<const StationId> group) {
+    std::array<std::uint64_t, 4 * kLanes> state{};
+    std::uint8_t live = 0, on = 0;
+    for (std::size_t l = 0; l < group.size(); ++l) {
+      util::Rng sub = station_substream(rng_, group[l]);
+      live |= static_cast<std::uint8_t>(1u << l);
+      on |= static_cast<std::uint8_t>(static_cast<unsigned>(sub.bernoulli(0.5)) << l);
+      for (std::size_t w = 0; w < 4; ++w) state[kLanes * w + l] = sub.state()[w];
+      lanes_[l].clear();
+    }
+    const util::simd::Kernels& kernels = util::simd::active();
+    std::array<std::uint8_t, kChunk> arrived;
+    for (Slot from = 0; from < horizon_; from += static_cast<Slot>(kChunk)) {
+      const auto slots = static_cast<std::size_t>(std::min<Slot>(kChunk, horizon_ - from));
+      kernels.bursty_lanes(state.data(), live, &on, arrive_, flip_, slots, arrived.data());
+      // Eight slots' masks per word: bit 8j + l is lane l's arrival at
+      // slot from + t + j.
+      for (std::size_t t = 0; t < slots; t += 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, arrived.data() + t, std::min<std::size_t>(8, slots - t));
+        for (; word != 0; word &= word - 1) {
+          const auto bit = static_cast<unsigned>(std::countr_zero(word));
+          lanes_[bit % kLanes].push_back(from + static_cast<Slot>(t + bit / kLanes));
+        }
+      }
+    }
+  }
+
+  util::simd::LaneCoin arrive_, flip_;
+  Slot horizon_;
+  const util::Rng& rng_;
+  std::span<const StationId> stations_;
+  std::array<std::vector<Slot>, kLanes> lanes_;
+};
+
 }  // namespace
 
 DynamicScenario generate(const ArrivalSpec& spec, std::uint32_t n, std::uint32_t k, Slot horizon,
@@ -225,20 +285,19 @@ DynamicScenario generate(const ArrivalSpec& spec, std::uint32_t n, std::uint32_t
   scenario.slots_.reserve(static_cast<std::size_t>(
       std::min({spec.rate * static_cast<double>(horizon) * 1.25 + 16.0, 1e8,
                 static_cast<double>(stations.size()) * static_cast<double>(horizon)})));
-  for (StationId u : stations) {
-    // Independent per-station substream: station u's stream depends only on
-    // the rng's seed and u — split() leaves the rng itself untouched — so
-    // drawing the stations in id order changes no draw.
-    const util::Rng sub = rng.split(0x414252ULL /* "ARR" */ ^ (std::uint64_t{u} << 24));
+  BurstyLanes bursty(per_station_rate, spec.param, horizon, rng, stations);
+  for (std::size_t i = 0; i < stations.size(); ++i) {
+    const StationId u = stations[i];
     switch (spec.kind) {
       case ArrivalKind::kPoisson:
-        poisson_stream(per_station_rate, horizon, sub, scenario.slots_);
+        poisson_stream(per_station_rate, horizon, station_substream(rng, u), scenario.slots_);
         break;
       case ArrivalKind::kBursty:
-        bursty_stream(per_station_rate, spec.param, horizon, sub, scenario.slots_);
+        bursty.stream(i, scenario.slots_);
         break;
       case ArrivalKind::kPareto:
-        pareto_stream(per_station_rate, spec.param, horizon, sub, scenario.slots_);
+        pareto_stream(per_station_rate, spec.param, horizon, station_substream(rng, u),
+                      scenario.slots_);
         break;
       case ArrivalKind::kReplay:
         break;  // unreachable, rejected above

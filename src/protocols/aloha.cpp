@@ -50,6 +50,9 @@ class AlohaStation final : public DynamicStation {
     return true;
   }
 
+  /// Memoryless: no feedback changes a coin.
+  [[nodiscard]] bool hears_others() const override { return false; }
+
  private:
   double p_;
   util::Rng rng_;

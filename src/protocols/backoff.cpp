@@ -83,6 +83,9 @@ class BackoffStation final : public DynamicStation {
     if (delivered) window_ = std::max<std::uint64_t>(window_ / 2, initial_window_);
   }
 
+  /// Only an own delivery moves the window.
+  [[nodiscard]] bool hears_others() const override { return false; }
+
  private:
   void open_window(Slot start) {
     window_end_ = start + static_cast<Slot>(window_);

@@ -66,9 +66,10 @@ class StationRuntime {
 /// backlogged: `transmits(t)`, then `feedback(t, ...)`.  The owner may skip
 /// every slot before `next_event`: a skipped slot gets no `transmits` call,
 /// and its `feedback` only when the slot was a success (another station's,
-/// so `delivered` is false) — successes are always delivered, and the owner
-/// asks `next_event` again afterwards.  While the queue is empty no calls
-/// are made; the next `packet_start` resumes at a strictly later slot.
+/// so `delivered` is false) — delivered to stations that hear others
+/// (`hears_others`), which the owner then asks `next_event` again.  While
+/// the queue is empty no calls are made; the next `packet_start` resumes
+/// at a strictly later slot.
 class DynamicStation {
  public:
   virtual ~DynamicStation() = default;
@@ -91,6 +92,12 @@ class DynamicStation {
 
   /// Does this station transmit in slot t?
   [[nodiscard]] virtual bool transmits(Slot t) = 0;
+
+  /// Can another station's success in a slot this station skipped change
+  /// its state or its next `next_event` answer?  Asked once, when the
+  /// station is made.  False lets the owner skip that `feedback` and the
+  /// `next_event` after it; the default, true, hears them all.
+  [[nodiscard]] virtual bool hears_others() const { return true; }
 
   /// What the station heard in slot t; `delivered` is true exactly when the
   /// slot's success was this station's own head-of-line packet (in which

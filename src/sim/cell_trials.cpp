@@ -82,6 +82,9 @@ CellStats CellTrials::finalize(std::uint64_t ci_resamples, std::uint64_t ci_seed
     // resolves, so there is no exhaustion to fail on.
     stats.success_rate = 1.0;
     util::Sample jain, latency;
+    std::size_t pooled = 0;
+    for (const DynamicSlot& slot : dynamic_slots_) pooled += slot.latency.size();
+    latency.reserve(pooled);
     for (const DynamicSlot& slot : dynamic_slots_) {
       headline.push(slot.throughput);
       jain.push(slot.jain);

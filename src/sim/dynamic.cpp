@@ -97,6 +97,9 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
   // next[i]: the next slot at which station i must be visited — its own
   // next_event, or the arrival into its empty queue.
   std::vector<mac::Slot> next(m);
+  // busy: bit i while station i is backlogged (busy_since != kIdle);
+  // hearing: bit i when station i hears others' successes.
+  std::vector<std::uint64_t> busy((m + 63) / 64, 0), hearing((m + 63) / 64, 0);
   for (std::size_t i = 0; i < m; ++i) {
     Active& st = stations[i];
     const mac::StationId id = result.stations[i];
@@ -111,6 +114,7 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
     }
     st.dyn = protocol.make_dynamic_station(id);
     if (st.dyn == nullptr) st.dyn = std::make_unique<PerPacketStation>(protocol, id);
+    if (st.dyn->hears_others()) hearing[i / 64] |= std::uint64_t{1} << (i % 64);
     next[i] = st.next_arrival();
   }
 
@@ -125,8 +129,6 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
   mac::Slot quiet_from = 0;
   // Per visited slot: the stations due, then those asked to transmit.
   std::vector<std::size_t> due(m), asked(m);
-  // Bit i: station i is backlogged (busy_since != kIdle).
-  std::vector<std::uint64_t> busy((m + 63) / 64, 0);
 
   while (true) {
     mac::Slot t = kNever;
@@ -175,15 +177,22 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
       continue;
     }
 
-    // A success reaches every backlogged, following station — adaptive
-    // stations count the successes they hear — and each asks again.
+    // A success reaches the stations asked at t and every other
+    // backlogged, following station that hears others — adaptive stations
+    // count the successes they hear — and each asks again.
+    const auto hear_success = [&](std::size_t i) {
+      Active& st = stations[i];
+      st.dyn->feedback(t, mac::ChannelFeedback::kSuccess, i == sender);
+      if (i != sender) next[i] = st.next_visit(t + 1);
+    };
+    for (std::size_t a = 0; a < n_asked; ++a) {
+      const std::size_t i = asked[a];
+      if ((hearing[i / 64] >> (i % 64) & 1) == 0) hear_success(i);
+    }
     for (std::size_t w = 0; w < busy.size(); ++w) {
-      for (std::uint64_t bits = busy[w]; bits != 0; bits &= bits - 1) {
+      for (std::uint64_t bits = busy[w] & hearing[w]; bits != 0; bits &= bits - 1) {
         const std::size_t i = 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
-        Active& st = stations[i];
-        if (t >= st.end) continue;
-        st.dyn->feedback(t, mac::ChannelFeedback::kSuccess, i == sender);
-        if (i != sender) next[i] = st.next_visit(t + 1);
+        if (t < stations[i].end) hear_success(i);
       }
     }
 

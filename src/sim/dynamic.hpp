@@ -22,10 +22,13 @@
 ///    (`proto::DynamicStation`).  It jumps from event to event: a slot is
 ///    visited only when some station's `next_event` or an arrival into an
 ///    empty queue falls on it, and the skipped slots are charged in bulk.
-///    Stations keeping the default `next_event` (every oblivious protocol,
-///    through its per-packet runtimes) are visited on every backlogged
-///    slot.  The test file keeps a per-slot loop, with per-slot copies of
-///    the re-contenders, as the reference the skipping is checked against.
+///    A success is told to the stations asked at its slot and to the
+///    backlogged ones that hear others (`hears_others`); the rest skip
+///    it.  Stations keeping the default `next_event` (every oblivious
+///    protocol, through its per-packet runtimes) are visited on every
+///    backlogged slot.  The test file keeps a per-slot loop, with per-slot
+///    copies of the re-contenders, as the reference the skipping is
+///    checked against.
 ///  - `run_dynamic_batch` — the word-parallel engine for oblivious
 ///    protocols: a thin driver over the word-matrix tile core of
 ///    sim/batch_engine.hpp, which static and C-lane runs share.  Each

@@ -147,6 +147,12 @@ class Rng {
 
   [[nodiscard]] std::uint64_t next_u64() noexcept { return gen_.next(); }
 
+  /// The generator's state words (Xoshiro256ss::state): the stream
+  /// resumes from them in the bursty arrival lanes.
+  [[nodiscard]] const std::array<std::uint64_t, 4>& state() const noexcept {
+    return gen_.state();
+  }
+
   /// Uniform integer in [0, bound). bound == 0 returns 0.  Inline so hot
   /// draw loops (bootstrap resampling) keep the generator state in registers.
   [[nodiscard]] std::uint64_t uniform(std::uint64_t bound) noexcept {

@@ -1,5 +1,6 @@
 #include "util/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
@@ -97,8 +98,29 @@ bool draw_lanes_scalar(std::uint64_t* state, std::uint64_t bound, std::size_t ro
   return flagged != 0;
 }
 
+/// One lane at a time: the per-station stream, its coins in integer form.
+void bursty_lanes_scalar(std::uint64_t* state, std::uint8_t live, std::uint8_t* on,
+                         LaneCoin arrive, LaneCoin flip, std::size_t slots, std::uint8_t* out) {
+  const auto lands = [](const LaneCoin& coin, util::Xoshiro256ss& lane) {
+    return coin.draws ? lane.next() < coin.threshold : coin.always;
+  };
+  std::fill(out, out + slots, std::uint8_t{0});
+  for (std::size_t l = 0; l < 8; ++l) {
+    const auto bit = static_cast<std::uint8_t>(1u << l);
+    if ((live & bit) == 0) continue;
+    util::Xoshiro256ss lane({state[l], state[8 + l], state[16 + l], state[24 + l]});
+    bool lane_on = (*on & bit) != 0;
+    for (std::size_t t = 0; t < slots; ++t) {
+      if (lane_on && lands(arrive, lane)) out[t] |= bit;
+      if (lands(flip, lane)) lane_on = !lane_on;
+    }
+    for (std::size_t w = 0; w < 4; ++w) state[8 * w + l] = lane.state()[w];
+    *on = static_cast<std::uint8_t>(lane_on ? *on | bit : *on & ~bit);
+  }
+}
+
 constexpr Kernels kScalar{or_accumulate_scalar, masked_popcount_pair_scalar, hash_below_scalar,
-                          draw_lanes_scalar, "scalar"};
+                          draw_lanes_scalar,    bursty_lanes_scalar,         "scalar"};
 
 // --------------------------------------------------------------- AVX2 --
 
@@ -164,7 +186,7 @@ __attribute__((target("avx2"))) void masked_popcount_pair_avx2(
 }
 
 constexpr Kernels kAvx2{or_accumulate_avx2, masked_popcount_pair_avx2, hash_below_scalar,
-                        draw_lanes_scalar, "avx2"};
+                        draw_lanes_scalar,  bursty_lanes_scalar,       "avx2"};
 
 // ------------------------------------------------------------ AVX-512 --
 
@@ -220,8 +242,42 @@ __attribute__((target("avx512f,avx512dq"))) void hash_below_avx512(
   }
 }
 
-/// The scalar twin with lane l in 64-bit element l of four registers.  The
-/// multiplies by 5 and 9 are shift-adds.  For bound < 2³², x·bound comes
+/// Eight xoshiro256** states, lane l in 64-bit element l of each word's
+/// register.
+struct XoshiroLanes {
+  __m512i s0, s1, s2, s3;
+};
+
+__attribute__((target("avx512f,avx512dq"))) inline XoshiroLanes load_lanes(
+    const std::uint64_t* state) {
+  return {_mm512_loadu_si512(state), _mm512_loadu_si512(state + 8),
+          _mm512_loadu_si512(state + 16), _mm512_loadu_si512(state + 24)};
+}
+
+__attribute__((target("avx512f,avx512dq"))) inline void store_lanes(const XoshiroLanes& s,
+                                                                    std::uint64_t* state) {
+  _mm512_storeu_si512(state, s.s0);
+  _mm512_storeu_si512(state + 8, s.s1);
+  _mm512_storeu_si512(state + 16, s.s2);
+  _mm512_storeu_si512(state + 24, s.s3);
+}
+
+/// Xoshiro256ss::next on every lane: returns the eight outputs and steps
+/// the states.  The multiplies by 5 and 9 are shift-adds.
+__attribute__((target("avx512f,avx512dq"))) inline __m512i next_lanes(XoshiroLanes& s) {
+  const __m512i r = rotl64(_mm512_add_epi64(s.s1, shl64(s.s1, 2)), 7);  // rotl(s1 * 5, 7)
+  const __m512i x = _mm512_add_epi64(r, shl64(r, 3));                    // r * 9
+  const __m512i t = shl64(s.s1, 17);
+  s.s2 = _mm512_xor_si512(s.s2, s.s0);
+  s.s3 = _mm512_xor_si512(s.s3, s.s1);
+  s.s1 = _mm512_xor_si512(s.s1, s.s2);
+  s.s0 = _mm512_xor_si512(s.s0, s.s3);
+  s.s2 = _mm512_xor_si512(s.s2, t);
+  s.s3 = rotl64(s.s3, 45);
+  return x;
+}
+
+/// The scalar twin on next_lanes.  For bound < 2³², x·bound comes
 /// from two vpmuludq products of x's 32-bit halves: with x = xh·2³² + xl,
 /// the high word is (xh·bound + ⌊xl·bound / 2³²⌋) >> 32, a sum that stays
 /// below 2⁶⁴, and the low word is xl·bound + (xh·bound << 32) mod 2⁶⁴.  The
@@ -231,23 +287,12 @@ __attribute__((target("avx512f,avx512dq"))) bool draw_lanes_avx512(std::uint64_t
                                                                    std::uint64_t bound,
                                                                    std::size_t rounds,
                                                                    std::uint32_t* out) {
-  __m512i s0 = _mm512_loadu_si512(state);
-  __m512i s1 = _mm512_loadu_si512(state + 8);
-  __m512i s2 = _mm512_loadu_si512(state + 16);
-  __m512i s3 = _mm512_loadu_si512(state + 24);
+  XoshiroLanes s = load_lanes(state);
   const __m512i n = _mm512_set1_epi64(static_cast<long long>(bound));
   constexpr __mmask8 kAll = 0xff;
   __mmask8 flagged = 0;
   for (std::size_t d = 0; d < rounds; ++d) {
-    const __m512i r = rotl64(_mm512_add_epi64(s1, shl64(s1, 2)), 7);  // rotl(s1 * 5, 7)
-    const __m512i x = _mm512_add_epi64(r, shl64(r, 3));                // r * 9
-    const __m512i t = shl64(s1, 17);
-    s2 = _mm512_xor_si512(s2, s0);
-    s3 = _mm512_xor_si512(s3, s1);
-    s1 = _mm512_xor_si512(s1, s2);
-    s0 = _mm512_xor_si512(s0, s3);
-    s2 = _mm512_xor_si512(s2, t);
-    s3 = rotl64(s3, 45);
+    const __m512i x = next_lanes(s);
     const __m512i low_product = _mm512_maskz_mul_epu32(kAll, x, n);
     const __m512i high_product = _mm512_maskz_mul_epu32(kAll, shr64(x, 32), n);
     const __m512i j = shr64(_mm512_add_epi64(high_product, shr64(low_product, 32)), 32);
@@ -256,15 +301,48 @@ __attribute__((target("avx512f,avx512dq"))) bool draw_lanes_avx512(std::uint64_t
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * d),
                         _mm512_maskz_cvtepi64_epi32(kAll, j));
   }
-  _mm512_storeu_si512(state, s0);
-  _mm512_storeu_si512(state + 8, s1);
-  _mm512_storeu_si512(state + 16, s2);
-  _mm512_storeu_si512(state + 24, s3);
+  store_lanes(s, state);
   return flagged != 0;
 }
 
+/// next_lanes on the lanes in `mask`; the others keep their states, and
+/// their outputs are not draws.
+__attribute__((target("avx512f,avx512dq"))) inline __m512i next_lanes_masked(XoshiroLanes& s,
+                                                                            __mmask8 mask) {
+  XoshiroLanes stepped = s;
+  const __m512i x = next_lanes(stepped);
+  s.s0 = _mm512_mask_mov_epi64(s.s0, mask, stepped.s0);
+  s.s1 = _mm512_mask_mov_epi64(s.s1, mask, stepped.s1);
+  s.s2 = _mm512_mask_mov_epi64(s.s2, mask, stepped.s2);
+  s.s3 = _mm512_mask_mov_epi64(s.s3, mask, stepped.s3);
+  return x;
+}
+
+/// The scalar twin with the lanes' on/off states in one mask register:
+/// each slot is one masked step for the arrival coins of the lanes that
+/// are on and one for every live lane's flip coin.
+__attribute__((target("avx512f,avx512dq"))) void bursty_lanes_avx512(
+    std::uint64_t* state, std::uint8_t live, std::uint8_t* on, LaneCoin arrive, LaneCoin flip,
+    std::size_t slots, std::uint8_t* out) {
+  XoshiroLanes s = load_lanes(state);
+  const __m512i arrive_below = _mm512_set1_epi64(static_cast<long long>(arrive.threshold));
+  const __m512i flip_below = _mm512_set1_epi64(static_cast<long long>(flip.threshold));
+  const __mmask8 flip_always = flip.always ? live : 0;
+  __mmask8 lanes_on = *on & live;
+  for (std::size_t t = 0; t < slots; ++t) {
+    out[t] = arrive.draws ? _mm512_mask_cmplt_epu64_mask(lanes_on, next_lanes_masked(s, lanes_on),
+                                                         arrive_below)
+                          : (arrive.always ? lanes_on : 0);
+    lanes_on ^= flip.draws
+                    ? _mm512_mask_cmplt_epu64_mask(live, next_lanes_masked(s, live), flip_below)
+                    : flip_always;
+  }
+  store_lanes(s, state);
+  *on = static_cast<std::uint8_t>((*on & ~live) | lanes_on);
+}
+
 constexpr Kernels kAvx512{or_accumulate_avx2, masked_popcount_pair_avx2, hash_below_avx512,
-                          draw_lanes_avx512, "avx512"};
+                          draw_lanes_avx512,  bursty_lanes_avx512,       "avx512"};
 
 #endif  // WAKEUP_SIMD_X86
 
@@ -314,7 +392,7 @@ void masked_popcount_pair_neon(const std::uint64_t* any, const std::uint64_t* mu
 }
 
 constexpr Kernels kNeon{or_accumulate_neon, masked_popcount_pair_neon, hash_below_scalar,
-                        draw_lanes_scalar, "neon"};
+                        draw_lanes_scalar,  bursty_lanes_scalar,       "neon"};
 
 #endif  // WAKEUP_SIMD_NEON
 

@@ -32,19 +32,24 @@
 /// uniform could have rejected.  The CIs jump one stream to eight
 /// starting points (Xoshiro256ss::jump) and draw eight resamples at once.
 ///
+/// The arrival streams add a sixth, `bursty_lanes`: the on/off bursty
+/// streams of eight stations (mac/arrival_process.cpp), each lane one
+/// station's substream, stepped slot by slot in lockstep.
+///
 /// Each primitive has a portable std::uint64_t implementation and, when
 /// the build enables WAKEUP_SIMD, vectorized variants: AVX2 on x86-64
 /// (picked at runtime via cpuid), an AVX-512F/DQ rung above it whose
 /// `hash_below` mixes 8 lanes at once (`vpmullq`) and whose `draw_lanes`
-/// holds the eight states in four registers (the word kernels stay AVX2),
-/// and NEON on arm64.  Tables without a vector `hash_below` or
-/// `draw_lanes` carry the scalar twin.  Selection is one atomic table
-/// pointer; `set_force_scalar` (or the WAKEUP_FORCE_SCALAR environment
-/// variable, read once at startup) pins the scalar table so tests and
-/// benches can compare the paths bit for bit in-process.  All kernels are
-/// exact — the SIMD and scalar tables must produce identical outputs for
-/// identical inputs (tests/test_simd_kernels.cpp), so engine results and
-/// CIs never depend on the host ISA.
+/// and `bursty_lanes` hold the eight states in four registers (the word
+/// kernels stay AVX2), and NEON on arm64.  Tables without a vector
+/// `hash_below`, `draw_lanes` or `bursty_lanes` carry the scalar twin.
+/// Selection is one atomic table pointer; `set_force_scalar` (or the
+/// WAKEUP_FORCE_SCALAR environment variable, read once at startup) pins
+/// the scalar table so tests and benches can compare the paths bit for
+/// bit in-process.  All kernels are exact — the SIMD and scalar tables
+/// must produce identical outputs for identical inputs
+/// (tests/test_simd_kernels.cpp), so engine results and CIs never depend
+/// on the host ISA.
 
 #include <cstddef>
 #include <cstdint>
@@ -53,6 +58,16 @@ namespace wakeup::util::simd {
 
 /// Sentinel returned by `first_set_below` when no bit qualifies.
 inline constexpr std::size_t kNoBit = static_cast<std::size_t>(-1);
+
+/// A Bernoulli coin as `bursty_lanes` tosses it.  A coin that `draws`
+/// steps its lane's stream once and lands when the draw is below
+/// `threshold` (util::bernoulli_threshold); one that does not draw lands
+/// iff `always`.
+struct LaneCoin {
+  std::uint64_t threshold;
+  bool draws;
+  bool always;
+};
 
 /// One implementation of the kernel suite.  `or_accumulate` folds a
 /// station row into the running reduction: for every word w < words,
@@ -69,6 +84,14 @@ inline constexpr std::size_t kNoBit = static_cast<std::size_t>(-1);
 /// It returns true iff some round's low word x·bound mod 2⁶⁴ is below
 /// bound, a superset of the draws uniform rejects.  Requires
 /// 1 <= bound < 2³².
+///
+/// `bursty_lanes` steps eight on/off streams `slots` slots, in draw_lanes'
+/// state layout; bit l of *on is lane l's on/off state, and only the
+/// lanes set in `live` move.  In each slot t, every live lane that is on
+/// tosses `arrive`, and bit l of out[t] is set when lane l's lands; then
+/// every live lane tosses `flip`, and turns over when it lands.  The call
+/// leaves the stepped states and the on bits in place; lanes outside
+/// `live` keep theirs and never arrive.
 struct Kernels {
   void (*or_accumulate)(std::uint64_t* any, std::uint64_t* multi, const std::uint64_t* row,
                         std::size_t words);
@@ -79,6 +102,8 @@ struct Kernels {
                      const std::uint64_t* keys, std::size_t count, std::uint64_t* out);
   bool (*draw_lanes)(std::uint64_t* state, std::uint64_t bound, std::size_t rounds,
                      std::uint32_t* out);
+  void (*bursty_lanes)(std::uint64_t* state, std::uint8_t live, std::uint8_t* on,
+                       LaneCoin arrive, LaneCoin flip, std::size_t slots, std::uint8_t* out);
   const char* name;  ///< "scalar", "avx2", "avx512", "neon"
 };
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <sstream>
 
 #include "util/math.hpp"
@@ -14,39 +15,59 @@ namespace wakeup::util {
 
 namespace {
 
+/// Where the linear-interpolated p-quantile of n >= 1 sorted values falls:
+/// `frac` of the way from rank `lo` to rank `hi`.
+struct QuantileSpot {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+
+  QuantileSpot(std::size_t n, double p) {
+    const double pos = std::clamp(p, 0.0, 1.0) * static_cast<double>(n - 1);
+    lo = static_cast<std::size_t>(pos);
+    hi = std::min(lo + 1, n - 1);
+    frac = pos - static_cast<double>(lo);
+  }
+
+  /// The quantile, from the values at ranks lo and hi.
+  [[nodiscard]] double at(double lo_value, double hi_value) const {
+    return lo_value * (1.0 - frac) + hi_value * frac;
+  }
+};
+
 /// Linear-interpolated p-quantile of a sorted, non-empty sample.
 double sorted_quantile(const std::vector<double>& sorted, double p) {
-  p = std::clamp(p, 0.0, 1.0);
-  const double pos = p * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  const QuantileSpot spot(sorted.size(), p);
+  return spot.at(sorted[spot.lo], sorted[spot.hi]);
 }
 
-/// Sets the percentile ends of `ci` from the resampled statistics: the
-/// values a full sort would put at ranks floor(q * (R - 1)) for q = alpha
-/// and 1 - alpha.  One pass counts the statistics into buckets
+/// Ranks one select_ranks call resolves.
+constexpr std::size_t kMaxRanks = 8;
+
+/// Writes to out[i] the value a full ascending sort of `values` (non-empty)
+/// would put at rank ranks[i] < values.size(), for at most kMaxRanks
+/// ranks in any order (like a sort, it may exchange −0 and +0, which
+/// compare equal).  One pass finds the min and the max, which are
+/// ranks 0 and size − 1.  A second counts the values into buckets
 /// ⌊(x − min)·scale⌋, which IEEE rounding keeps monotone in x, so each
-/// bucket holds a contiguous run of ranks; a second pass copies out the
-/// one or two buckets that hold the two ranks, and each rank is selected
-/// inside its bucket.  No pass over the statistics branches on them, so
-/// unlike a selection over all R of them none mispredicts.
-void set_percentile_ends(const std::vector<double>& stats, BootstrapCI& ci) {
-  const double alpha = (1.0 - ci.level) / 2.0;
-  const std::size_t size = stats.size();
-  const auto rank = [&](double q) {
-    return static_cast<std::size_t>(q * static_cast<double>(size - 1));
-  };
-  double min = stats[0];
-  double max = stats[0];
-  for (const double x : stats) {
+/// bucket holds a contiguous run of ranks; a third copies out the values
+/// of the few buckets that hold a rank, and each rank is selected inside
+/// its bucket.  A pass over the values branches only on a value that lands
+/// in such a bucket, a few per rank, so unlike a sort or a selection over
+/// all of them it rarely mispredicts.  One buffer holds the bucket counts
+/// and then the bands as value indices; it grows once, by the bands.
+void select_ranks(const std::vector<double>& values, std::span<const std::size_t> ranks,
+                  double* out) {
+  const std::size_t size = values.size();
+  double min = values[0];
+  double max = values[0];
+  for (const double x : values) {
     min = x < min ? x : min;
     max = x > max ? x : max;
   }
   const double spread = max - min;
   if (!(spread > 0.0)) {  // max == min: every rank holds the one value
-    ci.lo = ci.hi = min;
+    std::fill(out, out + ranks.size(), min);
     return;
   }
   // An infinite spread gets one bucket, as x - min may be inf or NaN; the
@@ -56,40 +77,87 @@ void set_percentile_ends(const std::vector<double>& stats, BootstrapCI& ci) {
   const double scale = static_cast<double>(buckets) / spread;
   const auto bucket_of = [&](double x) {
     const double t = (x - min) * scale;
-    return t < static_cast<double>(buckets - 1) ? static_cast<std::int64_t>(t) : buckets - 1;
+    return static_cast<std::size_t>(t < static_cast<double>(buckets - 1)
+                                        ? static_cast<std::int64_t>(t)
+                                        : buckets - 1);
   };
-  std::vector<std::size_t> counts(static_cast<std::size_t>(buckets));
-  for (const double x : stats) ++counts[static_cast<std::size_t>(bucket_of(x))];
+  // [0, buckets): each bucket's count, later its band; then the indices of
+  // the bands' values, band after band.
+  std::vector<std::size_t> scratch;
+  scratch.assign(static_cast<std::size_t>(buckets), 0);
+  for (const double x : values) ++scratch[bucket_of(x)];
 
+  // A band is a bucket that holds an inner rank; ranks walk the buckets in
+  // ascending order.
   struct Band {
-    std::size_t rank;
-    std::int64_t bucket = 0;
-    std::size_t below = 0;  // statistics in earlier buckets
-    std::vector<double> values{};
-    std::size_t size = 0;
+    std::size_t bucket;
+    std::size_t below;  // values in earlier buckets
+    std::size_t begin;  // offset of its value indices in scratch
+    std::size_t size;
   };
-  std::array<Band, 2> bands{Band{rank(alpha)}, Band{rank(1.0 - alpha)}};
-  for (Band& band : bands) {
-    const auto count = [&] { return counts[static_cast<std::size_t>(band.bucket)]; };
-    for (; band.below + count() <= band.rank; ++band.bucket) band.below += count();
-    band.values.resize(count() + 1);
+  std::array<std::size_t, kMaxRanks> order;  // ranks[order[o]] ascends in o
+  for (std::size_t o = 0; o < ranks.size(); ++o) {
+    std::size_t j = o;
+    for (; j > 0 && ranks[order[j - 1]] > ranks[o]; --j) order[j] = order[j - 1];
+    order[j] = o;
   }
-  // Every statistic is written, and only a band's own advance its size.
-  for (const double x : stats) {
-    const std::int64_t b = bucket_of(x);
-    for (Band& band : bands) {
-      band.values[band.size] = x;
-      band.size += static_cast<std::size_t>(b == band.bucket);
+  std::array<Band, kMaxRanks> bands;
+  std::array<std::size_t, kMaxRanks> band_of;
+  std::size_t n_bands = 0;
+  std::size_t bucket = 0;
+  std::size_t below = 0;
+  std::size_t bands_end = scratch.size();
+  for (std::size_t o = 0; o < ranks.size(); ++o) {
+    const std::size_t r = ranks[order[o]];
+    if (r == 0 || r == size - 1) continue;
+    for (; below + scratch[bucket] <= r; ++bucket) below += scratch[bucket];
+    if (n_bands == 0 || bands[n_bands - 1].bucket != bucket) {
+      bands[n_bands++] = {bucket, below, bands_end, scratch[bucket]};
+      bands_end += scratch[bucket];
+    }
+    band_of[order[o]] = n_bands - 1;
+  }
+  if (n_bands > 0) {
+    // Each bucket's band, or kMaxRanks outside every band.
+    std::fill(scratch.begin(), scratch.end(), kMaxRanks);
+    std::array<std::size_t, kMaxRanks> cursor;
+    for (std::size_t k = 0; k < n_bands; ++k) {
+      scratch[bands[k].bucket] = k;
+      cursor[k] = bands[k].begin;
+    }
+    scratch.resize(bands_end);
+    for (std::size_t j = 0; j < size; ++j) {
+      const std::size_t k = scratch[bucket_of(values[j])];
+      if (k != kMaxRanks) scratch[cursor[k]++] = j;
     }
   }
-  const auto select = [](Band& band) {
-    const auto at = band.values.begin() + static_cast<std::ptrdiff_t>(band.rank - band.below);
-    std::nth_element(band.values.begin(), at,
-                     band.values.begin() + static_cast<std::ptrdiff_t>(band.size));
-    return *at;
+  const auto less = [&](std::size_t a, std::size_t b) { return values[a] < values[b]; };
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    if (ranks[i] == 0 || ranks[i] == size - 1) {
+      out[i] = ranks[i] == 0 ? min : max;
+      continue;
+    }
+    const Band& band = bands[band_of[i]];
+    const auto first = scratch.begin() + static_cast<std::ptrdiff_t>(band.begin);
+    const auto at = first + static_cast<std::ptrdiff_t>(ranks[i] - band.below);
+    std::nth_element(first, at, first + static_cast<std::ptrdiff_t>(band.size), less);
+    out[i] = values[*at];
+  }
+}
+
+/// Sets the percentile ends of `ci` from the resampled statistics: the
+/// values a full sort would put at ranks floor(q * (R - 1)) for q = alpha
+/// and 1 - alpha.
+void set_percentile_ends(const std::vector<double>& stats, BootstrapCI& ci) {
+  const double alpha = (1.0 - ci.level) / 2.0;
+  const auto rank = [&](double q) {
+    return static_cast<std::size_t>(q * static_cast<double>(stats.size() - 1));
   };
-  ci.lo = select(bands[0]);
-  ci.hi = select(bands[1]);
+  const std::array<std::size_t, 2> ranks{rank(alpha), rank(1.0 - alpha)};
+  std::array<double, 2> ends;
+  select_ranks(stats, ranks, ends.data());
+  ci.lo = ends[0];
+  ci.hi = ends[1];
 }
 
 constexpr std::size_t kLanes = 8;
@@ -284,13 +352,19 @@ Summary Summary::of(const Sample& s) {
   out.mean = s.mean();
   out.stddev = s.stddev();
   if (s.empty()) return out;
-  std::vector<double> sorted = s.values();
-  std::sort(sorted.begin(), sorted.end());
-  out.min = sorted.front();
-  out.median = sorted_quantile(sorted, 0.5);
-  out.p95 = sorted_quantile(sorted, 0.95);
-  out.p99 = sorted_quantile(sorted, 0.99);
-  out.max = sorted.back();
+  // The values a sort would put at the ends and on both sides of each
+  // quantile, selected without the sort.
+  const std::size_t n = s.size();
+  const QuantileSpot median(n, 0.5), p95(n, 0.95), p99(n, 0.99);
+  const std::array<std::size_t, 8> ranks{0,       median.lo, median.hi, p95.lo,
+                                         p95.hi, p99.lo,    p99.hi,    n - 1};
+  std::array<double, 8> at;
+  select_ranks(s.values(), ranks, at.data());
+  out.min = at[0];
+  out.median = median.at(at[1], at[2]);
+  out.p95 = p95.at(at[3], at[4]);
+  out.p99 = p99.at(at[5], at[6]);
+  out.max = at[7];
   return out;
 }
 
@@ -355,11 +429,7 @@ BootstrapCI BootstrapCI::of_quantile(const Sample& sample, double p, double leve
   ci.lo = ci.hi = ci.mean;
   if (n < 2 || resamples == 0) return ci;
 
-  const double clamped_p = std::clamp(p, 0.0, 1.0);
-  const double pos = clamped_p * static_cast<double>(n - 1);
-  const auto lo_rank = static_cast<std::size_t>(pos);
-  const std::size_t hi_rank = std::min(lo_rank + 1, n - 1);
-  const double frac = pos - static_cast<double>(lo_rank);
+  const QuantileSpot spot(n, p);
   const std::size_t m = classes.size();
   std::vector<std::size_t> counts(kLanes * m);  // lane l's class counts at [l·m, (l + 1)·m)
   std::vector<double> quantiles(kLanes * lane_resamples(resamples));
@@ -385,10 +455,10 @@ BootstrapCI BootstrapCI::of_quantile(const Sample& sample, double p, double leve
         for (std::size_t c = 0; c < m; ++c) {
           seen += count[c];
           count[c] = 0;
-          lo_class += static_cast<std::size_t>(seen <= lo_rank);
-          hi_class += static_cast<std::size_t>(seen <= hi_rank);
+          lo_class += static_cast<std::size_t>(seen <= spot.lo);
+          hi_class += static_cast<std::size_t>(seen <= spot.hi);
         }
-        quantiles[r] = classes[lo_class] * (1.0 - frac) + classes[hi_class] * frac;
+        quantiles[r] = spot.at(classes[lo_class], classes[hi_class]);
       });
   quantiles.resize(resamples);
   set_percentile_ends(quantiles, ci);

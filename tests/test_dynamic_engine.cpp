@@ -681,6 +681,74 @@ TEST(DynamicEngine, RecontendersMatchPerSlotReference) {
   EXPECT_EQ(configs, 3u * 3u * 3u * 4u * 6u * 3u);
 }
 
+/// Forwards every call to a real station but claims not to hear others'
+/// successes, so the event loop skips them.
+class DeafStation final : public wu::proto::DynamicStation {
+ public:
+  explicit DeafStation(std::unique_ptr<wu::proto::DynamicStation> inner)
+      : inner_(std::move(inner)) {}
+
+  void packet_start(wu::mac::Slot start) override { inner_->packet_start(start); }
+  [[nodiscard]] wu::mac::Slot next_event(wu::mac::Slot t, wu::mac::Slot limit) override {
+    return inner_->next_event(t, limit);
+  }
+  [[nodiscard]] bool transmits(wu::mac::Slot t) override { return inner_->transmits(t); }
+  [[nodiscard]] bool hears_others() const override { return false; }
+  void feedback(wu::mac::Slot t, wu::mac::ChannelFeedback fb, bool delivered) override {
+    inner_->feedback(t, fb, delivered);
+  }
+
+ private:
+  std::unique_ptr<wu::proto::DynamicStation> inner_;
+};
+
+class DeafProtocol final : public wu::proto::Protocol {
+ public:
+  explicit DeafProtocol(wu::proto::ProtocolPtr inner) : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] std::unique_ptr<wu::proto::StationRuntime> make_runtime(
+      wu::mac::StationId u, wu::mac::Slot wake) const override {
+    return inner_->make_runtime(u, wake);
+  }
+  [[nodiscard]] std::unique_ptr<wu::proto::DynamicStation> make_dynamic_station(
+      wu::mac::StationId u) const override {
+    return std::make_unique<DeafStation>(inner_->make_dynamic_station(u));
+  }
+
+ private:
+  wu::proto::ProtocolPtr inner_;
+};
+
+// Negative control: adaptive_cw counts the successes it hears, so the same
+// stations made deaf must drift from the per-slot reference — the check
+// above sees a skipped success that mattered.
+TEST(DynamicEngine, DeafAdaptiveCwDiffersFromPerSlotReference) {
+  const std::vector<std::string> arrivals = {"poisson:0.4", "poisson:0.9", "bursty:0.4:0.05"};
+  std::size_t trials = 0;
+  for (const std::uint32_t k : {6u, 16u}) {
+    const std::uint32_t n = 16 * k;
+    for (const std::uint64_t seed : {3u, 5u, 8u, 13u, 21u}) {
+      const auto protocol = make_named("adaptive_cw", n, k, seed);
+      const DeafProtocol deaf(protocol);
+      const per_slot::StationFactory reference_station = [&](wu::mac::StationId u) {
+        return per_slot::make_station("adaptive_cw", k, seed, u);
+      };
+      for (const std::string& arrival : arrivals) {
+        const DynamicScenario scenario =
+            make_scenario(ArrivalSpec::parse(arrival), n, k, 2048, seed * 7 + k);
+        const auto expected =
+            per_slot::run(reference_station, scenario, nullptr, wu::sim::EnergyModel::kOff);
+        ASSERT_EQ(wu::sim::run_dynamic_interpreter(*protocol, scenario), expected);
+        EXPECT_NE(wu::sim::run_dynamic_interpreter(deaf, scenario), expected)
+            << arrival << " k=" << k << " seed=" << seed;
+        ++trials;
+      }
+    }
+  }
+  EXPECT_EQ(trials, 30u);
+}
+
 // ------------------------------------------------ arrival stream reference --
 //
 // The arrival streams as first written: stations in Floyd draw order, a
@@ -792,7 +860,7 @@ TEST(ArrivalGeneration, StreamsMatchPerSlotReference) {
       "bursty:0.4:0.05", "bursty:0.5:1", "bursty:8:0.1", "bursty:8:1",
       "pareto:1.5:0.3",  "pareto:2.5:0.9", "pareto:1.5:40"};
   const std::vector<Shape> shapes = {
-      {256, 16, 2048}, {256, 16, 1}, {64, 1, 700}, {32, 32, 300}, {1, 1, 50}};
+      {256, 16, 2048}, {256, 16, 1}, {64, 1, 700}, {32, 32, 300}, {1, 1, 50}, {64, 13, 777}};
   for (const Shape& shape : shapes) {
     for (const std::string& text : specs) {
       const ArrivalSpec spec = ArrivalSpec::parse(text);

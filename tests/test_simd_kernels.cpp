@@ -2,8 +2,9 @@
 /// when built and supported, scalar otherwise) must match a naive
 /// reference — and the scalar table — bit for bit on randomized inputs, so
 /// engine results never depend on the host ISA.  hash_below's scalar twin
-/// is held to util::hash_combine, draw_lanes' to util::Rng::uniform, and
-/// every compiled rung to the twin.  Also pins the force-scalar override,
+/// is held to util::hash_combine, draw_lanes' to util::Rng::uniform,
+/// bursty_lanes' to util::Rng::bernoulli, and every compiled rung to the
+/// twin.  Also pins the force-scalar override,
 /// draw_lanes' rejection flag and the first_set_below edge cases the
 /// engines rely on.
 
@@ -14,6 +15,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -310,6 +312,112 @@ TEST(SimdKernels, DrawLanesFlagsALowWordBelowTheBound) {
       EXPECT_EQ(draws.out[5], 0u) << table->name << " bound " << bound;
       // The same lanes without the crafted state raise nothing.
       EXPECT_FALSE(draw_lanes_through(*table, lane_states(bound), bound, 3).flagged);
+    }
+  }
+}
+
+namespace {
+
+/// What bursty_lanes leaves behind.
+struct BurstyDraws {
+  std::vector<std::uint8_t> out;
+  std::array<std::uint64_t, 32> state;
+  std::uint8_t on;
+};
+
+simd::LaneCoin lane_coin(double p) {
+  const bool draws = !(p <= 0.0) && !(p >= 1.0);
+  return {draws ? wu::bernoulli_threshold(p) : 0, draws, p >= 1.0};
+}
+
+BurstyDraws bursty_lanes_through(const simd::Kernels& table, std::array<std::uint64_t, 32> state,
+                                 std::uint8_t live, std::uint8_t on, double p_on,
+                                 double switch_p, std::size_t slots) {
+  BurstyDraws draws{std::vector<std::uint8_t>(slots, 0xa5), state, on};
+  table.bursty_lanes(draws.state.data(), live, &draws.on, lane_coin(p_on), lane_coin(switch_p),
+                     slots, draws.out.data());
+  return draws;
+}
+
+/// Every (p_on, switch probability) pair the kernel distinguishes: coins
+/// that draw, p_on = 1 (on lanes always arrive, no draw) and switch
+/// probability 1 (lanes always flip, no draw).
+struct BurstyCase {
+  double p_on, switch_p;
+};
+const BurstyCase kBurstyCases[] = {{0.05, 0.05}, {0.8, 0.3}, {1.0, 0.05}, {0.3, 1.0}, {1.0, 1.0}};
+const std::uint8_t kLiveMasks[] = {0x01, 0x1f, 0xff};
+const std::uint8_t kOnMasks[] = {0x00, 0x5a, 0xff};
+const std::size_t kBurstySlots[] = {1, 63, 64, 65, 2048};
+
+}  // namespace
+
+// Per station: util::Rng's own coins, slot by slot, from each lane's state.
+TEST(SimdKernels, BurstyLanesScalarTwinMatchesPerStationReference) {
+  const simd::Kernels& scalar = *scalar_and_best().scalar;
+  for (const BurstyCase& c : kBurstyCases) {
+    for (const std::uint8_t live : kLiveMasks) {
+      for (const std::uint8_t on : kOnMasks) {
+        for (const std::size_t slots : kBurstySlots) {
+          const std::uint64_t seed = 100 * slots + live;
+          std::array<std::uint64_t, 32> state{};
+          for (std::size_t l = 0; l < 8; ++l) {
+            const wu::Rng lane(seed + l);
+            for (std::size_t w = 0; w < 4; ++w) state[8 * w + l] = lane.state()[w];
+          }
+          const BurstyDraws got =
+              bursty_lanes_through(scalar, state, live, on, c.p_on, c.switch_p, slots);
+          const std::string label = "p_on " + std::to_string(c.p_on) + " switch " +
+                                    std::to_string(c.switch_p) + " live " +
+                                    std::to_string(live) + " on " + std::to_string(on) +
+                                    " slots " + std::to_string(slots);
+          for (std::size_t l = 0; l < 8; ++l) {
+            const auto bit = static_cast<std::uint8_t>(1u << l);
+            wu::Rng rng(seed + l);
+            bool lane_on = (on & bit) != 0;
+            for (std::size_t t = 0; t < slots; ++t) {
+              bool arrived = false;
+              if ((live & bit) != 0) {
+                arrived = lane_on && rng.bernoulli(c.p_on);
+                if (rng.bernoulli(c.switch_p)) lane_on = !lane_on;
+              }
+              ASSERT_EQ((got.out[t] & bit) != 0, arrived) << label << " lane " << l << " t " << t;
+            }
+            EXPECT_EQ((got.on & bit) != 0, lane_on) << label << " lane " << l;
+            for (std::size_t w = 0; w < 4; ++w) {
+              EXPECT_EQ(got.state[8 * w + l], rng.state()[w]) << label << " lane " << l;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, BurstyLanesAvx512MatchesScalarTwin) {
+  const Tables tables = scalar_and_best();
+  if (std::strcmp(tables.best->name, "avx512") != 0) {
+    GTEST_SKIP() << "AVX-512F/DQ rung not built or not supported here (dispatching "
+                 << tables.best->name << ")";
+  }
+  for (const BurstyCase& c : kBurstyCases) {
+    for (const std::uint8_t live : kLiveMasks) {
+      for (const std::uint8_t on : kOnMasks) {
+        for (const std::size_t slots : kBurstySlots) {
+          const auto state = lane_states(31 * slots + live + on);
+          const BurstyDraws want =
+              bursty_lanes_through(*tables.scalar, state, live, on, c.p_on, c.switch_p, slots);
+          const BurstyDraws got =
+              bursty_lanes_through(*tables.best, state, live, on, c.p_on, c.switch_p, slots);
+          const std::string label = "p_on " + std::to_string(c.p_on) + " switch " +
+                                    std::to_string(c.switch_p) + " live " +
+                                    std::to_string(live) + " on " + std::to_string(on) +
+                                    " slots " + std::to_string(slots);
+          EXPECT_EQ(got.out, want.out) << label;
+          EXPECT_EQ(got.state, want.state) << label;
+          EXPECT_EQ(got.on, want.on) << label;
+        }
+      }
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "util/rng.hpp"
 
@@ -159,14 +160,21 @@ TEST(Summary, SortOnceMatchesTheNaiveReferenceBitForBit) {
                              empty.p99, empty.max}) {
     EXPECT_EQ(bits(field), bits(0.0));
   }
-  for (const std::size_t n : {0, 1, 2, 3, 32, 48, 257}) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const std::size_t n : {0, 1, 2, 3, 32, 48, 257, 1000, 9334}) {
     wu::Rng rng(n);
-    wu::Sample tied, real;
+    wu::Rng latency_rng(~n);
+    // tied: five values; real: spread reals; latency: integers 1–2048
+    // piled on the small ones, as pooled queue latencies are; infinite:
+    // reals with ±inf among them.
+    wu::Sample tied, real, latency, infinite;
     for (std::size_t i = 0; i < n; ++i) {
       tied.push(static_cast<double>(3 + rng.uniform(5)));
       real.push((rng.uniform01() - 0.4) * 1e3 + 0.125);
+      latency.push(static_cast<double>(1 + latency_rng.uniform(1 + latency_rng.uniform(2048))));
+      infinite.push(i % 7 == 1 ? kInf : i % 11 == 2 ? -kInf : real.values().back());
     }
-    for (const wu::Sample& s : {tied, real}) {
+    for (const wu::Sample& s : {tied, real, latency, infinite}) {
       SCOPED_TRACE(testing::Message() << "n=" << n);
       const auto got = wu::Summary::of(s);
       const auto want = naive_summary(s);
