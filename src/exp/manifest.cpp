@@ -1,6 +1,5 @@
 #include "exp/manifest.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -374,40 +373,6 @@ void ManifestWriter::append(const CellRecord& record) {
   const std::lock_guard<std::mutex> lock(mutex_);
   out_ << manifest_line(record) << "\n";
   out_.flush();
-}
-
-std::string shard_manifest_name(std::uint32_t worker) {
-  return "manifest-" + std::to_string(worker) + ".jsonl";
-}
-
-std::vector<std::string> list_manifest_paths(const std::string& out_dir) {
-  std::vector<std::pair<std::uint64_t, std::string>> ordered;
-  const std::string legacy = out_dir + "/manifest.jsonl";
-  if (std::filesystem::exists(legacy)) ordered.emplace_back(0, legacy);
-  if (std::filesystem::is_directory(out_dir)) {
-    for (const auto& entry : std::filesystem::directory_iterator(out_dir)) {
-      const std::string name = entry.path().filename().string();
-      if (name.size() <= 15 || name.compare(0, 9, "manifest-") != 0 ||
-          name.compare(name.size() - 6, 6, ".jsonl") != 0) {
-        continue;
-      }
-      const std::string id = name.substr(9, name.size() - 15);
-      std::size_t pos = 0;
-      std::uint64_t worker = 0;
-      try {
-        worker = std::stoull(id, &pos);
-      } catch (const std::exception&) {
-        continue;
-      }
-      if (pos != id.size()) continue;
-      ordered.emplace_back(worker + 1, entry.path().string());
-    }
-  }
-  std::sort(ordered.begin(), ordered.end());
-  std::vector<std::string> paths;
-  paths.reserve(ordered.size());
-  for (auto& [key, path] : ordered) paths.push_back(std::move(path));
-  return paths;
 }
 
 }  // namespace wakeup::exp

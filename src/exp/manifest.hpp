@@ -30,10 +30,10 @@ namespace wakeup::exp {
 
 namespace detail {
 
-/// Flat-object JSONL scanner for the manifest's and claim ledger's own
-/// output: string and scalar values only, no nesting.  Returns raw value
-/// text for scalars and unescaped content for strings; throws
-/// std::runtime_error on malformed input.
+/// Flat-object JSONL scanner for the manifest's own output: string and
+/// scalar values only, no nesting.  Returns raw value text for scalars and
+/// unescaped content for strings; throws std::runtime_error on malformed
+/// input.
 [[nodiscard]] std::map<std::string, std::string> parse_flat_object(const std::string& line);
 
 /// Typed field accessors over parse_flat_object's map; throw
@@ -101,17 +101,6 @@ struct ManifestData {
 /// malformed *trailing* record line (torn by a kill) is dropped and
 /// counted, any other malformed line throws.
 [[nodiscard]] ManifestData load_manifest(const std::string& path);
-
-/// The per-worker manifest shard name used by multi-process sweeps:
-/// "manifest-<worker>.jsonl".  Shards keep every append single-writer, so
-/// ManifestWriter's torn-tail repair stays sound with N processes on one
-/// out_dir.
-[[nodiscard]] std::string shard_manifest_name(std::uint32_t worker);
-
-/// Every manifest in `out_dir`, sorted: the legacy single-process
-/// "manifest.jsonl" (if present) followed by the "manifest-<worker>.jsonl"
-/// shards in worker order.  Non-matching files are ignored.
-[[nodiscard]] std::vector<std::string> list_manifest_paths(const std::string& out_dir);
 
 /// Appends records to `path`, serialized by an internal mutex and flushed
 /// per line.  Fresh manifests (`append` false) are truncated and get the

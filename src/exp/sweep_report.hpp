@@ -1,12 +1,10 @@
 #pragma once
 
 /// \file sweep_report.hpp
-/// Report assembly shared by `run_sweep` and `merge_sweep`: the CSV/JSON
-/// writers and the cross-cell robustness join.  Factored out of the runner
-/// so a merge over manifest shards emits bytes identical to an
-/// uninterrupted single-process run — both paths go through exactly this
-/// code with exactly the same inputs (records in grid order + the
-/// manifest header).
+/// Report assembly for `run_sweep`: the CSV/JSON writers and the
+/// cross-cell robustness join.  A resumed sweep emits bytes identical to
+/// an uninterrupted one because both go through exactly this code with
+/// exactly the same inputs (records in grid order + the manifest header).
 
 #include <string>
 #include <vector>
@@ -21,8 +19,8 @@ namespace wakeup::exp {
 /// Robustness column: rounds inflation vs the clean twin — the cell with
 /// the same identity minus the impairment suffix.  Cross-cell, so it runs
 /// at report assembly (never in a cell executor) and recomputes
-/// identically on every resume or merge; the -1 sentinel survives only
-/// when the grid carries no twin.
+/// identically on every resume; the -1 sentinel survives only when the
+/// grid carries no twin.
 void apply_inflation_join(std::vector<CellRecord>& records);
 
 /// Full-precision CSV report (%.17g doubles — the figures and the resume

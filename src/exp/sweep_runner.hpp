@@ -47,15 +47,10 @@ enum class Sharding : std::uint8_t {
 
 /// One progress heartbeat (see SweepOptions::heartbeat_cells).
 struct SweepHeartbeat {
-  std::int32_t worker_id = -1;    ///< -1 in single-process mode
-  std::uint64_t completed = 0;    ///< grid cells with results (resumed + run)
-  std::uint64_t total = 0;        ///< grid size
-  double cells_per_sec = 0.0;     ///< this invocation's completion rate
-  double eta_sec = 0.0;           ///< remaining / rate (0 while rate unknown)
-  /// Registry-sourced extra, sampled from obs::snapshot() at emit time
-  /// (zero when the obs layer is compiled out or runtime-disabled):
-  /// expired leases re-claimed (fleet mode).
-  std::uint64_t lease_steals = 0;
+  std::uint64_t completed = 0;  ///< grid cells with results (resumed + run)
+  std::uint64_t total = 0;      ///< grid size
+  double cells_per_sec = 0.0;   ///< this invocation's completion rate
+  double eta_sec = 0.0;         ///< remaining / rate (0 while rate unknown)
 };
 
 struct SweepOptions {
@@ -79,8 +74,8 @@ struct SweepOptions {
   /// Per-cell progress lines on stdout.
   bool progress = false;
   /// Progress heartbeat: every N completed cells emit completed/total,
-  /// cells/sec and ETA (to stderr by default; worker lines carry a
-  /// "[worker W]" prefix).  0 = off, so CI logs stay clean.
+  /// cells/sec and ETA (to stderr by default).  0 = off, so CI logs stay
+  /// clean.
   std::uint64_t heartbeat_cells = 0;
   /// Heartbeat sink override (tests, embedding); the default logs a line
   /// to stderr.
@@ -89,37 +84,14 @@ struct SweepOptions {
   // ---- observability sidecars ----------------------------------------
   /// When non-empty, write the obs registry snapshot (metrics.json) here
   /// once the run finishes — capped runs included, so smoke legs always
-  /// get a file.  Worker mode writes the per-process shard
-  /// <out_dir>/metrics-<W>.json instead; the fleet driver then writes its
-  /// own (merge-side) registry to this path and leaves the worker shards
-  /// in out_dir for per-process inspection.  The registry must be
-  /// runtime-enabled (obs::set_enabled) for the snapshot to carry data;
-  /// the sidecar never feeds back into results.
+  /// get a file.  The registry must be runtime-enabled (obs::set_enabled)
+  /// for the snapshot to carry data; the sidecar never feeds back into
+  /// results.
   std::string metrics_path;
   /// When non-empty, write a Chrome trace-event (Perfetto-loadable) file
   /// here: one duration event per executed cell, named by the cell tag.
-  /// Worker mode records onto its own process row (pid = worker id) and
-  /// writes <out_dir>/trace-<W>.json; the fleet driver textually merges
-  /// the worker shards into this path after the result merge.  Requires
-  /// obs::set_trace_enabled(true) to record events.
+  /// Requires obs::set_trace_enabled(true) to record events.
   std::string trace_path;
-
-  // ---- multi-process worker mode -------------------------------------
-  /// >= 0 runs this process as worker W of a cooperating fleet: cells are
-  /// leased chunk-wise from <out_dir>/claims.jsonl (exp/claim_ledger.hpp),
-  /// results append to the single-writer shard manifest-<W>.jsonl, and no
-  /// report is written — `merge_sweep` (or the fleet driver) emits it.
-  /// Worker mode is inherently resume-shaped: existing shards and a legacy
-  /// manifest.jsonl count as completed cells, and mismatched fingerprints
-  /// are refused.  `max_cells` caps this worker; `trial_csv` is rejected
-  /// (the sink cannot serialize across processes).
-  std::int32_t worker_id = -1;
-  /// Cells leased per claim (worker mode).
-  std::uint64_t lease_cells = 8;
-  /// Lease duration before a crashed worker's cells become stealable.
-  std::uint64_t lease_ttl_ms = 10000;
-  /// Injectable ledger clock (tests simulate lease expiry).
-  std::function<std::uint64_t()> ledger_now_ms;
 };
 
 struct SweepOutcome {
@@ -129,10 +101,6 @@ struct SweepOutcome {
   std::uint64_t cells_run = 0;      ///< executed this invocation
   std::uint64_t cells_resumed = 0;  ///< taken from the manifest
   std::uint64_t cells_remaining = 0;  ///< left pending by max_cells
-  /// Worker mode: every grid cell was observed complete (done in the
-  /// ledger or present in a shard) when this worker exited.  The report
-  /// still comes from `merge_sweep`.
-  bool drained = false;
   /// All records in grid order (only when completed).
   std::vector<CellRecord> records;
   std::string manifest_path;
@@ -144,31 +112,6 @@ struct SweepOutcome {
 /// std::runtime_error on IO problems or a resume against a manifest whose
 /// base seed / grid fingerprint does not match the spec.
 [[nodiscard]] SweepOutcome run_sweep(const SweepSpec& spec, const SweepOptions& options);
-
-/// Merges every manifest in `out_dir` — the per-worker shards plus any
-/// legacy single-process manifest.jsonl — and, when the grid is fully
-/// covered, writes report.csv/report.json byte-identical to an
-/// uninterrupted single-process run (same writers, same inputs: records in
-/// grid order under the shared header).  Shards whose headers disagree on
-/// version, base seed, grid fingerprint or cell count are refused, as are
-/// duplicate cell tags whose records differ — the seed contract guarantees
-/// a re-executed (stolen) cell reproduces its record byte-for-byte, so a
-/// mismatch means foreign results.  An incomplete grid returns
-/// completed=false with the merged count and writes nothing.
-[[nodiscard]] SweepOutcome merge_sweep(const std::string& out_dir);
-
-/// Local fleet driver: forks `workers` child processes, each running
-/// `run_sweep` in worker mode against options.out_dir (worker w gets
-/// worker_id = w and its own post-fork thread pool of `worker_threads`
-/// threads; 0 = single-threaded workers, the right default when N workers
-/// share one machine), waits for all of them, then merges.  A fresh run
-/// (resume = false) clears stale coordination state (claims.jsonl,
-/// manifest*.jsonl, reports) first.  Must be called before the calling
-/// process spawns threads (fork inherits only the calling thread).
-/// Throws std::runtime_error when a worker process fails.
-[[nodiscard]] SweepOutcome run_sweep_fleet(const SweepSpec& spec, const SweepOptions& options,
-                                           std::uint32_t workers,
-                                           std::size_t worker_threads = 0);
 
 /// The theory-bound column of a cell: Scenario A/B protocols (needs_s or
 /// needs_k) normalize against k log2(n/k) + 1, everything else against the

@@ -20,21 +20,26 @@ std::string format_param(double v) {
   return buf;
 }
 
-double parse_param(const std::string& text, const std::string& spec) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument("trailing characters");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("arrival spec '" + spec + "': '" + text + "' is not a number");
-  }
-}
-
 [[noreturn]] void grammar_error(const std::string& spec, const std::string& detail) {
   throw std::invalid_argument("arrival spec '" + spec + "': " + detail +
                               " (grammar: poisson:RATE | bursty:RATE:SWITCH | "
                               "pareto:ALPHA[:RATE] | replay)");
+}
+
+/// A finite number.  std::stod also reads "nan" and "inf": NaN fails every
+/// comparison, so a check like `alpha <= 1` lets it through, and inf
+/// passes every lower bound.
+double parse_param(const std::string& text, const std::string& spec) {
+  double v = 0.0;
+  try {
+    std::size_t pos = 0;
+    v = std::stod(text, &pos);
+    if (pos != text.size()) throw std::invalid_argument("trailing characters");
+  } catch (const std::exception&) {
+    throw std::invalid_argument("arrival spec '" + spec + "': '" + text + "' is not a number");
+  }
+  if (!std::isfinite(v)) grammar_error(spec, "'" + text + "' is not a finite number");
+  return v;
 }
 
 bool arrives_before(const Arrival& a, const Arrival& b) noexcept {

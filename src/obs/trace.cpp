@@ -32,7 +32,6 @@ std::atomic<bool> g_trace_enabled{false};
 struct TraceState {
   std::mutex mutex;
   std::vector<std::string> events;  ///< pre-rendered JSON objects
-  std::int64_t pid = 0;
   std::uint32_t next_tid = 1;
 };
 
@@ -64,9 +63,8 @@ std::string event_prefix(const std::string& name, const std::string& category, c
   std::string out = "{\"name\": \"" + util::json_escape(name) + "\", \"cat\": \"" +
                     util::json_escape(category) + "\", \"ph\": \"";
   out += phase;
-  std::snprintf(buf, sizeof buf, "\", \"ts\": %llu, \"pid\": %lld, \"tid\": %u",
-                static_cast<unsigned long long>(ts_us), static_cast<long long>(state().pid),
-                local_tid());
+  std::snprintf(buf, sizeof buf, "\", \"ts\": %llu, \"pid\": 0, \"tid\": %u",
+                static_cast<unsigned long long>(ts_us), local_tid());
   out += buf;
   return out;
 }
@@ -79,14 +77,9 @@ void set_trace_enabled(bool enabled) noexcept {
   g_trace_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-void trace_set_process(std::int64_t pid, const std::string& name) {
-  TraceState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mutex);
-  s.pid = pid;
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(pid));
-  s.events.push_back("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " + std::string(buf) +
-                     ", \"args\": {\"name\": \"" + util::json_escape(name) + "\"}}");
+void trace_set_process(const std::string& name) {
+  push_event("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \"args\": {\"name\": \"" +
+             util::json_escape(name) + "\"}}");
 }
 
 void trace_duration(const std::string& name, const std::string& category, std::uint64_t ts_us,
@@ -155,33 +148,6 @@ void trace_execution(const mac::ExecutionTrace& trace, std::uint64_t base_ts_us)
                       std::to_string(rec.transmitter_count) + " tx)",
                   "slot", base_ts_us + static_cast<std::uint64_t>(rec.slot));
   }
-}
-
-void merge_trace_shards(const std::vector<std::string>& shard_paths, const std::string& dest) {
-  std::vector<std::string> events;
-  for (const std::string& shard : shard_paths) {
-    std::ifstream in(shard);
-    if (!in.good()) continue;  // a worker that never traced wrote no shard
-    std::string line;
-    if (!std::getline(in, line) || line.rfind("{\"traceEvents\":[", 0) != 0) {
-      throw std::runtime_error("obs: malformed trace shard " + shard);
-    }
-    while (std::getline(in, line)) {
-      if (line == "]}" || line.empty()) continue;
-      if (!line.empty() && line.back() == ',') line.pop_back();
-      if (line.empty() || line.front() != '{') {
-        throw std::runtime_error("obs: malformed trace shard " + shard);
-      }
-      events.push_back(line);
-    }
-  }
-  std::ofstream out(dest, std::ios::trunc);
-  if (!out.good()) throw std::runtime_error("obs: cannot write " + dest);
-  out << "{\"traceEvents\":[\n";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    out << events[i] << (i + 1 < events.size() ? ",\n" : "\n");
-  }
-  out << "]}\n";
 }
 
 }  // namespace wakeup::obs

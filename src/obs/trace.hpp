@@ -5,12 +5,10 @@
 ///
 /// Events are recorded as pre-rendered JSON object strings and written as
 /// `{"traceEvents":[` + one event per line + `]}` — a format chrome://tracing
-/// and ui.perfetto.dev both load, and whose one-event-per-line body lets
-/// fleet drivers merge per-worker shard files textually (no JSON parser in
-/// the merge path).  Sweep cells render as duration events ("X" phase, one
-/// per cell, named by the cell tag); fleet workers get their own process row
-/// (pid = worker id, named via a process_name metadata event); ExecutionTrace
-/// slot records render as instant events ("i" phase).
+/// and ui.perfetto.dev both load.  Sweep cells render as duration events
+/// ("X" phase, one per cell, named by the cell tag) on process row 0, named
+/// via a process_name metadata event; ExecutionTrace slot records render as
+/// instant events ("i" phase).
 ///
 /// Like the metrics registry, the recorder starts disabled and never
 /// perturbs results: timestamps feed only the sidecar file.  In
@@ -38,10 +36,9 @@ namespace wakeup::obs {
 [[nodiscard]] bool trace_active() noexcept;
 void set_trace_enabled(bool enabled) noexcept;
 
-/// Process row for every subsequent event (fleet workers pass their worker
-/// id; the default 0 is the single-process row).  Also emits the
-/// process_name metadata event so Perfetto labels the row.
-void trace_set_process(std::int64_t pid, const std::string& name);
+/// Emits the process_name metadata event so Perfetto labels the process
+/// row every event is recorded on.
+void trace_set_process(const std::string& name);
 
 /// Complete duration event ("ph":"X"): `ts_us`..`ts_us + dur_us` on the
 /// calling thread's row.  `args` render as string fields under "args".
@@ -52,7 +49,7 @@ void trace_duration(const std::string& name, const std::string& category, std::u
 /// Instant event ("ph":"i", thread scope).
 void trace_instant(const std::string& name, const std::string& category, std::uint64_t ts_us);
 
-/// Drops all recorded events (the process row survives).
+/// Drops all recorded events.
 void trace_clear();
 
 /// Number of events recorded so far (tests).
@@ -62,7 +59,7 @@ void trace_clear();
 
 [[nodiscard]] constexpr bool trace_active() noexcept { return false; }
 inline void set_trace_enabled(bool) noexcept {}
-inline void trace_set_process(std::int64_t, const std::string&) {}
+inline void trace_set_process(const std::string&) {}
 inline void trace_duration(const std::string&, const std::string&, std::uint64_t, std::uint64_t,
                            const std::vector<std::pair<std::string, std::string>>& = {}) {}
 inline void trace_instant(const std::string&, const std::string&, std::uint64_t) {}
@@ -81,10 +78,5 @@ void write_trace_json(const std::string& path);
 /// number and transmitter count).  `base_ts_us` anchors slot 0; each slot
 /// advances 1us so the timeline is legible at any zoom.
 void trace_execution(const mac::ExecutionTrace& trace, std::uint64_t base_ts_us);
-
-/// Textually merges per-worker shard files (written by write_trace_json)
-/// into `dest`, preserving shard order.  Missing shards are skipped; throws
-/// std::runtime_error when dest cannot be written or a shard is malformed.
-void merge_trace_shards(const std::vector<std::string>& shard_paths, const std::string& dest);
 
 }  // namespace wakeup::obs

@@ -110,7 +110,11 @@ TEST(ArrivalSpec, ParseNameRoundTrip) {
 TEST(ArrivalSpec, ParseRejectsMalformedSpecs) {
   for (const char* text : {"", "poisson", "poisson:0", "poisson:-0.1", "poisson:abc",
                            "bursty:0.5", "bursty:0.5:0", "bursty:0.5:1.5", "pareto:1.0",
-                           "pareto:0.5", "uniform:0.1", "poisson:0.1:0.2"}) {
+                           "pareto:0.5", "uniform:0.1", "poisson:0.1:0.2",
+                           // Non-finite values: NaN fails every range check's
+                           // comparison, and inf passes the one-sided ones.
+                           "pareto:nan", "pareto:nan:0.1", "bursty:0.4:nan", "poisson:inf",
+                           "bursty:inf:0.5", "pareto:inf", "pareto:1.5:inf"}) {
     EXPECT_THROW((void)ArrivalSpec::parse(text), std::invalid_argument) << text;
   }
 }

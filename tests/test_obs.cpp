@@ -1,6 +1,6 @@
 /// Observability layer: registry semantics (counters/gauges/histograms,
 /// runtime enable, reset), deterministic metrics.json ordering regardless
-/// of thread interleaving, the trace-event recorder + shard merge, and the
+/// of thread interleaving, the trace-event recorder, and the
 /// ExecutionTrace ring-buffer memory cap.  Every test also compiles (and
 /// the exporter tests pass) in WAKEUP_OBS=OFF builds, where the registry
 /// collapses to stubs.
@@ -212,7 +212,7 @@ TEST(ObsExport, MetricsJsonAndObjectTextAreWellFormed) {
 TEST(ObsTrace, RecordsDurationsAndInstantsAndWritesOnePerLine) {
   ObsReset guard;
   obs::set_trace_enabled(true);
-  obs::trace_set_process(3, "worker-3");
+  obs::trace_set_process("test-process");
   const std::uint64_t t0 = obs::trace_now_us();
   obs::trace_duration("cell-a", "cell", t0, 25, {{"protocol", "round_robin"}, {"n", "64"}});
   obs::trace_instant("ping", "slot", t0 + 5);
@@ -230,42 +230,13 @@ TEST(ObsTrace, RecordsDurationsAndInstantsAndWritesOnePerLine) {
 
   EXPECT_EQ(obs::trace_event_count(), 3u);  // process_name + duration + instant
   EXPECT_NE(text.find("\"ph\": \"M\""), std::string::npos);
-  EXPECT_NE(text.find("worker-3"), std::string::npos);
+  EXPECT_NE(text.find("test-process"), std::string::npos);
   EXPECT_NE(text.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(text.find("\"dur\": 25"), std::string::npos);
   EXPECT_NE(text.find("\"protocol\": \"round_robin\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\": \"i\""), std::string::npos);
   EXPECT_EQ(text.find("ignored"), std::string::npos);
-  EXPECT_NE(text.find("\"pid\": 3"), std::string::npos);
-}
-
-TEST(ObsTrace, MergeShardsConcatenatesAndSkipsMissing) {
-  ObsReset guard;
-  const std::string shard0 = tmp_path("shard0.json");
-  const std::string shard1 = tmp_path("shard1.json");
-  const std::string missing = tmp_path("shard_missing.json");
-  const std::string dest = tmp_path("merged.json");
-
-  obs::set_trace_enabled(true);
-  obs::trace_instant("from-zero", "slot", 1);
-  obs::write_trace_json(shard0);
-  obs::trace_clear();
-  obs::trace_instant("from-one", "slot", 2);
-  obs::write_trace_json(shard1);
-  obs::set_trace_enabled(false);
-
-  obs::merge_trace_shards({shard0, missing, shard1}, dest);
-  const std::string text = slurp(dest);
-  for (const auto& p : {shard0, shard1, dest}) std::filesystem::remove(p);
-
-  EXPECT_EQ(text.find("{\"traceEvents\":["), 0u);
-  if (obs::kCompiled) {
-    const auto zero = text.find("from-zero");
-    const auto one = text.find("from-one");
-    ASSERT_NE(zero, std::string::npos);
-    ASSERT_NE(one, std::string::npos);
-    EXPECT_LT(zero, one);  // shard order preserved
-  }
+  EXPECT_NE(text.find("\"pid\": 0"), std::string::npos);
 }
 
 TEST(ObsTrace, ExecutionTraceRendersAsInstantEvents) {

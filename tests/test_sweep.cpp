@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -489,11 +490,11 @@ TEST(Manifest, RecordRoundTrips) {
 }
 
 TEST(Manifest, ScannerRejectsMalformedEscapesAndSignedIntegers) {
-  // Resume, fleet merges and the claim ledger read these lines back, so a
-  // malformed one must throw the scanner's runtime_error rather than decode
-  // to other bytes: a \u escape is exactly four hex digits naming one byte
-  // (the writer emits only \u00XX), no other escape but \" and \\ exists,
-  // and integers carry no sign.
+  // Resume reads these lines back, so a malformed one must throw the
+  // scanner's runtime_error rather than decode to other bytes: a \u escape
+  // is exactly four hex digits naming one byte (the writer emits only
+  // \u00XX), no other escape but \" and \\ exists, and integers carry no
+  // sign.
   const auto expect_error = [](const auto& parse, const std::string& input,
                                const std::string& what) {
     try {
@@ -621,6 +622,55 @@ TEST(SweepRunner, ResumeRepairsATornManifestTail) {
   const auto data = we::load_manifest(resumed.manifest_path);
   EXPECT_EQ(data.by_tag.size(), 8u);
   EXPECT_EQ(data.dropped_lines, 0u);
+}
+
+TEST(SweepRunnerDeathTest, SigkilledSweepResumesToIdenticalReports) {
+  // A real kill, not a --max-cells cap: the child sweep SIGKILLs itself
+  // from its heartbeat after the 5th cell.  "threadsafe" runs the child as
+  // a fresh exec of this binary rather than a fork of a process that may
+  // already own pool threads.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const we::SweepSpec spec = we::make_preset("figure-scenario-b");
+  wu::ThreadPool inline_pool(0);  // cells in grid order on the caller
+  const auto options_for = [&inline_pool](const std::string& dir) {
+    we::SweepOptions options;
+    options.out_dir = dir;
+    options.ci_resamples = 200;
+    options.pool = &inline_pool;
+    return options;
+  };
+  const std::string dir = fresh_dir("killed");
+  EXPECT_EXIT(
+      {
+        we::SweepOptions options = options_for(dir);
+        options.heartbeat_cells = 1;
+        options.heartbeat = [](const we::SweepHeartbeat& hb) {
+          if (hb.completed == 5) std::raise(SIGKILL);
+        };
+        (void)we::run_sweep(spec, options);
+      },
+      ::testing::KilledBySignal(SIGKILL), "");
+
+  // Each record is flushed before its heartbeat, so the manifest holds the
+  // header and exactly the five finished cells.
+  const std::string manifest = slurp(dir + "/manifest.jsonl");
+  EXPECT_EQ(std::count(manifest.begin(), manifest.end(), '\n'), 6);
+  EXPECT_EQ(we::load_manifest(dir + "/manifest.jsonl").by_tag.size(), 5u);
+
+  we::SweepOptions resume = options_for(dir);
+  resume.resume = true;
+  const auto resumed = we::run_sweep(spec, resume);
+  ASSERT_TRUE(resumed.completed);
+  EXPECT_EQ(resumed.cells_resumed, 5u);
+  EXPECT_EQ(resumed.cells_run, resumed.cells_total - 5);
+
+  const auto fresh = we::run_sweep(spec, options_for(fresh_dir("killed_fresh")));
+  ASSERT_TRUE(fresh.completed);
+  EXPECT_EQ(slurp(fresh.csv_path), slurp(resumed.csv_path));
+  EXPECT_EQ(slurp(fresh.json_path), slurp(resumed.json_path));
+  // One inline pool runs the cells in grid order, so even the manifests
+  // match byte for byte.
+  EXPECT_EQ(slurp(fresh.manifest_path), slurp(resumed.manifest_path));
 }
 
 TEST(SweepRunner, ZeroWorkerPoolStaysInlineOnTheCellShardedPath) {
@@ -939,7 +989,6 @@ TEST(SweepRunner, HeartbeatFiresEveryNCellsAndIsOffByDefault) {
   EXPECT_EQ(beats[0].completed, 3u);
   EXPECT_EQ(beats[1].completed, 6u);
   for (const auto& hb : beats) {
-    EXPECT_EQ(hb.worker_id, -1);  // single-process mode
     EXPECT_EQ(hb.total, 8u);
     EXPECT_GT(hb.cells_per_sec, 0.0);
     EXPECT_GE(hb.eta_sec, 0.0);

@@ -13,8 +13,6 @@
 ///   wakeup_cli sweep --preset=figure-scenario-b --out=sweep_b [--resume]
 ///   wakeup_cli sweep --protocols=wakeup_with_k,round_robin --n=2^10..2^13 --k=1,8,64
 ///   wakeup_cli sweep --preset=dynamic-throughput   # sustained-load grid
-///   wakeup_cli sweep --preset=figure-scenario-b --out=sweep_b --workers=4
-///   wakeup_cli sweep merge --out=sweep_b           # shards -> report
 ///   wakeup_cli adversary --protocol=round_robin --n=128 --k=16 [--seed=1]
 ///   wakeup_cli certify --n=16 [--c=2] [--seed=1]          # waking-matrix seed search
 ///   wakeup_cli list                                       # protocols + capabilities
@@ -125,32 +123,10 @@ sweep options:
   --per-trial-csv=<csv>  stream one row per trial across all cells
   --quiet                suppress per-cell progress lines
   --progress=<N>         heartbeat every N completed cells: completed/total,
-                         cells/sec, ETA (off by default; workers prefix
-                         their lines with [worker W])
-  --workers=<N>          fork N cooperating worker processes against --out:
-                         cells are leased through the claim ledger
-                         (claims.jsonl), results land in per-worker shards
-                         (manifest-<w>.jsonl), and the driver merges them
-                         into the canonical report on exit
-  --worker-id=<W>        run THIS process as worker W of an externally
-                         launched fleet (cluster schedulers; every worker
-                         shares --out on one filesystem); drain, then run
-                         `sweep merge --out=<dir>` once to emit the report
-  --lease-cells=<N>      cells leased per claim (default 8)
-  --lease-ttl=<ms>       lease duration before a crashed worker's cells
-                         become stealable (default 10000)
+                         cells/sec, ETA (off by default)
   --metrics=<json>       write the obs registry snapshot after the sweep
-                         (cell wall times, engine tiles, ledger steals;
-                         fleet workers shard to <out>/metrics-<w>.json)
-  --trace=<json>         write a Perfetto trace: one duration event per
-                         cell; fleet workers get their own process row and
-                         the driver merges <out>/trace-<w>.json shards here
-
-sweep merge:
-  wakeup_cli sweep merge --out=<dir>
-                         merge every manifest shard in <dir> and write the
-                         report (byte-identical to a single-process run);
-                         exit 1 while cells are still missing
+                         (cell wall times, engine tiles)
+  --trace=<json>         write a Perfetto trace: one duration event per cell
 
 note: --save-pattern generates one pattern up front, saves it, and replays
 it for every trial (use --pattern-file to re-run it later).
@@ -262,26 +238,27 @@ int cmd_list() {
   return 0;
 }
 
-/// `sweep merge --out=dir`: standalone deterministic merge for cluster
-/// launchers whose workers ran with --worker-id on a shared filesystem.
-int cmd_sweep_merge(const util::Args& args) {
-  const std::string out_dir = args.get("out", "sweep_out");
-  const exp::SweepOutcome outcome = exp::merge_sweep(out_dir);
-  std::cout << "cells: " << outcome.cells_total << " total, " << outcome.cells_resumed
-            << " merged, " << outcome.cells_remaining << " remaining\n";
-  if (!outcome.completed) {
-    std::cout << "grid incomplete — run the remaining cells (more workers, or --resume) "
-                 "before merging\n";
-    return 1;
+/// `sweep` runs its grid in this one process, in parallel only across
+/// --threads.  util::Args ignores flags nobody asks for, so a subcommand
+/// or a multi-process flag would otherwise run the whole grid unnoticed —
+/// and a fresh run truncates the manifest in --out.  Refuse them up front.
+void reject_multi_process_sweep(const util::Args& args) {
+  if (args.positional().size() > 1) {
+    throw std::invalid_argument("sweep takes no subcommand, got '" + args.positional()[1] +
+                                "': a sweep runs in one process (use --threads=N to run it "
+                                "in parallel)");
   }
-  std::cout << "report: " << outcome.csv_path << "  " << outcome.json_path << "\n";
-  return 0;
+  for (const char* flag : {"workers", "worker-id", "lease-cells", "lease-ttl"}) {
+    if (args.has(flag)) {
+      throw std::invalid_argument("--" + std::string(flag) +
+                                  " is not a sweep option: a sweep runs in one process (use "
+                                  "--threads=N to run it in parallel)");
+    }
+  }
 }
 
 int cmd_sweep(const util::Args& args) {
-  if (args.positional().size() > 1 && args.positional()[1] == "merge") {
-    return cmd_sweep_merge(args);
-  }
+  reject_multi_process_sweep(args);
   exp::SweepSpec spec =
       args.has("preset") ? exp::make_preset(args.get("preset")) : exp::SweepSpec{};
   if (args.has("protocols")) spec.protocols = exp::split_list(args.get("protocols"));
@@ -361,10 +338,6 @@ int cmd_sweep(const util::Args& args) {
     options.heartbeat_cells =
         static_cast<std::uint64_t>(bounded_flag(args, "progress", 1, 1, 1'000'000'000));
   }
-  options.lease_cells =
-      static_cast<std::uint64_t>(bounded_flag(args, "lease-cells", 8, 1, 1'000'000'000));
-  options.lease_ttl_ms =
-      static_cast<std::uint64_t>(bounded_flag(args, "lease-ttl", 10000, 1, 86'400'000));
   options.metrics_path = metrics_flag(args);
   if (args.has("trace")) {
     options.trace_path = args.get("trace");
@@ -372,46 +345,7 @@ int cmd_sweep(const util::Args& args) {
       throw std::invalid_argument("sweep --trace needs a file path (there is no timeline print)");
     }
     obs::set_trace_enabled(true);
-    obs::trace_set_process(0, "sweep");
-  }
-  // The registry also powers the --progress heartbeat's lease-steal
-  // count; enable it here — before the fleet forks, so worker processes
-  // inherit the flag.
-  if (args.has("progress")) obs::set_enabled(true);
-  const std::int64_t workers = bounded_flag(args, "workers", 0, 0, 1024);
-  if (args.has("worker-id")) {
-    if (workers > 0) {
-      throw std::invalid_argument(
-          "--workers forks a local fleet, --worker-id joins an externally launched one — "
-          "pick one");
-    }
-    options.worker_id =
-        static_cast<std::int32_t>(bounded_flag(args, "worker-id", 0, 0, 1'000'000));
-  }
-
-  // Fleet mode forks before this process owns any threads (fork carries
-  // only the calling thread), so it must run before --threads builds a
-  // pool and before any sink opens.
-  if (workers > 0) {
-    if (args.has("per-trial-csv")) {
-      throw std::invalid_argument(
-          "--per-trial-csv cannot serialize rows across worker processes");
-    }
-    const auto worker_threads =
-        static_cast<std::size_t>(bounded_flag(args, "threads", 0, 0, 1024));
-    const exp::SweepOutcome outcome = exp::run_sweep_fleet(
-        spec, options, static_cast<std::uint32_t>(workers), worker_threads);
-    std::cout << "workers: " << workers << "\ncells: " << outcome.cells_total << " total, "
-              << outcome.cells_resumed << " merged, " << outcome.cells_remaining
-              << " remaining\n";
-    if (!outcome.completed) {
-      std::cout << "sweep interrupted by --max-cells; re-run with --resume to finish\n";
-      return 1;
-    }
-    std::cout << "report: " << outcome.csv_path << "  " << outcome.json_path << "\n";
-    if (!options.metrics_path.empty()) std::cout << "[metrics] " << options.metrics_path << "\n";
-    if (!options.trace_path.empty()) std::cout << "[trace] " << options.trace_path << "\n";
-    return 0;
+    obs::trace_set_process("sweep");
   }
   const std::string sharding = args.get("sharding", "auto");
   if (sharding == "cells") {
@@ -441,18 +375,6 @@ int cmd_sweep(const util::Args& args) {
             << " remaining\n"
             << "manifest: " << outcome.manifest_path << "\n";
   if (csv) std::cout << "[per-trial csv] " << csv->path() << " (" << csv->rows() << " rows)\n";
-  if (options.worker_id >= 0) {
-    // One worker of an externally launched fleet: no report here — the
-    // launcher merges once the grid is drained.
-    if (!outcome.drained) {
-      std::cout << "worker " << options.worker_id
-                << " exited with cells outstanding; run more workers (or re-run) to drain\n";
-      return 1;
-    }
-    std::cout << "grid drained; emit the report with `wakeup_cli sweep merge --out="
-              << options.out_dir << "`\n";
-    return 0;
-  }
   if (!outcome.completed) {
     std::cout << "sweep interrupted by --max-cells; re-run with --resume to finish\n";
     return 1;
@@ -615,7 +537,7 @@ int cmd_run(const util::Args& args) {
   const bool trace_print = args.get_flag("trace");
   if (!trace_path.empty()) {
     obs::set_trace_enabled(true);
-    obs::trace_set_process(0, "wakeup_cli run");
+    obs::trace_set_process("wakeup_cli run");
   }
 
   std::unique_ptr<sim::TrialCsvSink> csv;
