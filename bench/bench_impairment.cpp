@@ -4,10 +4,12 @@
 /// Every batch engine applies a realized ImpairmentPlan as one extra
 /// AND/XOR per 64-slot word after each OR-reduction; the acceptance gate
 /// says an impaired run may cost at most 10% per-slot throughput vs the
-/// clean twin.  Plans are compiled outside the timed region (the sweep
-/// harness compiles one per trial once, then runs the engine), and each
-/// cell first checks interpreter ≡ batch bit-identity under the impairment
-/// — a fast fold that disagrees with the reference loop measures nothing.
+/// clean twin.  Plans are compiled outside the timed region, but a plan
+/// realizes its words on first read: the first impaired rep also draws the
+/// words its trials read, and the later reps reuse the plans and time the
+/// fold alone (the gate takes the best rep).  Each cell first checks
+/// interpreter ≡ batch bit-identity under the impairment — a fast fold
+/// that disagrees with the reference loop measures nothing.
 ///
 /// Usage: bench_impairment [--quick]   (--quick shrinks trials/budgets for
 /// CI-sized runs; the gate then applies to the shrunk cells)
@@ -111,7 +113,7 @@ int main(int argc, char** argv) {
     config.max_slots = budget;
     config.engine = sim::Engine::kBatch;
 
-    // Patterns and realized plans, fixed across the clean/impaired timings.
+    // Patterns and compiled plans, fixed across the clean/impaired timings.
     std::vector<mac::WakePattern> patterns;
     std::vector<sim::ImpairmentPlan> plans;
     patterns.reserve(cell.trials);

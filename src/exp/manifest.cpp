@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -160,9 +159,12 @@ util::Summary parse_summary(const std::map<std::string, std::string>& fields,
 
 std::string json_double(double value) {
   if (!std::isfinite(value)) return "null";
+  // to_chars' general format at precision 17 is defined as printf's
+  // "%.17g" in the "C" locale: the same digits, without a format parse.
   char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
+  const auto end =
+      std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general, 17).ptr;
+  return {buf, end};
 }
 
 std::string manifest_line(const CellRecord& record) {

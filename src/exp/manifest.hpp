@@ -62,8 +62,8 @@ struct CellRecord {
   double rounds_inflation = -1.0;
 };
 
-/// Shortest-exact double formatting used by the manifest and the reports
-/// ("%.17g"; NaN/inf become null — JSON has no token for them).
+/// Exact double formatting used by the manifest and the reports: printf's
+/// "%.17g" digits (NaN/inf become null — JSON has no token for them).
 [[nodiscard]] std::string json_double(double value);
 
 /// Serializes one record as a single JSONL line (no trailing newline).

@@ -10,10 +10,11 @@
 
 namespace wakeup::obs {
 
+#if defined(WAKEUP_OBS) && WAKEUP_OBS
+
 namespace {
 
-/// Renders one "b:count" bucket string (shared by both build flavors via
-/// the histogram snapshot path; trivially empty in OFF builds).
+/// Renders one "b:count" bucket string for the histogram snapshot.
 std::string bucket_text(const std::array<std::uint64_t, 64>& buckets) {
   std::string out;
   char buf[48];
@@ -25,12 +26,6 @@ std::string bucket_text(const std::array<std::uint64_t, 64>& buckets) {
   }
   return out;
 }
-
-}  // namespace
-
-#if defined(WAKEUP_OBS) && WAKEUP_OBS
-
-namespace {
 
 /// Fixed shard capacity: the instrumented layers intern a few dozen names;
 /// a fixed slab keeps thread attach/detach allocation-free and the per-add

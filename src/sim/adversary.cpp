@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "sim/impairment_engine.hpp"
@@ -183,13 +184,14 @@ JamSearchResult search_worst_jam(const proto::Protocol& protocol,
         break;
       default: {
         // Floyd's distinct sampling of `jam` slots from [0, horizon).
-        util::DynamicBitset taken(static_cast<std::size_t>(horizon));
+        std::unordered_set<mac::Slot> taken;
+        taken.reserve(jam);
         current.clear();
         for (mac::Slot t = horizon - static_cast<mac::Slot>(jam); t < horizon; ++t) {
           const auto pick =
               static_cast<mac::Slot>(rng.uniform(static_cast<std::uint64_t>(t) + 1));
-          const auto chosen = taken.test(static_cast<std::size_t>(pick)) ? t : pick;
-          taken.set(static_cast<std::size_t>(chosen));
+          const auto chosen = taken.contains(pick) ? t : pick;
+          taken.insert(chosen);
           current.push_back(chosen);
         }
         std::sort(current.begin(), current.end());

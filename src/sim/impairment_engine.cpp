@@ -4,9 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
-
-#include "util/dynamic_bitset.hpp"
-#include "util/rng.hpp"
+#include <unordered_set>
 
 namespace wakeup::sim {
 namespace {
@@ -24,47 +22,15 @@ Slot geometric_gap(double p, util::Rng& rng) {
   return static_cast<Slot>(std::log(u) / std::log1p(-p));
 }
 
-void realize_iid_noise(double p, Slot horizon, util::Rng& rng,
-                       std::vector<std::uint64_t>& words) {
-  Slot t = geometric_gap(p, rng);
-  while (t < horizon) {
-    set_slot_bit(words, t);
-    t += 1 + geometric_gap(p, rng);
-  }
-}
-
-/// 2-state Markov noise: stationary noisy probability P, burst-end
-/// probability SWITCH per slot (mean burst 1/SWITCH slots).  The quiet->
-/// noisy rate follows from stationarity: on/(on+off) = P.
-void realize_bursty_noise(double p, double switch_p, Slot horizon, util::Rng& rng,
-                          std::vector<std::uint64_t>& words) {
-  const double enter_p = std::min(1.0, switch_p * p / (1.0 - p));
-  bool noisy = rng.bernoulli(p);  // start in the stationary distribution
-  for (Slot t = 0; t < horizon; ++t) {
-    if (noisy) {
-      set_slot_bit(words, t);
-      if (rng.bernoulli(switch_p)) noisy = false;
-    } else if (rng.bernoulli(enter_p)) {
-      noisy = true;
-    }
-  }
-}
-
 /// Floyd's uniform sampling of `count` distinct values out of [0, bound).
 std::vector<Slot> choose_slots(Slot bound, std::uint64_t count, util::Rng& rng) {
-  std::vector<Slot> out;
-  out.reserve(static_cast<std::size_t>(count));
-  util::DynamicBitset chosen(static_cast<std::size_t>(bound));
+  std::unordered_set<Slot> chosen;
+  chosen.reserve(static_cast<std::size_t>(count));
   for (Slot j = bound - static_cast<Slot>(count); j < bound; ++j) {
     const auto t = static_cast<Slot>(rng.uniform(static_cast<std::uint64_t>(j) + 1));
-    if (chosen.test(static_cast<std::size_t>(t))) {
-      chosen.set(static_cast<std::size_t>(j));
-      out.push_back(j);
-    } else {
-      chosen.set(static_cast<std::size_t>(t));
-      out.push_back(t);
-    }
+    chosen.insert(chosen.contains(t) ? j : t);
   }
+  std::vector<Slot> out(chosen.begin(), chosen.end());
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -119,17 +85,75 @@ std::size_t fault_count(double fraction, std::size_t population) {
   return std::max<std::size_t>(1, std::min(count, population));
 }
 
+/// A realized prefix starts at one 8-word (512-slot) tile and doubles.
+constexpr std::size_t kFirstRealizedWords = 8;
+
+/// The prefix size a read of word w >= old_size realizes to: through w, at
+/// least one tile and at least double; old_size when w is past the horizon.
+std::size_t grown_size(std::size_t w, std::size_t old_size, Slot horizon) {
+  const auto n_words = static_cast<std::size_t>((horizon + 63) / 64);
+  if (w >= n_words) return old_size;
+  return std::min(n_words, std::max({w + 1, 2 * old_size, kFirstRealizedWords}));
+}
+
 }  // namespace
 
-std::uint64_t ImpairmentPlan::corrupted_in(Slot lo, Slot hi) const noexcept {
-  if (corrupt_words.empty() || hi <= lo) return 0;
+std::uint64_t ImpairmentPlan::realize_noise(std::size_t w) const {
+  if (!spec.has_noise()) return 0;
+  const std::size_t from = noise_.size();
+  const std::size_t to = grown_size(w, from, horizon);
+  if (to == from) return 0;
+  noise_.resize(to, 0);
+  const Slot end = std::min(static_cast<Slot>(to) * 64, horizon);
+  if (spec.noise == mac::NoiseKind::kIid) {
+    while (next_noisy_ < end) {
+      set_slot_bit(noise_, next_noisy_);
+      next_noisy_ += 1 + geometric_gap(spec.noise_p, noise_rng_);
+    }
+  } else {
+    // 2-state Markov noise: stationary noisy probability P, burst-end
+    // probability SWITCH per slot (mean burst 1/SWITCH slots).
+    for (Slot t = static_cast<Slot>(from) * 64; t < end; ++t) {
+      if (bursting_) {
+        set_slot_bit(noise_, t);
+        if (noise_rng_.bernoulli(spec.noise_switch)) bursting_ = false;
+      } else if (noise_rng_.bernoulli(enter_p_)) {
+        bursting_ = true;
+      }
+    }
+  }
+  return noise_[w];
+}
+
+std::uint64_t ImpairmentPlan::realize_corrupt(std::size_t w) const {
+  if (!corrupts()) return 0;
+  const std::size_t from = corrupt_.size();
+  const std::size_t to = grown_size(w, from, horizon);
+  if (to == from) return 0;
+  corrupt_.resize(to, 0);
+  const Slot end = static_cast<Slot>(to) * 64;
+  for (; jam_cursor_ < jam_slots.size() && jam_slots[jam_cursor_] < end; ++jam_cursor_) {
+    set_slot_bit(corrupt_, jam_slots[jam_cursor_]);
+  }
+  // A byzantine station interferes like a fair-coin jammer: p = 1/2 per
+  // slot, one raw rng word per 64 slots.
+  for (util::Rng& rng : byzantine_rngs_) {
+    for (std::size_t v = from; v < to; ++v) corrupt_[v] |= rng.next_u64();
+  }
+  // Bits past the horizon would double-count in corrupted_in.
+  if (end > horizon) corrupt_.back() &= (std::uint64_t{1} << (horizon % 64)) - 1;
+  return corrupt_[w];
+}
+
+std::uint64_t ImpairmentPlan::corrupted_in(Slot lo, Slot hi) const {
+  if (!corrupts() || hi <= lo) return 0;
   lo = std::max<Slot>(lo, 0);
-  hi = std::min<Slot>(hi, static_cast<Slot>(corrupt_words.size()) * 64);
+  hi = std::min<Slot>(hi, horizon);
   std::uint64_t count = 0;
   for (Slot t = lo; t < hi;) {
     const std::size_t w = static_cast<std::size_t>(t) / 64;
     const unsigned bit = static_cast<unsigned>(t) % 64;
-    std::uint64_t word = corrupt_words[w] >> bit;
+    std::uint64_t word = corrupt_word(w) >> bit;
     const Slot span = std::min<Slot>(64 - bit, hi - t);
     if (span < 64) word &= (std::uint64_t{1} << span) - 1;
     count += static_cast<std::uint64_t>(std::popcount(word));
@@ -159,21 +183,21 @@ ImpairmentPlan compile_impairment(const mac::ImpairmentSpec& spec, std::uint64_t
   plan.horizon = horizon;
   if (spec.clean() && (jam_override == nullptr || jam_override->empty())) return plan;
 
-  const std::size_t n_words = static_cast<std::size_t>((horizon + 63) / 64);
   // Each clause draws from its own split substream: realizations are
   // independent of one another and of the order clauses are compiled in
   // (so the adversarial jam search varies placement against a fixed noise
-  // background).
+  // background) or their words are read in.
   const util::Rng rng(util::hash_words({seed, 0x494d50ULL /* "IMP" */}));
 
   if (spec.has_noise()) {
-    plan.noise_words.assign(n_words, 0);
-    util::Rng sub = rng.split(0x4e4f495345ULL /* "NOISE" */);
+    plan.noise_rng_ = rng.split(0x4e4f495345ULL /* "NOISE" */);
     if (spec.noise == mac::NoiseKind::kIid) {
-      realize_iid_noise(spec.noise_p, horizon, sub, plan.noise_words);
+      plan.next_noisy_ = geometric_gap(spec.noise_p, plan.noise_rng_);
     } else {
-      realize_bursty_noise(spec.noise_p, spec.noise_switch, horizon, sub,
-                           plan.noise_words);
+      // The quiet -> noisy rate follows from stationarity: on/(on+off) = P;
+      // the chain starts in the stationary distribution.
+      plan.enter_p_ = std::min(1.0, spec.noise_switch * spec.noise_p / (1.0 - spec.noise_p));
+      plan.bursting_ = plan.noise_rng_.bernoulli(spec.noise_p);
     }
   }
 
@@ -190,7 +214,6 @@ ImpairmentPlan compile_impairment(const mac::ImpairmentSpec& spec, std::uint64_t
     plan.jam_slots = realize_jam_schedule(spec, horizon, sub);
   }
 
-  std::vector<StationId> byz;
   if (spec.has_faults()) {
     if (stations == nullptr || stations->empty()) {
       throw std::invalid_argument(
@@ -203,8 +226,7 @@ ImpairmentPlan compile_impairment(const mac::ImpairmentSpec& spec, std::uint64_t
         std::min(fault_count(spec.crash_f, pool.size()), pool.size() - n_byz);
     if (n_byz > 0) {
       util::Rng sub = rng.split(0x42595aULL /* "BYZ" */);
-      byz = draw_stations(pool, n_byz, sub);
-      plan.byzantine = byz;
+      plan.byzantine = draw_stations(pool, n_byz, sub);
     }
     if (n_crash > 0) {
       util::Rng sub = rng.split(0x435253ULL /* "CRS" */);
@@ -220,20 +242,9 @@ ImpairmentPlan compile_impairment(const mac::ImpairmentSpec& spec, std::uint64_t
     }
   }
 
-  if (!plan.jam_slots.empty() || !byz.empty()) {
-    plan.corrupt_words.assign(n_words, 0);
-    for (const Slot t : plan.jam_slots) set_slot_bit(plan.corrupt_words, t);
-    for (const StationId u : byz) {
-      // A byzantine station interferes like a fair-coin jammer: p = 1/2 per
-      // slot, one raw rng word per 64 slots.
-      util::Rng sub = rng.split(0x42595a00000000ULL ^ (std::uint64_t{u} + 1));
-      for (std::size_t w = 0; w < n_words; ++w) {
-        plan.corrupt_words[w] |= sub.next_u64();
-      }
-    }
-    // Bits past the horizon would double-count in corrupted_in.
-    const unsigned tail = static_cast<unsigned>(horizon % 64);
-    if (tail != 0) plan.corrupt_words.back() &= (std::uint64_t{1} << tail) - 1;
+  plan.byzantine_rngs_.reserve(plan.byzantine.size());
+  for (const StationId u : plan.byzantine) {
+    plan.byzantine_rngs_.push_back(rng.split(0x42595a00000000ULL ^ (std::uint64_t{u} + 1)));
   }
   return plan;
 }

@@ -31,8 +31,9 @@ std::uint64_t trial_protocol_seed(std::uint64_t seed) {
 }
 
 /// Per-trial impairment plan for a static run, covering every slot the
-/// trial may walk: [0, first_wake + budget).  The plan seed is the trial
-/// seed, so realizations vary per trial like wake patterns do.
+/// trial may walk: [0, first_wake + budget); it realizes only the words
+/// the trial reads.  The plan seed is the trial seed, so realizations vary
+/// per trial like wake patterns do.
 ImpairmentPlan compile_static_plan(const RunSpec& spec, std::uint64_t seed,
                                    const mac::WakePattern& pattern,
                                    const std::vector<mac::Slot>* jam_override) {
@@ -195,11 +196,15 @@ void run_dynamic(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
     const proto::ProtocolPtr rebuilt =
         randomized ? spec.make_protocol(trial_protocol_seed(seed)) : nullptr;
     // One impairment realization per trial; fault clauses draw their
-    // stations from this trial's scenario population.
+    // stations from this trial's scenario population.  A plan realizes as
+    // it is read, so a caller-set one is copied: each trial reads its own.
     ImpairmentPlan plan;
-    const ImpairmentPlan* plan_ptr = spec.sim.impairment;
+    const ImpairmentPlan* plan_ptr = nullptr;
     if (!spec.impairment.clean()) {
       plan = compile_impairment(spec.impairment, seed, spec.horizon, &scenario.stations());
+      plan_ptr = &plan;
+    } else if (spec.sim.impairment != nullptr) {
+      plan = *spec.sim.impairment;
       plan_ptr = &plan;
     }
     DynamicResult r = dispatch_dynamic(rebuilt ? *rebuilt : *protocol, scenario,
@@ -293,10 +298,15 @@ void run_static(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
     const mac::WakePattern& pattern = spec.make_pattern ? generated : *spec.pattern;
     const std::shared_ptr<const typename Model::Protocol> rebuilt =
         randomized ? Model::builder(spec)(trial_protocol_seed(seed)) : nullptr;
+    // A plan realizes as it is read, so a caller-set one is copied: each
+    // trial reads its own.
     ImpairmentPlan plan;
     SimConfig cfg = spec.sim;
     if (impaired) {
       plan = compile_static_plan(spec, seed, pattern, jam_override);
+      cfg.impairment = &plan;
+    } else if (spec.sim.impairment != nullptr) {
+      plan = *spec.sim.impairment;
       cfg.impairment = &plan;
     }
     const typename Model::Result r = Model::dispatch(rebuilt ? *rebuilt : *protocol, pattern, cfg);

@@ -96,7 +96,7 @@ struct RunSpec {
   /// fault clauses need dynamic mode (the station population is the
   /// scenario's); adversarial jam needs the static single-channel stack.
   /// When non-clean this takes precedence over a caller-set
-  /// `sim.impairment` plan.
+  /// `sim.impairment` plan; each trial reads its own copy of such a plan.
   mac::ImpairmentSpec impairment;
 
   /// Engine selection, slot budget, trace/full-resolution flags.  The

@@ -73,11 +73,12 @@ struct SimConfig {
   /// Extension: run until every awake station has had a solo transmission
   /// (stations leave the channel after succeeding).
   bool full_resolution = false;
-  /// One trial's realized channel impairments (noise/jam words, faults),
-  /// or nullptr for the clean channel.  Not owned; the caller keeps the
-  /// plan alive for the run (sim/run.cpp compiles one per trial).  Every
-  /// engine folds the same plan, so interpreter ≡ batch holds under
-  /// impairment exactly as it does clean.
+  /// One trial's channel impairments (noise/jam words, faults), or
+  /// nullptr for the clean channel.  Not owned; the caller keeps the plan
+  /// alive for the run (sim/run.cpp compiles one per trial).  The plan
+  /// realizes its words as the engine reads them, so one plan serves one
+  /// run at a time.  Every engine folds the same plan, so interpreter ≡
+  /// batch holds under impairment exactly as it does clean.
   const ImpairmentPlan* impairment = nullptr;
   /// Per-station energy accounting (kOff skips it entirely).  The energy
   /// model is deliberately NOT part of the sweep cell identity: it changes

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <numeric>
 #include <set>
 #include <string>
@@ -11,10 +13,30 @@
 
 #include "mac/impairment.hpp"
 #include "sim/impairment_engine.hpp"
+#include "util/dynamic_bitset.hpp"
+#include "util/rng.hpp"
 
 namespace wu = wakeup;
 
 namespace {
+
+std::size_t word_count(wu::mac::Slot horizon) {
+  return static_cast<std::size_t>((horizon + 63) / 64);
+}
+
+/// Every noise word of the horizon, read in ascending order.
+std::vector<std::uint64_t> noise_words(const wu::sim::ImpairmentPlan& plan) {
+  std::vector<std::uint64_t> words(word_count(plan.horizon));
+  for (std::size_t w = 0; w < words.size(); ++w) words[w] = plan.noise_word(w);
+  return words;
+}
+
+/// Every corrupt word of the horizon, read in ascending order.
+std::vector<std::uint64_t> corrupt_words(const wu::sim::ImpairmentPlan& plan) {
+  std::vector<std::uint64_t> words(word_count(plan.horizon));
+  for (std::size_t w = 0; w < words.size(); ++w) words[w] = plan.corrupt_word(w);
+  return words;
+}
 
 std::uint64_t popcount_words(const std::vector<std::uint64_t>& words) {
   std::uint64_t count = 0;
@@ -86,15 +108,19 @@ TEST(ImpairmentEngine, PlansAreDeterministicInSeedAndSpec) {
   const auto stations = station_range(64);
   const auto a = wu::sim::compile_impairment(spec, 42, 4096, &stations);
   const auto b = wu::sim::compile_impairment(spec, 42, 4096, &stations);
-  EXPECT_EQ(a.noise_words, b.noise_words);
-  EXPECT_EQ(a.corrupt_words, b.corrupt_words);
+  // Every word of the horizon, read through the accessors (the plan
+  // realizes its words on first read, so there is no array to compare).
+  EXPECT_EQ(noise_words(a), noise_words(b));
+  EXPECT_EQ(corrupt_words(a), corrupt_words(b));
+  EXPECT_GT(popcount_words(noise_words(a)), 0u);
+  EXPECT_GT(popcount_words(corrupt_words(a)), 0u);
   EXPECT_EQ(a.jam_slots, b.jam_slots);
   EXPECT_EQ(a.crashes, b.crashes);
   EXPECT_EQ(a.byzantine, b.byzantine);
   // A different seed realizes differently (overwhelmingly likely at this
   // size) — the plan is a function of the seed, not just the spec.
   const auto c = wu::sim::compile_impairment(spec, 43, 4096, &stations);
-  EXPECT_NE(a.noise_words, c.noise_words);
+  EXPECT_NE(noise_words(a), noise_words(c));
 }
 
 TEST(ImpairmentEngine, JamBudgetIsExactAndClamped) {
@@ -103,7 +129,7 @@ TEST(ImpairmentEngine, JamBudgetIsExactAndClamped) {
         wu::mac::ImpairmentSpec::parse("jam:budget:48:" + std::string(sched));
     const auto plan = wu::sim::compile_impairment(spec, 7, 1024);
     EXPECT_EQ(plan.jam_slots.size(), 48u) << sched;
-    EXPECT_EQ(popcount_words(plan.corrupt_words), 48u) << sched;
+    EXPECT_EQ(popcount_words(corrupt_words(plan)), 48u) << sched;
     // Ascending, distinct, inside the horizon.
     std::set<wu::mac::Slot> distinct(plan.jam_slots.begin(), plan.jam_slots.end());
     EXPECT_EQ(distinct.size(), plan.jam_slots.size()) << sched;
@@ -182,6 +208,249 @@ TEST(ImpairmentEngine, JamOverrideReplacesTheSchedule) {
   EXPECT_TRUE(plan.corrupted(9));
   EXPECT_TRUE(plan.corrupted(17));
   EXPECT_EQ(plan.corrupted_in(0, 256), 3u);
+}
+
+// -------------------------------------------- eager reference realization --
+
+using wu::mac::Slot;
+
+void set_slot_bit(std::vector<std::uint64_t>& words, Slot t) {
+  words[static_cast<std::size_t>(t) / 64] |= std::uint64_t{1}
+                                             << (static_cast<std::size_t>(t) % 64);
+}
+
+Slot geometric_gap(double p, wu::util::Rng& rng) {
+  if (p >= 1.0) return 0;
+  const double u = 1.0 - rng.uniform01();
+  return static_cast<Slot>(std::log(u) / std::log1p(-p));
+}
+
+/// A plan's words as the compiler once realized them: every word of the
+/// horizon up front, one clause loop at a time, from the same substreams.
+struct EagerWords {
+  std::vector<std::uint64_t> noise;
+  std::vector<std::uint64_t> corrupt;
+  std::vector<Slot> jam_slots;
+
+  [[nodiscard]] std::uint64_t noise_word(std::size_t w) const {
+    return w < noise.size() ? noise[w] : 0;
+  }
+  [[nodiscard]] std::uint64_t corrupt_word(std::size_t w) const {
+    return w < corrupt.size() ? corrupt[w] : 0;
+  }
+  [[nodiscard]] bool bit(const std::vector<std::uint64_t>& words, Slot t) const {
+    const auto w = static_cast<std::size_t>(t) / 64;
+    return t >= 0 && w < words.size() && ((words[w] >> (static_cast<std::size_t>(t) % 64)) & 1);
+  }
+  [[nodiscard]] wu::mac::SlotOutcome outcome(Slot t, std::size_t transmitters) const {
+    if (bit(corrupt, t)) return wu::mac::SlotOutcome::kCollision;
+    if (transmitters == 0) return wu::mac::SlotOutcome::kSilence;
+    if (transmitters > 1) return wu::mac::SlotOutcome::kCollision;
+    return bit(noise, t) ? wu::mac::SlotOutcome::kCollision : wu::mac::SlotOutcome::kSuccess;
+  }
+  [[nodiscard]] std::uint64_t corrupted_in(Slot lo, Slot hi) const {
+    std::uint64_t count = 0;
+    for (Slot t = std::max<Slot>(lo, 0); t < hi; ++t) count += bit(corrupt, t) ? 1 : 0;
+    return count;
+  }
+};
+
+/// The jam schedule with Floyd's draw over a horizon-sized bitset.
+std::vector<Slot> eager_jam(const wu::mac::ImpairmentSpec& spec, Slot horizon,
+                            const std::vector<Slot>* jam_override, wu::util::Rng rng) {
+  std::vector<Slot> slots;
+  if (jam_override != nullptr) {
+    for (const Slot t : *jam_override) {
+      if (t >= 0 && t < horizon) slots.push_back(t);
+    }
+    std::sort(slots.begin(), slots.end());
+    slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+    return slots;
+  }
+  if (!spec.has_jam()) return slots;
+  const std::uint64_t budget =
+      std::min<std::uint64_t>(spec.jam_budget, static_cast<std::uint64_t>(horizon));
+  switch (spec.jam_sched) {
+    case wu::mac::JamSchedule::kFront:
+      for (std::uint64_t i = 0; i < budget; ++i) slots.push_back(static_cast<Slot>(i));
+      break;
+    case wu::mac::JamSchedule::kSpread:
+      for (std::uint64_t i = 0; i < budget; ++i) {
+        slots.push_back(static_cast<Slot>((static_cast<std::uint64_t>(horizon) * i) / budget));
+      }
+      break;
+    case wu::mac::JamSchedule::kRandom: {
+      wu::util::DynamicBitset chosen(static_cast<std::size_t>(horizon));
+      for (Slot j = horizon - static_cast<Slot>(budget); j < horizon; ++j) {
+        const auto t = static_cast<Slot>(rng.uniform(static_cast<std::uint64_t>(j) + 1));
+        const Slot pick = chosen.test(static_cast<std::size_t>(t)) ? j : t;
+        chosen.set(static_cast<std::size_t>(pick));
+        slots.push_back(pick);
+      }
+      std::sort(slots.begin(), slots.end());
+      break;
+    }
+    case wu::mac::JamSchedule::kAdversarial:
+      break;
+  }
+  return slots;
+}
+
+/// `byzantine` is the plan's station draw (unchanged by lazy realization).
+EagerWords eager_reference(const wu::mac::ImpairmentSpec& spec, std::uint64_t seed,
+                           Slot horizon, const std::vector<Slot>* jam_override,
+                           const std::vector<wu::mac::StationId>& byzantine) {
+  EagerWords out;
+  const std::size_t n_words = word_count(horizon);
+  const wu::util::Rng rng(wu::util::hash_words({seed, 0x494d50ULL}));
+  if (spec.has_noise()) {
+    out.noise.assign(n_words, 0);
+    wu::util::Rng sub = rng.split(0x4e4f495345ULL);
+    const double p = spec.noise_p;
+    if (spec.noise == wu::mac::NoiseKind::kIid) {
+      Slot t = geometric_gap(p, sub);
+      while (t < horizon) {
+        set_slot_bit(out.noise, t);
+        t += 1 + geometric_gap(p, sub);
+      }
+    } else {
+      const double switch_p = spec.noise_switch;
+      const double enter_p = std::min(1.0, switch_p * p / (1.0 - p));
+      bool noisy = sub.bernoulli(p);
+      for (Slot t = 0; t < horizon; ++t) {
+        if (noisy) {
+          set_slot_bit(out.noise, t);
+          if (sub.bernoulli(switch_p)) noisy = false;
+        } else if (sub.bernoulli(enter_p)) {
+          noisy = true;
+        }
+      }
+    }
+  }
+  out.jam_slots = eager_jam(spec, horizon, jam_override, rng.split(0x4a414dULL));
+  if (!out.jam_slots.empty() || !byzantine.empty()) {
+    out.corrupt.assign(n_words, 0);
+    for (const Slot t : out.jam_slots) set_slot_bit(out.corrupt, t);
+    for (const wu::mac::StationId u : byzantine) {
+      wu::util::Rng sub = rng.split(0x42595a00000000ULL ^ (std::uint64_t{u} + 1));
+      for (std::size_t w = 0; w < n_words; ++w) out.corrupt[w] |= sub.next_u64();
+    }
+    const unsigned tail = static_cast<unsigned>(horizon % 64);
+    if (tail != 0) out.corrupt.back() &= (std::uint64_t{1} << tail) - 1;
+  }
+  return out;
+}
+
+/// Reads words `order` of `plan` (in that order) and returns the first
+/// read that disagrees with the reference, or -1.
+std::int64_t first_word_mismatch(const wu::sim::ImpairmentPlan& plan, const EagerWords& ref,
+                                 const std::vector<std::size_t>& order) {
+  for (const std::size_t w : order) {
+    if (plan.noise_word(w) != ref.noise_word(w) || plan.corrupt_word(w) != ref.corrupt_word(w)) {
+      return static_cast<std::int64_t>(w);
+    }
+  }
+  return -1;
+}
+
+std::vector<std::size_t> ascending(std::size_t from, std::size_t to) {
+  std::vector<std::size_t> out(to - from);
+  std::iota(out.begin(), out.end(), from);
+  return out;
+}
+
+TEST(ImpairmentEngine, LazyWordsMatchEagerReference) {
+  // Words are realized on first read, by resuming each clause's stream;
+  // every read order must see exactly the words the eager compiler drew.
+  struct Case {
+    const char* spec;
+    bool jam_override;
+  };
+  const std::vector<Case> cases = {
+      {"noise:iid:0.05", false},
+      {"noise:iid:0.3", false},
+      {"noise:bursty:0.2:0.1", false},
+      {"jam:budget:40:front", false},
+      {"jam:budget:40:spread", false},
+      {"jam:budget:40:random", false},
+      {"jam:budget:4:adversarial", true},
+      {"crash:0.25", false},
+      {"byzantine:0.1", false},
+      {"noise:iid:0.05+jam:budget:32:random+byzantine:0.1", false},
+      {"noise:bursty:0.1:0.05+jam:budget:16:spread+crash:0.25:64+byzantine:0.2", false},
+      {"noise:iid:0.2+jam:budget:4:adversarial+crash:0.1", true},
+  };
+  const std::vector<Slot> horizons = {1, 63, 64, 65, 511, 512, 513, 4101, 131077};
+  const std::vector<Slot> override_slots = {5, 64, 0, 511, 512, 4100, 131076, 131077, -3, 5};
+  const auto stations = station_range(64);
+  wu::util::Rng draw(2024);
+  for (const Case& c : cases) {
+    const auto spec = wu::mac::ImpairmentSpec::parse(c.spec);
+    const std::vector<Slot>* jam_override = c.jam_override ? &override_slots : nullptr;
+    for (const Slot horizon : horizons) {
+      const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(horizon);
+      const auto compile = [&] {
+        return wu::sim::compile_impairment(spec, seed, horizon, &stations, jam_override);
+      };
+      const wu::sim::ImpairmentPlan fresh = compile();
+      const EagerWords ref = eager_reference(spec, seed, horizon, jam_override, fresh.byzantine);
+      const std::size_t n_words = word_count(horizon);
+      const std::string where = std::string(c.spec) + " @ " + std::to_string(horizon);
+      EXPECT_FALSE(fresh.clean()) << where;
+      EXPECT_EQ(fresh.jam_slots, ref.jam_slots) << where;
+
+      // Ascending, and past the horizon (clean there).
+      EXPECT_EQ(first_word_mismatch(compile(), ref, ascending(0, n_words + 3)), -1)
+          << where << " ascending";
+      // Last word first, then a word past the horizon, then the rest.
+      {
+        std::vector<std::size_t> order = {n_words - 1, n_words + 40};
+        const auto rest = ascending(0, n_words);
+        order.insert(order.end(), rest.begin(), rest.end());
+        EXPECT_EQ(first_word_mismatch(compile(), ref, order), -1) << where << " last first";
+      }
+      // Random words, repeats included.
+      {
+        std::vector<std::size_t> order(2 * n_words + 8);
+        for (std::size_t& w : order) w = static_cast<std::size_t>(draw.uniform(n_words + 2));
+        EXPECT_EQ(first_word_mismatch(compile(), ref, order), -1) << where << " random";
+      }
+      // Slot by slot through effective_outcome, as the interpreter reads.
+      {
+        const wu::sim::ImpairmentPlan plan = compile();
+        Slot bad = -2;
+        for (Slot t = -1; t < horizon + 70 && bad == -2; ++t) {
+          for (std::size_t transmitters = 0; transmitters <= 2; ++transmitters) {
+            if (plan.effective_outcome(t, transmitters) != ref.outcome(t, transmitters)) bad = t;
+          }
+        }
+        EXPECT_EQ(bad, -2) << where << " slot by slot";
+      }
+      // corrupted_in over random ranges, as the C-lane and dynamic engines
+      // count side lanes and idle spans.
+      {
+        const wu::sim::ImpairmentPlan plan = compile();
+        for (int r = 0; r < 24; ++r) {
+          const auto span = static_cast<std::uint64_t>(horizon) + 80;
+          const auto lo = static_cast<Slot>(draw.uniform(span)) - 8;
+          const auto hi = lo + static_cast<Slot>(draw.uniform(r % 4 == 0 ? 40 : 3000));
+          EXPECT_EQ(plan.corrupted_in(lo, hi), ref.corrupted_in(lo, hi))
+              << where << " [" << lo << ", " << hi << ")";
+        }
+      }
+      // A copy taken mid-realization resumes the same streams.
+      {
+        const wu::sim::ImpairmentPlan plan = compile();
+        const std::size_t mid = static_cast<std::size_t>(draw.uniform(n_words));
+        EXPECT_EQ(first_word_mismatch(plan, ref, {mid}), -1) << where << " before copy";
+        const wu::sim::ImpairmentPlan copy = plan;
+        EXPECT_EQ(first_word_mismatch(copy, ref, ascending(0, n_words + 1)), -1)
+            << where << " copy";
+        EXPECT_EQ(first_word_mismatch(plan, ref, ascending(mid, n_words + 1)), -1)
+            << where << " original after copy";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -16,9 +16,12 @@
 #include <type_traits>
 #include <vector>
 
+#include "mac/impairment.hpp"
 #include "protocols/multichannel.hpp"
+#include "protocols/registry.hpp"
 #include "protocols/round_robin.hpp"
 #include "protocols/rpd.hpp"
+#include "sim/impairment_engine.hpp"
 #include "sim/results_sink.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -239,6 +242,70 @@ TEST(RunFacade, CellSummaryMatchesPerTrialReference) {
   EXPECT_GT(mc_ref.rounds.size(), 1u);
   EXPECT_EQ(mc_stats.energy_mean.count, 0u);
   expect_matches(mc_stats, mc_ref, mc.trials);
+}
+
+TEST(RunFacade, CallerSetPlanIsReadPerTrialOnEveryWorker) {
+  // A caller-set plan realizes its words as they are read, so Run gives
+  // each trial its own copy: over a 4-worker pool every trial must read
+  // the same bits as inline (and share no mutable state with another).
+  const auto impairment = wm::ImpairmentSpec::parse("noise:iid:0.4+jam:budget:6:front");
+  const auto plan = ws::compile_impairment(impairment, 17, 4096);
+  auto spec = basic_cell(64, 8, 48);
+  spec.sim.max_slots = 4096;
+  spec.sim.impairment = &plan;
+  const auto collect = [&](ws::RunSpec s, wu::ThreadPool& pool) {
+    std::vector<ws::SimResult> results(s.trials);
+    s.per_trial = [&](std::uint64_t i, const ws::SimResult& r) { results[i] = r; };
+    (void)ws::Run(s, &pool);
+    return results;
+  };
+  wu::ThreadPool inline_pool(0);
+  wu::ThreadPool pool4(4);
+  // Pooled first: the workers must not find words an earlier run realized.
+  const auto pooled_results = collect(spec, pool4);
+  const auto inline_results = collect(spec, inline_pool);
+  spec.sim.impairment = nullptr;
+  const auto clean_results = collect(spec, inline_pool);
+  std::size_t impaired = 0;
+  for (std::uint64_t i = 0; i < spec.trials; ++i) {
+    const ws::SimResult& a = inline_results[i];
+    const ws::SimResult& b = pooled_results[i];
+    EXPECT_EQ(a.success, b.success) << i;
+    EXPECT_EQ(a.rounds, b.rounds) << i;
+    EXPECT_EQ(a.winner, b.winner) << i;
+    EXPECT_EQ(a.collisions, b.collisions) << i;
+    EXPECT_EQ(a.silences, b.silences) << i;
+    impaired += a.rounds != clean_results[i].rounds ? 1 : 0;
+  }
+  EXPECT_GT(impaired, 0u);  // the plan is applied, not ignored
+
+  // The dynamic path copies a caller-set plan the same way.
+  ws::RunSpec dyn;
+  dyn.make_protocol = [](std::uint64_t seed) {
+    wp::ProtocolSpec p;
+    p.name = "round_robin";
+    p.n = 64;
+    p.k = 8;
+    p.seed = seed;
+    return wp::make_protocol_by_name(p);
+  };
+  dyn.horizon = 512;
+  dyn.arrival = wm::ArrivalSpec::parse("poisson:0.4");
+  dyn.dynamic_n = 64;
+  dyn.dynamic_k = 8;
+  dyn.trials = 16;
+  dyn.base_seed = 7;
+  const auto dyn_plan = ws::compile_impairment(impairment, 23, 512);
+  dyn.sim.impairment = &dyn_plan;
+  const auto collect_dynamic = [&](ws::RunSpec s, wu::ThreadPool& pool) {
+    std::vector<ws::DynamicResult> results(s.trials);
+    s.per_trial_dynamic = [&](std::uint64_t i, const ws::DynamicResult& r) { results[i] = r; };
+    (void)ws::Run(s, &pool);
+    return results;
+  };
+  const auto dyn_pooled = collect_dynamic(dyn, pool4);
+  const auto dyn_inline = collect_dynamic(dyn, inline_pool);
+  for (std::uint64_t i = 0; i < dyn.trials; ++i) EXPECT_TRUE(dyn_inline[i] == dyn_pooled[i]) << i;
 }
 
 TEST(RunFacade, RandomizedProtocolSeedsVaryPerTrial) {

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -24,6 +28,7 @@
 #include "exp/sweep_spec.hpp"
 #include "sim/results_sink.hpp"
 #include "sim/run.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace we = wakeup::exp;
@@ -447,6 +452,52 @@ TEST(Aggregator, DynamicPoolsLatencyInTrialOrderAndSumsCounts) {
 }
 
 // -------------------------------------------------------------- manifest --
+
+TEST(Manifest, JsonDoubleSpellsPrintfDigits) {
+  // json_double must write exactly the digits of printf's "%.17g" (the
+  // manifest and report bytes), over random bit patterns and the families
+  // where a formatter is most likely to differ.
+  std::vector<double> corpus = {0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0,
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::epsilon()};
+  wu::Rng rng(99);
+  for (int i = 0; i < 200000; ++i) corpus.push_back(std::bit_cast<double>(rng.next_u64()));
+  for (int i = 0; i < 20000; ++i) {  // subnormals: exponent field 0
+    corpus.push_back(std::bit_cast<double>(rng.next_u64() & ((std::uint64_t{1} << 52) - 1)));
+  }
+  for (std::int64_t v = -2000; v <= 2000; ++v) corpus.push_back(static_cast<double>(v));
+  for (int i = 0; i < 20000; ++i) {
+    corpus.push_back(static_cast<double>(rng.uniform(std::uint64_t{1} << 53)));
+  }
+  for (int e = 50; e <= 64; ++e) {
+    const double p = std::ldexp(1.0, e);
+    corpus.insert(corpus.end(), {p - 1, p, p + 1, std::nextafter(p, 0.0)});
+  }
+  for (int k = 0; k <= 120; ++k) {
+    for (int m = 1; m <= 120; ++m) corpus.push_back(static_cast<double>(k) / m);
+  }
+  for (int e = -330; e <= 330; ++e) {
+    const double p = std::strtod(("1e" + std::to_string(e)).c_str(), nullptr);
+    corpus.insert(corpus.end(), {p, -p, std::nextafter(p, 0.0), std::nextafter(p, 1e300)});
+  }
+  std::size_t finite = 0;
+  for (const double v : corpus) {
+    if (!std::isfinite(v)) {
+      EXPECT_EQ(we::json_double(v), "null");
+      continue;
+    }
+    ++finite;
+    char expected[40];
+    std::snprintf(expected, sizeof expected, "%.17g", v);
+    ASSERT_EQ(we::json_double(v), expected) << std::bit_cast<std::uint64_t>(v);
+  }
+  EXPECT_GT(finite, 200000u);
+  EXPECT_EQ(we::json_double(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(we::json_double(-std::numeric_limits<double>::infinity()), "null");
+}
 
 TEST(Manifest, RecordRoundTrips) {
   const auto cells = we::expand(small_spec());
