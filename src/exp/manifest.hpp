@@ -5,7 +5,9 @@
 ///
 /// The manifest is the interruption boundary of a sweep.  Every finished
 /// cell appends one flat JSON object (identity + finalized statistics) and
-/// flushes, so killing a run loses at most the in-flight cells; `--resume`
+/// flushes, in grid order at any thread count (a cell that finishes early
+/// waits for the earlier ones), so killing a run loses at most the
+/// in-flight and waiting cells; `--resume`
 /// re-reads the file, skips every recorded cell, and the final report is
 /// assembled from recorded + freshly-run cells in grid order — byte
 /// identical to an uninterrupted run.  A header line pins the grid

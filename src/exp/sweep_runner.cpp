@@ -291,12 +291,24 @@ SweepOutcome run_sweep(const SweepSpec& spec, const SweepOptions& options) {
        pending.size() >= std::max<std::size_t>(2, pool->worker_count()));
 
   std::vector<CellRecord> fresh(pending.size());
+  // Manifest lines go out in grid order: a finished cell waits in memory
+  // until every earlier pending cell has been appended, so a kill loses at
+  // most the waiting cells, which --resume re-runs.
+  std::mutex append_mutex;
+  std::vector<bool> finished(pending.size(), false);
+  std::size_t next_append = 0;
   std::mutex progress_mutex;
   std::atomic<std::uint64_t> heartbeat_done{0};
   const auto start_time = std::chrono::steady_clock::now();
   const auto run_one = [&](std::size_t i, util::ThreadPool* trial_pool) {
     fresh[i] = run_cell(spec, *pending[i], options, trial_pool);
-    writer.append(fresh[i]);
+    {
+      const std::lock_guard<std::mutex> lock(append_mutex);
+      finished[i] = true;
+      for (; next_append < pending.size() && finished[next_append]; ++next_append) {
+        writer.append(fresh[next_append]);
+      }
+    }
     const std::uint64_t done_now = heartbeat_done.fetch_add(1) + 1;
     if (options.heartbeat_cells > 0 && done_now % options.heartbeat_cells == 0) {
       const std::lock_guard<std::mutex> lock(progress_mutex);

@@ -1,5 +1,6 @@
 #include "util/args.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace wakeup::util {
@@ -39,22 +40,25 @@ std::int64_t Args::get_int(const std::string& key, std::int64_t fallback) const 
   const auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return fallback;
   try {
-    return std::stoll(it->second);
+    std::size_t end = 0;
+    const std::int64_t value = std::stoll(it->second, &end);
+    if (end == it->second.size()) return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("Args: --" + key + " expects an integer, got '" + it->second +
-                                "'");
   }
+  throw std::invalid_argument("Args: --" + key + " expects an integer, got '" + it->second + "'");
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return fallback;
   try {
-    return std::stod(it->second);
+    std::size_t end = 0;
+    const double value = std::stod(it->second, &end);
+    if (end == it->second.size() && std::isfinite(value)) return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("Args: --" + key + " expects a number, got '" + it->second +
-                                "'");
   }
+  throw std::invalid_argument("Args: --" + key + " expects a finite number, got '" +
+                              it->second + "'");
 }
 
 bool Args::get_flag(const std::string& key) const {

@@ -23,10 +23,12 @@ class Args {
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback = "") const;
 
   /// Integer value or default; throws std::invalid_argument when the value
-  /// is present but not numeric.
+  /// is present but is not an integer in range, all of it ("4x", "2e3"
+  /// and "64.5" throw).
   [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
 
-  /// Double value or default.
+  /// Double value or default; throws std::invalid_argument when the value
+  /// is present but is not a finite number, all of it.
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
 
   /// Flag: present with no value, or an explicit true/false value.

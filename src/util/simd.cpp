@@ -1,15 +1,18 @@
 #include "util/simd.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <vector>
 
 #include "util/rng.hpp"
 
 // ISA gating: WAKEUP_SIMD (CMake option) compiles the vector tables in;
 // which one runs is still a runtime decision (cpuid on x86-64: AVX-512F/DQ,
-// then AVX2; always-on NEON on arm64).  Without the option only the scalar table exists and
+// with BW and VBMI for the quantile's byte kernel, then AVX2; always-on
+// NEON on arm64).  Without the option only the scalar table exists and
 // every query resolves to it.
 #if defined(WAKEUP_SIMD)
 #if (defined(__x86_64__) || defined(__amd64__)) && (defined(__GNUC__) || defined(__clang__))
@@ -70,30 +73,105 @@ void hash_below_scalar(const std::uint64_t* prefix, const std::uint64_t* bound,
   }
 }
 
+/// Lane l of eight, resumed from the lanes' state layout.
+util::Xoshiro256ss resume_lane(const std::uint64_t* state, std::size_t l) {
+  return util::Xoshiro256ss({state[l], state[8 + l], state[16 + l], state[24 + l]});
+}
+
+void suspend_lane(const util::Xoshiro256ss& lane, std::uint64_t* state, std::size_t l) {
+  for (std::size_t w = 0; w < 4; ++w) state[8 * w + l] = lane.state()[w];
+}
+
+/// Rng::uniform's multiply: the index ⌊x·n / 2⁶⁴⌋, and into *flagged
+/// whether the low word is below n (a draw uniform may reject).
+inline std::size_t draw_index(util::Xoshiro256ss& lane, std::uint64_t n, std::uint64_t* flagged) {
+  const __uint128_t m = static_cast<__uint128_t>(lane.next()) * n;
+  *flagged |= static_cast<std::uint64_t>(static_cast<std::uint64_t>(m) < n);
+  return static_cast<std::size_t>(m >> 64);
+}
+
 /// Eight Xoshiro256ss lanes, two at a time so that their steps overlap and
-/// each pair's states stay in registers; the reduction is Rng::uniform's
-/// multiply.
-bool draw_lanes_scalar(std::uint64_t* state, std::uint64_t bound, std::size_t rounds,
-                       std::uint32_t* out) {
-  const auto resume = [&](std::size_t l) {
-    return util::Xoshiro256ss({state[l], state[8 + l], state[16 + l], state[24 + l]});
-  };
+/// each pair's states and sums stay in registers.
+template <std::size_t K>
+bool resampled_means_pairs(std::uint64_t* state, const double* const* values, std::size_t n,
+                           std::size_t steps, double* const* means) {
+  const auto size = static_cast<double>(n);
   std::uint64_t flagged = 0;
   for (std::size_t l = 0; l < 8; l += 2) {
-    util::Xoshiro256ss a = resume(l);
-    util::Xoshiro256ss b = resume(l + 1);
-    for (std::size_t d = 0; d < rounds; ++d) {
-      const __uint128_t ma = static_cast<__uint128_t>(a.next()) * bound;
-      const __uint128_t mb = static_cast<__uint128_t>(b.next()) * bound;
-      out[8 * d + l] = static_cast<std::uint32_t>(ma >> 64);
-      out[8 * d + l + 1] = static_cast<std::uint32_t>(mb >> 64);
-      flagged |= static_cast<std::uint64_t>(static_cast<std::uint64_t>(ma) < bound) |
-                 static_cast<std::uint64_t>(static_cast<std::uint64_t>(mb) < bound);
+    util::Xoshiro256ss a = resume_lane(state, l);
+    util::Xoshiro256ss b = resume_lane(state, l + 1);
+    for (std::size_t step = 0; step < steps; ++step) {
+      std::array<double, K> sum_a{};
+      std::array<double, K> sum_b{};
+      for (std::size_t d = 0; d < n; ++d) {
+        const std::size_t ja = draw_index(a, n, &flagged);
+        const std::size_t jb = draw_index(b, n, &flagged);
+        for (std::size_t k = 0; k < K; ++k) {
+          sum_a[k] += values[k][ja];
+          sum_b[k] += values[k][jb];
+        }
+      }
+      for (std::size_t k = 0; k < K; ++k) {
+        means[k][l * steps + step] = sum_a[k] / size;
+        means[k][(l + 1) * steps + step] = sum_b[k] / size;
+      }
     }
-    for (std::size_t w = 0; w < 4; ++w) {
-      state[8 * w + l] = a.state()[w];
-      state[8 * w + l + 1] = b.state()[w];
+    suspend_lane(a, state, l);
+    suspend_lane(b, state, l + 1);
+  }
+  return flagged != 0;
+}
+
+bool resampled_means_scalar(std::uint64_t* state, const double* const* values,
+                            std::size_t samples, std::size_t n, std::size_t steps,
+                            double* const* means) {
+  return samples == 1 ? resampled_means_pairs<1>(state, values, n, steps, means)
+                      : resampled_means_pairs<2>(state, values, n, steps, means);
+}
+
+/// The classes at ranks lo and hi of one resample from its per-class draw
+/// counts, which it clears: the order statistic at rank k is the first
+/// class whose running count exceeds k, i.e. the number of classes whose
+/// running count does not.
+void rank_classes(std::size_t* count, std::size_t classes, std::size_t rank_lo,
+                  std::size_t rank_hi, std::size_t* lo_class, std::size_t* hi_class) {
+  std::size_t seen = 0;
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  for (std::size_t c = 0; c < classes; ++c) {
+    seen += count[c];
+    count[c] = 0;
+    lo += static_cast<std::size_t>(seen <= rank_lo);
+    hi += static_cast<std::size_t>(seen <= rank_hi);
+  }
+  *lo_class = lo;
+  *hi_class = hi;
+}
+
+/// Two lanes at a time, each counting its draws per tie class.
+bool resampled_quantile_scalar(std::uint64_t* state, const std::size_t* class_of,
+                               std::size_t classes, std::size_t n, std::size_t rank_lo,
+                               std::size_t rank_hi, std::size_t steps, std::size_t* lo_class,
+                               std::size_t* hi_class) {
+  std::vector<std::size_t> counts(2 * classes);
+  std::size_t* const count_a = counts.data();
+  std::size_t* const count_b = count_a + classes;
+  std::uint64_t flagged = 0;
+  for (std::size_t l = 0; l < 8; l += 2) {
+    util::Xoshiro256ss a = resume_lane(state, l);
+    util::Xoshiro256ss b = resume_lane(state, l + 1);
+    for (std::size_t step = 0; step < steps; ++step) {
+      for (std::size_t d = 0; d < n; ++d) {
+        ++count_a[class_of[draw_index(a, n, &flagged)]];
+        ++count_b[class_of[draw_index(b, n, &flagged)]];
+      }
+      const std::size_t ra = l * steps + step;
+      const std::size_t rb = ra + steps;
+      rank_classes(count_a, classes, rank_lo, rank_hi, lo_class + ra, hi_class + ra);
+      rank_classes(count_b, classes, rank_lo, rank_hi, lo_class + rb, hi_class + rb);
     }
+    suspend_lane(a, state, l);
+    suspend_lane(b, state, l + 1);
   }
   return flagged != 0;
 }
@@ -108,19 +186,21 @@ void bursty_lanes_scalar(std::uint64_t* state, std::uint8_t live, std::uint8_t* 
   for (std::size_t l = 0; l < 8; ++l) {
     const auto bit = static_cast<std::uint8_t>(1u << l);
     if ((live & bit) == 0) continue;
-    util::Xoshiro256ss lane({state[l], state[8 + l], state[16 + l], state[24 + l]});
+    util::Xoshiro256ss lane = resume_lane(state, l);
     bool lane_on = (*on & bit) != 0;
     for (std::size_t t = 0; t < slots; ++t) {
       if (lane_on && lands(arrive, lane)) out[t] |= bit;
       if (lands(flip, lane)) lane_on = !lane_on;
     }
-    for (std::size_t w = 0; w < 4; ++w) state[8 * w + l] = lane.state()[w];
+    suspend_lane(lane, state, l);
     *on = static_cast<std::uint8_t>(lane_on ? *on | bit : *on & ~bit);
   }
 }
 
-constexpr Kernels kScalar{or_accumulate_scalar, masked_popcount_pair_scalar, hash_below_scalar,
-                          draw_lanes_scalar,    bursty_lanes_scalar,         "scalar"};
+constexpr Kernels kScalar{or_accumulate_scalar,   masked_popcount_pair_scalar,
+                          hash_below_scalar,      resampled_means_scalar,
+                          resampled_quantile_scalar, bursty_lanes_scalar,
+                          "scalar"};
 
 // --------------------------------------------------------------- AVX2 --
 
@@ -185,8 +265,10 @@ __attribute__((target("avx2"))) void masked_popcount_pair_avx2(
   *collisions += col;
 }
 
-constexpr Kernels kAvx2{or_accumulate_avx2, masked_popcount_pair_avx2, hash_below_scalar,
-                        draw_lanes_scalar,  bursty_lanes_scalar,       "avx2"};
+constexpr Kernels kAvx2{or_accumulate_avx2,     masked_popcount_pair_avx2,
+                        hash_below_scalar,      resampled_means_scalar,
+                        resampled_quantile_scalar, bursty_lanes_scalar,
+                        "avx2"};
 
 // ------------------------------------------------------------ AVX-512 --
 
@@ -277,29 +359,144 @@ __attribute__((target("avx512f,avx512dq"))) inline __m512i next_lanes(XoshiroLan
   return x;
 }
 
-/// The scalar twin on next_lanes.  For bound < 2³², x·bound comes
-/// from two vpmuludq products of x's 32-bit halves: with x = xh·2³² + xl,
-/// the high word is (xh·bound + ⌊xl·bound / 2³²⌋) >> 32, a sum that stays
-/// below 2⁶⁴, and the low word is xl·bound + (xh·bound << 32) mod 2⁶⁴.  The
-/// maskz forms give each intrinsic an explicit source, which GCC 12's
-/// unmasked ones lack (-Wuninitialized).
-__attribute__((target("avx512f,avx512dq"))) bool draw_lanes_avx512(std::uint64_t* state,
-                                                                   std::uint64_t bound,
-                                                                   std::size_t rounds,
-                                                                   std::uint32_t* out) {
-  XoshiroLanes s = load_lanes(state);
-  const __m512i n = _mm512_set1_epi64(static_cast<long long>(bound));
+/// next_lanes, each output x reduced (n in every lane, n < 2³²) to the
+/// index ⌊x·n / 2⁶⁴⌋ and its lane set in *flagged when the low word
+/// x·n mod 2⁶⁴ is below n, as draw_index does.  With x = xh·2³² + xl and A = xh·n (one vpmuludq), the
+/// index is (A + ⌊xl·n / 2³²⌋) >> 32; as ⌊xl·n / 2³²⌋ < n, that is A >> 32
+/// unless A's low half a is at least 2³² − n, and the low word
+/// (a·2³² + xl·n) mod 2⁶⁴ can be below n only then or when a = 0.  A round
+/// where some lane has such an a (≈ (n + 1)/2³² per lane) is recomputed
+/// with the second product, xl·n.  The maskz forms give each intrinsic an
+/// explicit source, which GCC 12's unmasked ones lack (-Wuninitialized).
+__attribute__((target("avx512f,avx512dq"))) inline __m512i draw_indices(
+    XoshiroLanes& s, __m512i n, __mmask8* flagged) {
   constexpr __mmask8 kAll = 0xff;
+  const __m512i x = next_lanes(s);
+  const __m512i high_product = _mm512_maskz_mul_epu32(kAll, shr64(x, 32), n);
+  // a = 0 or a >= 2³² − n  ⟺  (a − 1) mod 2³² >= 2³² − 1 − n = ~n, in each
+  // lane's low 32-bit element.
+  const __m512i all_ones = _mm512_set1_epi32(-1);
+  const __mmask16 rare = _mm512_mask_cmpge_epu32_mask(
+      0x5555, _mm512_add_epi32(high_product, all_ones), _mm512_xor_si512(n, all_ones));
+  if (__builtin_expect(rare == 0, 1)) return shr64(high_product, 32);
+  const __m512i low_product = _mm512_maskz_mul_epu32(kAll, x, n);
+  *flagged |= _mm512_cmplt_epu64_mask(_mm512_add_epi64(low_product, shl64(high_product, 32)), n);
+  return shr64(_mm512_add_epi64(high_product, shr64(low_product, 32)), 32);
+}
+
+/// Where lane l writes its resamples: l·steps.
+__attribute__((target("avx512f,avx512dq"))) inline __m512i lane_starts(std::size_t steps) {
+  const auto l = static_cast<long long>(steps);
+  return _mm512_set_epi64(7 * l, 6 * l, 5 * l, 4 * l, 3 * l, 2 * l, l, 0);
+}
+
+/// The scalar twin on draw_indices: each round gathers every sample's
+/// eight values (vgatherqpd) and adds them into its sum register, lane l's
+/// sum in element l, so each lane adds in draw order.
+template <std::size_t K>
+__attribute__((target("avx512f,avx512dq"))) bool resampled_means_lanes(
+    std::uint64_t* state, const double* const* values, std::size_t n, std::size_t steps,
+    double* const* means) {
+  constexpr __mmask8 kAll = 0xff;
+  XoshiroLanes s = load_lanes(state);
+  const __m512i bound = _mm512_set1_epi64(static_cast<long long>(n));
+  const __m512d size = _mm512_set1_pd(static_cast<double>(n));
+  const __m512i starts = lane_starts(steps);
   __mmask8 flagged = 0;
-  for (std::size_t d = 0; d < rounds; ++d) {
-    const __m512i x = next_lanes(s);
-    const __m512i low_product = _mm512_maskz_mul_epu32(kAll, x, n);
-    const __m512i high_product = _mm512_maskz_mul_epu32(kAll, shr64(x, 32), n);
-    const __m512i j = shr64(_mm512_add_epi64(high_product, shr64(low_product, 32)), 32);
-    const __m512i low = _mm512_add_epi64(low_product, shl64(high_product, 32));
-    flagged |= _mm512_cmplt_epu64_mask(low, n);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * d),
-                        _mm512_maskz_cvtepi64_epi32(kAll, j));
+  for (std::size_t step = 0; step < steps; ++step) {
+    __m512d sum[K];
+    for (std::size_t k = 0; k < K; ++k) sum[k] = _mm512_setzero_pd();
+    for (std::size_t d = 0; d < n; ++d) {
+      const __m512i j = draw_indices(s, bound, &flagged);
+      for (std::size_t k = 0; k < K; ++k) {
+        sum[k] = _mm512_add_pd(
+            sum[k], _mm512_mask_i64gather_pd(_mm512_setzero_pd(), kAll, j, values[k], 8));
+      }
+    }
+    const __m512i at = _mm512_add_epi64(starts, _mm512_set1_epi64(static_cast<long long>(step)));
+    for (std::size_t k = 0; k < K; ++k) {
+      _mm512_i64scatter_pd(means[k], at, _mm512_div_pd(sum[k], size), 8);
+    }
+  }
+  store_lanes(s, state);
+  return flagged != 0;
+}
+
+__attribute__((target("avx512f,avx512dq"))) bool resampled_means_avx512(
+    std::uint64_t* state, const double* const* values, std::size_t samples, std::size_t n,
+    std::size_t steps, double* const* means) {
+  return samples == 1 ? resampled_means_lanes<1>(state, values, n, steps, means)
+                      : resampled_means_lanes<2>(state, values, n, steps, means);
+}
+
+/// The scalar twin on draw_indices, for n <= 64 and <= 64 classes; other
+/// samples run the twin.  The class table fits one register: each round,
+/// vpermb looks up every lane's class byte and the byte is shifted into the
+/// lane's element of the current register, eight rounds to a register, so
+/// a resample fills ⌈n/8⌉ registers; the bytes of unfilled rounds stay
+/// 0xff, above every class.  After each step of eight resamples, a binary
+/// search finds both ranks' classes, interleaved: for each bit from 32
+/// down, it counts each lane's bytes at most the candidate class (vpcmpub,
+/// a masked vpaddb per register, then vpsadbw), and keeps the bit in the
+/// lanes whose count is at most the rank.  That finds the number of
+/// classes whose running count is at most the rank, as rank_classes does.
+/// Each lane's answer is held in all eight bytes of its element, so the
+/// candidate is one vpaddb away.
+__attribute__((target("avx512f,avx512dq,avx512bw,avx512vbmi"))) bool resampled_quantile_avx512(
+    std::uint64_t* state, const std::size_t* class_of, std::size_t classes, std::size_t n,
+    std::size_t rank_lo, std::size_t rank_hi, std::size_t steps, std::size_t* lo_class,
+    std::size_t* hi_class) {
+  if (n > 64 || classes > 64) {
+    return resampled_quantile_scalar(state, class_of, classes, n, rank_lo, rank_hi, steps,
+                                     lo_class, hi_class);
+  }
+  constexpr __mmask64 kFirstBytes = 0x0101010101010101ULL;
+  alignas(64) std::uint8_t class_bytes[64] = {};
+  for (std::size_t i = 0; i < n; ++i) class_bytes[i] = static_cast<std::uint8_t>(class_of[i]);
+  const __m512i table = _mm512_load_si512(class_bytes);
+  XoshiroLanes s = load_lanes(state);
+  const __m512i bound = _mm512_set1_epi64(static_cast<long long>(n));
+  const __m512i lo_rank = _mm512_set1_epi64(static_cast<long long>(rank_lo));
+  const __m512i hi_rank = _mm512_set1_epi64(static_cast<long long>(rank_hi));
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i one = _mm512_set1_epi8(1);
+  const __m512i starts = lane_starts(steps);
+  const std::size_t registers = (n + 7) / 8;
+  __mmask8 flagged = 0;
+  for (std::size_t step = 0; step < steps; ++step) {
+    __m512i packed[8];
+    for (std::size_t r = 0; r < registers; ++r) {
+      __m512i bytes = _mm512_set1_epi8(-1);
+      for (std::size_t d = 8 * r; d < std::min(n, 8 * r + 8); ++d) {
+        bytes = _mm512_mask_permutexvar_epi8(shl64(bytes, 8), kFirstBytes,
+                                             draw_indices(s, bound, &flagged), table);
+      }
+      packed[r] = bytes;
+    }
+    __m512i lo = zero;
+    __m512i hi = zero;
+    for (int bit = 32; bit > 0; bit >>= 1) {
+      const __m512i below = _mm512_set1_epi8(static_cast<char>(bit - 1));
+      const __m512i lo_candidate = _mm512_add_epi8(lo, below);
+      const __m512i hi_candidate = _mm512_add_epi8(hi, below);
+      __m512i lo_count = zero;
+      __m512i hi_count = zero;
+      for (std::size_t r = 0; r < registers; ++r) {
+        lo_count = _mm512_mask_add_epi8(lo_count, _mm512_cmple_epu8_mask(packed[r], lo_candidate),
+                                        lo_count, one);
+        hi_count = _mm512_mask_add_epi8(hi_count, _mm512_cmple_epu8_mask(packed[r], hi_candidate),
+                                        hi_count, one);
+      }
+      const __m512i bit_bytes = _mm512_set1_epi8(static_cast<char>(bit));
+      lo = _mm512_mask_add_epi64(lo, _mm512_cmple_epu64_mask(_mm512_sad_epu8(lo_count, zero), lo_rank),
+                                 lo, bit_bytes);
+      hi = _mm512_mask_add_epi64(hi, _mm512_cmple_epu64_mask(_mm512_sad_epu8(hi_count, zero), hi_rank),
+                                 hi, bit_bytes);
+    }
+    const __m512i at = _mm512_add_epi64(starts, _mm512_set1_epi64(static_cast<long long>(step)));
+    const __m512i low_byte = _mm512_set1_epi64(0xff);
+    _mm512_i64scatter_epi64(lo_class, at, _mm512_and_si512(lo, low_byte), 8);
+    _mm512_i64scatter_epi64(hi_class, at, _mm512_and_si512(hi, low_byte), 8);
   }
   store_lanes(s, state);
   return flagged != 0;
@@ -341,8 +538,17 @@ __attribute__((target("avx512f,avx512dq"))) void bursty_lanes_avx512(
   *on = static_cast<std::uint8_t>((*on & ~live) | lanes_on);
 }
 
-constexpr Kernels kAvx512{or_accumulate_avx2, masked_popcount_pair_avx2, hash_below_avx512,
-                          draw_lanes_avx512,  bursty_lanes_avx512,       "avx512"};
+constexpr Kernels kAvx512{or_accumulate_avx2,     masked_popcount_pair_avx2,
+                          hash_below_avx512,      resampled_means_avx512,
+                          resampled_quantile_avx512, bursty_lanes_avx512,
+                          "avx512"};
+
+/// The rung on a host with AVX-512F/DQ but not BW and VBMI, which the
+/// quantile's byte kernel needs: that entry runs its scalar twin.
+constexpr Kernels kAvx512FDq{or_accumulate_avx2,     masked_popcount_pair_avx2,
+                             hash_below_avx512,      resampled_means_avx512,
+                             resampled_quantile_scalar, bursty_lanes_avx512,
+                             "avx512"};
 
 #endif  // WAKEUP_SIMD_X86
 
@@ -391,8 +597,10 @@ void masked_popcount_pair_neon(const std::uint64_t* any, const std::uint64_t* mu
   *collisions += col;
 }
 
-constexpr Kernels kNeon{or_accumulate_neon, masked_popcount_pair_neon, hash_below_scalar,
-                        draw_lanes_scalar,  bursty_lanes_scalar,       "neon"};
+constexpr Kernels kNeon{or_accumulate_neon,     masked_popcount_pair_neon,
+                        hash_below_scalar,      resampled_means_scalar,
+                        resampled_quantile_scalar, bursty_lanes_scalar,
+                        "neon"};
 
 #endif  // WAKEUP_SIMD_NEON
 
@@ -400,7 +608,11 @@ constexpr Kernels kNeon{or_accumulate_neon, masked_popcount_pair_neon, hash_belo
 
 const Kernels& best_supported() noexcept {
 #if defined(WAKEUP_SIMD_X86)
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) return kAvx512;
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) {
+    return __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vbmi")
+               ? kAvx512
+               : kAvx512FDq;
+  }
   if (__builtin_cpu_supports("avx2")) return kAvx2;
 #endif
 #if defined(WAKEUP_SIMD_NEON)

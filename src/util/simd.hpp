@@ -2,8 +2,8 @@
 
 /// \file simd.hpp
 /// Word-matrix kernels of the tile core (sim/batch_engine.cpp), which
-/// serves static, C-lane and dynamic runs alike, and the lane draws of the
-/// bootstrap CIs (util/stats.cpp).
+/// serves static, C-lane and dynamic runs alike, the resample draws of
+/// the bootstrap CIs (util/stats.cpp) and the bursty arrival streams.
 ///
 /// The core resolves channel contention over a *station-major word
 /// matrix*: one row of W consecutive 64-slot schedule words per live
@@ -26,23 +26,33 @@
 /// by every station (a non-adaptive schedule is one fixed 0/1 matrix, so
 /// all stations read the same column at a slot).
 ///
-/// The bootstrap adds a fifth, `draw_lanes`: eight xoshiro256** streams
-/// stepped in lockstep, each draw reduced to [0, bound) by Lemire's
-/// multiply as util::Rng::uniform does, with a flag on every draw where
-/// uniform could have rejected.  The CIs jump one stream to eight
-/// starting points (Xoshiro256ss::jump) and draw eight resamples at once.
+/// The bootstrap adds a fifth and a sixth, `resampled_means` and
+/// `resampled_quantile`: eight xoshiro256** streams stepped in lockstep,
+/// each draw reduced to an index in [0, n) by Lemire's multiply as
+/// util::Rng::uniform does, and folded into the resampled statistic as it
+/// is drawn — a running sum per sample for the means, the tie classes of
+/// the draws for a quantile — so no index passes through memory.  Both
+/// flag every draw where uniform could have rejected.  The CIs jump one
+/// stream to eight starting points (Xoshiro256ss::jump) and draw eight
+/// resamples at once.
 ///
-/// The arrival streams add a sixth, `bursty_lanes`: the on/off bursty
+/// The arrival streams add a seventh, `bursty_lanes`: the on/off bursty
 /// streams of eight stations (mac/arrival_process.cpp), each lane one
 /// station's substream, stepped slot by slot in lockstep.
 ///
 /// Each primitive has a portable std::uint64_t implementation and, when
 /// the build enables WAKEUP_SIMD, vectorized variants: AVX2 on x86-64
 /// (picked at runtime via cpuid), an AVX-512F/DQ rung above it whose
-/// `hash_below` mixes 8 lanes at once (`vpmullq`) and whose `draw_lanes`
-/// and `bursty_lanes` hold the eight states in four registers (the word
-/// kernels stay AVX2), and NEON on arm64.  Tables without a vector
-/// `hash_below`, `draw_lanes` or `bursty_lanes` carry the scalar twin.
+/// `hash_below` mixes 8 lanes at once (`vpmullq`), whose `bursty_lanes`
+/// and `resampled_means` hold the eight states in four registers (the
+/// means gather each lane's value with `vgatherqpd` and add it in a zmm
+/// lane), and whose `resampled_quantile` packs the draws' class bytes into
+/// registers (`vpermb`) when n <= 64 and the sample has <= 64 tie classes,
+/// and finds each order statistic by a branch-free binary search over
+/// those bytes; it needs AVX-512BW and VBMI as well, and a host without
+/// them runs its scalar twin.  The word kernels stay AVX2.  NEON on arm64.
+/// Tables without a vector `hash_below`, `bursty_lanes` or bootstrap entry
+/// carry the scalar twin.
 /// Selection is one atomic table pointer; `set_force_scalar` (or the
 /// WAKEUP_FORCE_SCALAR environment variable, read once at startup) pins
 /// the scalar table so tests and benches can compare the paths bit for
@@ -77,15 +87,27 @@ struct LaneCoin {
 /// for every i < count, out[i] = the word whose bit j (j < 64) is
 /// util::hash_combine(prefix[j], keys[i]) < bound[j].
 ///
-/// `draw_lanes` steps eight xoshiro256** streams `rounds` times; word w of
-/// lane l's state is state[8w + l], and the call leaves the stepped states
-/// there.  With x lane l's output in round d, out[8d + l] = ⌊x·bound / 2⁶⁴⌋,
-/// which is util::Rng::uniform(bound) whenever uniform does not reject.
-/// It returns true iff some round's low word x·bound mod 2⁶⁴ is below
-/// bound, a superset of the draws uniform rejects.  Requires
-/// 1 <= bound < 2³².
+/// The bootstrap entries step eight xoshiro256** streams; word w of lane
+/// l's state is state[8w + l], and each call leaves the stepped states
+/// there.  Each lane draws `steps` resamples of n indices, one index per
+/// step of its stream: with x the lane's output, the index is
+/// ⌊x·n / 2⁶⁴⌋, which is util::Rng::uniform(n) whenever uniform does not
+/// reject.  Resample s of lane l is written at [l·steps + s].  Each entry
+/// returns true iff some draw's low word x·n mod 2⁶⁴ is below n, a
+/// superset of the draws uniform rejects; the outputs are complete either
+/// way.  Both require 1 <= n < 2³².
 ///
-/// `bursty_lanes` steps eight on/off streams `slots` slots, in draw_lanes'
+/// `resampled_means` folds `samples` (1 or 2) samples of n values at once:
+/// for each, a resample adds values[k][index] over its draws, in draw
+/// order from 0.0, and writes the sum divided by n to means[k].
+///
+/// `resampled_quantile` reads each value's tie class (class_of[i] <
+/// classes, class 0 the smallest value) and writes to lo_class and
+/// hi_class, for each resample, the classes holding its order statistics
+/// at ranks rank_lo and rank_hi (both < n): the number of classes c whose
+/// running count — the draws of classes 0..c — is at most the rank.
+///
+/// `bursty_lanes` steps eight on/off streams `slots` slots, in the same
 /// state layout; bit l of *on is lane l's on/off state, and only the
 /// lanes set in `live` move.  In each slot t, every live lane that is on
 /// tosses `arrive`, and bit l of out[t] is set when lane l's lands; then
@@ -100,8 +122,13 @@ struct Kernels {
                                std::uint64_t* silences, std::uint64_t* collisions);
   void (*hash_below)(const std::uint64_t* prefix, const std::uint64_t* bound,
                      const std::uint64_t* keys, std::size_t count, std::uint64_t* out);
-  bool (*draw_lanes)(std::uint64_t* state, std::uint64_t bound, std::size_t rounds,
-                     std::uint32_t* out);
+  bool (*resampled_means)(std::uint64_t* state, const double* const* values,
+                          std::size_t samples, std::size_t n, std::size_t steps,
+                          double* const* means);
+  bool (*resampled_quantile)(std::uint64_t* state, const std::size_t* class_of,
+                             std::size_t classes, std::size_t n, std::size_t rank_lo,
+                             std::size_t rank_hi, std::size_t steps, std::size_t* lo_class,
+                             std::size_t* hi_class);
   void (*bursty_lanes)(std::uint64_t* state, std::uint8_t live, std::uint8_t* on,
                        LaneCoin arrive, LaneCoin flip, std::size_t slots, std::uint8_t* out);
   const char* name;  ///< "scalar", "avx2", "avx512", "neon"

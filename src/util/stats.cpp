@@ -186,25 +186,19 @@ Xoshiro256ss::Jump lane_jump(std::uint64_t distance) {
 }
 
 /// Draws R resamples of n indices into [0, n) exactly as R·n calls of
-/// Rng(stream_seed).uniform(n) would, in blocks: `fold(picks, rounds,
-/// lanes)` receives picks[lanes·d + l], lane l's d-th index of the block,
-/// for d < rounds, with `lanes` a std::integral_constant, and each lane's
-/// indices arrive in stream order.  After a resample's n indices,
-/// `done(lane, r)` closes resample r of that lane, and must leave the
-/// lane's state clear.
-///
-/// Lane l of eight covers resamples [l·L, (l + 1)·L), L = ⌈R/8⌉, and
-/// starts at draw l·L·n of the stream (Xoshiro256ss::jump); the lanes draw
-/// in lockstep through simd::draw_lanes, and the last ones may close
-/// resamples in [R, 8L), which the caller discards.  A draw the kernel
-/// flags is one where uniform could reject and shift every later draw
-/// (probability < n/2⁶⁴), so a flag sends the whole stream through one
-/// serial lane instead, as does n >= 2³², which the kernel's multiply
-/// does not reach.
-template <class Fold, class Done>
+/// Rng(stream_seed).uniform(n) would.  Lane l of eight covers resamples
+/// [l·L, (l + 1)·L), L = ⌈R/8⌉, and starts at draw l·L·n of the stream
+/// (Xoshiro256ss::jump); `lanes(state, L)` draws and folds them from the
+/// eight states with a simd::Kernels bootstrap entry, writing resample
+/// l·L + s at [l·L + s] (the last lanes may close resamples in [R, 8L),
+/// which the caller discards), and returns the entry's flag.  A flagged
+/// draw is one where uniform could reject and shift every later draw
+/// (probability < n/2⁶⁴), so a flag sends the whole stream through
+/// `serial(rng)` instead, which draws resample r at [r] from one Rng, as
+/// does n >= 2³², which the entries' multiply does not reach.
+template <class Lanes, class Serial>
 void resample_stream(std::uint64_t stream_seed, std::size_t n, std::uint64_t resamples,
-                     Fold&& fold, Done&& done) {
-  constexpr std::size_t kRounds = 256;
+                     Lanes&& lanes, Serial&& serial) {
   const std::uint64_t per_lane = lane_resamples(resamples);
   std::uint64_t distance = 0;
   if (n < (std::uint64_t{1} << 32) && !__builtin_mul_overflow(per_lane, n, &distance)) {
@@ -215,29 +209,10 @@ void resample_stream(std::uint64_t stream_seed, std::size_t n, std::uint64_t res
       if (l > 0) lane.jump(jump);
       for (std::size_t w = 0; w < 4; ++w) state[kLanes * w + l] = lane.state()[w];
     }
-    const simd::Kernels& kernels = simd::active();
-    std::array<std::uint32_t, kRounds * kLanes> picks;
-    bool flagged = false;
-    for (std::uint64_t step = 0; step < per_lane && !flagged; ++step) {
-      for (std::size_t drawn = 0; drawn < n; drawn += kRounds) {
-        const std::size_t rounds = std::min(kRounds, n - drawn);
-        flagged |= kernels.draw_lanes(state.data(), n, rounds, picks.data());
-        fold(picks.data(), rounds, std::integral_constant<std::size_t, kLanes>{});
-      }
-      for (std::size_t l = 0; l < kLanes; ++l) done(l, l * per_lane + step);
-    }
-    if (!flagged) return;
+    if (!lanes(state.data(), per_lane)) return;
   }
   Rng rng(stream_seed);
-  std::array<std::uint64_t, kRounds> picks;
-  for (std::uint64_t r = 0; r < resamples; ++r) {
-    for (std::size_t drawn = 0; drawn < n; drawn += kRounds) {
-      const std::size_t rounds = std::min(kRounds, n - drawn);
-      for (std::size_t d = 0; d < rounds; ++d) picks[d] = rng.uniform(n);
-      fold(picks.data(), rounds, std::integral_constant<std::size_t, 1>{});
-    }
-    done(0, r);
-  }
+  serial(rng);
 }
 
 /// Percentile-bootstrap CIs of the means of K samples of one size on the
@@ -258,32 +233,26 @@ std::array<BootstrapCI, K> mean_cis(const std::array<const Sample*, K>& samples,
 
   std::array<const double*, K> values;
   std::array<std::vector<double>, K> means;
+  std::array<double*, K> out;
   for (std::size_t k = 0; k < K; ++k) {
     values[k] = samples[k]->values().data();
     means[k].resize(kLanes * lane_resamples(resamples));
+    out[k] = means[k].data();
   }
-  std::array<std::array<double, kLanes>, K> sums{};
   const auto size = static_cast<double>(n);
   resample_stream(
       hash_words({seed, 0x424f4f54ULL /* "BOOT" */}), n, resamples,
-      [&](const auto* picks, std::size_t rounds, auto lanes) {
-        // Local sums, which the value loads cannot alias, and lanes
-        // interleaved, so that each add waits on its lane's previous one only.
-        constexpr std::size_t kWidth = decltype(lanes)::value;
-        std::array<std::array<double, kWidth>, K> acc;
-        for (std::size_t k = 0; k < K; ++k) std::copy_n(sums[k].begin(), kWidth, acc[k].begin());
-        for (std::size_t d = 0; d < rounds; ++d) {
-          for (std::size_t l = 0; l < kWidth; ++l) {
-            const std::size_t j = picks[kWidth * d + l];
-            for (std::size_t k = 0; k < K; ++k) acc[k][l] += values[k][j];
-          }
-        }
-        for (std::size_t k = 0; k < K; ++k) std::copy_n(acc[k].begin(), kWidth, sums[k].begin());
+      [&](std::uint64_t* state, std::uint64_t steps) {
+        return simd::active().resampled_means(state, values.data(), K, n, steps, out.data());
       },
-      [&](std::size_t lane, std::uint64_t r) {
-        for (std::size_t k = 0; k < K; ++k) {
-          means[k][r] = sums[k][lane] / size;
-          sums[k][lane] = 0.0;
+      [&](Rng& rng) {
+        for (std::uint64_t r = 0; r < resamples; ++r) {
+          std::array<double, K> sum{};
+          for (std::size_t d = 0; d < n; ++d) {
+            const std::size_t j = rng.uniform(n);
+            for (std::size_t k = 0; k < K; ++k) sum[k] += values[k][j];
+          }
+          for (std::size_t k = 0; k < K; ++k) means[k][r] = sum[k] / size;
         }
       });
   for (std::size_t k = 0; k < K; ++k) {
@@ -431,36 +400,39 @@ BootstrapCI BootstrapCI::of_quantile(const Sample& sample, double p, double leve
 
   const QuantileSpot spot(n, p);
   const std::size_t m = classes.size();
-  std::vector<std::size_t> counts(kLanes * m);  // lane l's class counts at [l·m, (l + 1)·m)
-  std::vector<double> quantiles(kLanes * lane_resamples(resamples));
+  // Each resample's order statistics at ranks spot.lo and spot.hi, as
+  // classes.
+  std::vector<std::size_t> lo_class(kLanes * lane_resamples(resamples));
+  std::vector<std::size_t> hi_class(lo_class.size());
   // Distinct stream tag from of_mean so the two CIs of one cell draw
   // independent resamples even when seeded identically.
   resample_stream(
       hash_words({seed, 0x51424f4f54ULL /* "QBOOT" */}), n, resamples,
-      [&](const auto* picks, std::size_t rounds, auto lanes) {
-        // Lanes interleaved, so that a lane's increments land far apart.
-        constexpr std::size_t kWidth = decltype(lanes)::value;
-        for (std::size_t d = 0; d < rounds; ++d) {
-          for (std::size_t l = 0; l < kWidth; ++l) ++counts[l * m + class_of[picks[kWidth * d + l]]];
-        }
+      [&](std::uint64_t* state, std::uint64_t steps) {
+        return simd::active().resampled_quantile(state, class_of.data(), m, n, spot.lo, spot.hi,
+                                                 steps, lo_class.data(), hi_class.data());
       },
-      [&](std::size_t lane, std::uint64_t r) {
+      [&](Rng& rng) {
         // The order statistic at rank k is the first class whose running
         // count exceeds k, i.e. the number of classes whose running count
-        // does not; one pass over the classes, clearing them.
-        std::size_t* const count = counts.data() + lane * m;
-        std::size_t seen = 0;
-        std::size_t lo_class = 0;
-        std::size_t hi_class = 0;
-        for (std::size_t c = 0; c < m; ++c) {
-          seen += count[c];
-          count[c] = 0;
-          lo_class += static_cast<std::size_t>(seen <= spot.lo);
-          hi_class += static_cast<std::size_t>(seen <= spot.hi);
+        // does not.
+        std::vector<std::size_t> count(m);
+        for (std::uint64_t r = 0; r < resamples; ++r) {
+          for (std::size_t d = 0; d < n; ++d) ++count[class_of[rng.uniform(n)]];
+          std::size_t seen = 0;
+          lo_class[r] = hi_class[r] = 0;
+          for (std::size_t c = 0; c < m; ++c) {
+            seen += count[c];
+            count[c] = 0;
+            lo_class[r] += static_cast<std::size_t>(seen <= spot.lo);
+            hi_class[r] += static_cast<std::size_t>(seen <= spot.hi);
+          }
         }
-        quantiles[r] = spot.at(classes[lo_class], classes[hi_class]);
       });
-  quantiles.resize(resamples);
+  std::vector<double> quantiles(resamples);
+  for (std::uint64_t r = 0; r < resamples; ++r) {
+    quantiles[r] = spot.at(classes[lo_class[r]], classes[hi_class[r]]);
+  }
   set_percentile_ends(quantiles, ci);
   return ci;
 }

@@ -110,10 +110,12 @@ struct LinearFit {
 /// Resample r of R is n draws of Rng::uniform(n) on one seeded stream, taken
 /// in stream order.  The draws run in eight lanes: lane l takes resamples
 /// [l·⌈R/8⌉, (l + 1)·⌈R/8⌉) from its own exact jump into the stream
-/// (Xoshiro256ss::jump) through util::simd::draw_lanes, so every CI is
-/// bit-identical to one serial pass on every kernel table.  The percentile
-/// ends are the order statistics at ranks floor(q·(R − 1)), q = (1 − level)/2
-/// and 1 − q.
+/// (Xoshiro256ss::jump), and util::simd's `resampled_means` and
+/// `resampled_quantile` draw each lane's resamples and fold them into
+/// their statistics as they go, so every CI is bit-identical to one serial
+/// pass on every kernel table.  A draw where uniform could reject sends
+/// the CI through that serial pass instead.  The percentile ends are the
+/// order statistics at ranks floor(q·(R − 1)), q = (1 − level)/2 and 1 − q.
 struct BootstrapCI {
   double mean = 0.0;
   double lo = 0.0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace wu = wakeup::util;
 
 namespace {
@@ -64,6 +66,27 @@ TEST(Args, MalformedNumberThrows) {
   const auto args = parse({"prog", "--n=abc"});
   EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW((void)args.get_double("n", 0), std::invalid_argument);
+  // A number must be the whole value: a parsed prefix is not accepted.
+  for (const char* text : {"--v=2e3", "--v=4x", "--v=64.5", "--v=10abc", "--v=1 ",
+                           "--v=99999999999999999999"}) {
+    const auto partial = parse({"prog", text});
+    EXPECT_THROW((void)partial.get_int("v", 0), std::invalid_argument) << text;
+  }
+  for (const char* text : {"--v=2.5x", "--v=1e3e", "--v=nan", "--v=inf", "--v=-inf",
+                           "--v=1e999"}) {
+    const auto partial = parse({"prog", text});
+    EXPECT_THROW((void)partial.get_double("v", 0), std::invalid_argument) << text;
+  }
+  // The message names the flag.
+  try {
+    (void)parse({"prog", "--seed=2e3"}).get_int("seed", 1);
+    FAIL() << "--seed=2e3 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--seed"), std::string::npos) << e.what();
+  }
+  // Whole numbers still parse, signs included.
+  EXPECT_EQ(parse({"prog", "--v=-12"}).get_int("v", 0), -12);
+  EXPECT_DOUBLE_EQ(parse({"prog", "--v=2e3"}).get_double("v", 0), 2000.0);
 }
 
 TEST(Args, MalformedOptionThrows) {

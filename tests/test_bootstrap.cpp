@@ -123,7 +123,9 @@ wu::Sample equal_sample(std::size_t n) {
   return s;
 }
 
-const std::size_t kSizes[] = {0, 1, 2, 3, 32, 48, 257};
+// real_sample(n) has n tie classes: 63, 64 and 65 straddle the sample
+// size and the class count up to which the quantile's byte kernel runs.
+const std::size_t kSizes[] = {0, 1, 2, 3, 32, 48, 63, 64, 65, 257};
 const double kLevels[] = {0.5, 0.95, 0.999};
 // The resamples are drawn in eight lanes of ⌈R/8⌉: R = 1, 2, 7 and 9 leave
 // empty lanes, 9 and 1003 a short last one, 8 and 2000 fill every lane.

@@ -2,20 +2,23 @@
 /// when built and supported, scalar otherwise) must match a naive
 /// reference — and the scalar table — bit for bit on randomized inputs, so
 /// engine results never depend on the host ISA.  hash_below's scalar twin
-/// is held to util::hash_combine, draw_lanes' to util::Rng::uniform,
-/// bursty_lanes' to util::Rng::bernoulli, and every compiled rung to the
-/// twin.  Also pins the force-scalar override,
-/// draw_lanes' rejection flag and the first_set_below edge cases the
-/// engines rely on.
+/// is held to util::hash_combine, the bootstrap entries' twins to
+/// util::Rng::uniform and a sort, bursty_lanes' to util::Rng::bernoulli,
+/// and every compiled rung to the twin.  Also pins the force-scalar
+/// override, the bootstrap entries' rejection flag and the draws near a
+/// carry that their fast index reduction recomputes, and the
+/// first_set_below edge cases the engines rely on.
 
 #include "util/simd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -236,9 +239,8 @@ TEST(SimdKernels, HashBelowAvx512MatchesScalarTwin) {
 
 namespace {
 
-const std::uint64_t kLaneBounds[] = {2, 3, 48, (std::uint64_t{1} << 32) - 1};
-
-/// Eight lanes in draw_lanes' layout, lane l seeded as Xoshiro256ss(seed + l).
+/// Eight lanes in the kernels' state layout, lane l seeded as
+/// Xoshiro256ss(seed + l).
 std::array<std::uint64_t, 32> lane_states(std::uint64_t seed) {
   std::array<std::uint64_t, 32> state{};
   for (std::size_t l = 0; l < 8; ++l) {
@@ -248,70 +250,287 @@ std::array<std::uint64_t, 32> lane_states(std::uint64_t seed) {
   return state;
 }
 
-struct LaneDraws {
-  std::vector<std::uint32_t> out;
+/// What resampled_means leaves behind for K samples.
+struct MeanDraws {
+  std::vector<std::vector<double>> means;
   std::array<std::uint64_t, 32> state;
   bool flagged;
 };
 
-LaneDraws draw_lanes_through(const simd::Kernels& table, std::array<std::uint64_t, 32> state,
-                             std::uint64_t bound, std::size_t rounds) {
-  LaneDraws draws{std::vector<std::uint32_t>(8 * rounds, 0xdeadbeef), state, false};
-  draws.flagged = table.draw_lanes(draws.state.data(), bound, rounds, draws.out.data());
+MeanDraws means_through(const simd::Kernels& table, std::array<std::uint64_t, 32> state,
+                        const std::vector<std::vector<double>>& samples, std::size_t steps) {
+  MeanDraws draws{std::vector<std::vector<double>>(samples.size(),
+                                                   std::vector<double>(8 * steps, -1.0)),
+                  state, false};
+  std::vector<const double*> values;
+  std::vector<double*> out;
+  for (std::size_t k = 0; k < samples.size(); ++k) {
+    values.push_back(samples[k].data());
+    out.push_back(draws.means[k].data());
+  }
+  draws.flagged = table.resampled_means(draws.state.data(), values.data(), samples.size(),
+                                        samples[0].size(), steps, out.data());
   return draws;
+}
+
+/// What resampled_quantile leaves behind.
+struct QuantileDraws {
+  std::vector<std::size_t> lo;
+  std::vector<std::size_t> hi;
+  std::array<std::uint64_t, 32> state;
+  bool flagged;
+};
+
+/// A sample's tie classes as the kernel reads them.
+struct Classes {
+  std::vector<std::size_t> of;  // class of each value
+  std::size_t count;
+};
+
+/// n values over `count` classes, every class present (count <= n), in a
+/// seeded order.
+Classes shuffled_classes(std::size_t n, std::size_t count, std::uint64_t seed) {
+  Classes classes{std::vector<std::size_t>(n), count};
+  for (std::size_t i = 0; i < n; ++i) classes.of[i] = i % count;
+  wu::Rng rng(seed);
+  for (std::size_t i = n; i > 1; --i) std::swap(classes.of[i - 1], classes.of[rng.uniform(i)]);
+  return classes;
+}
+
+QuantileDraws quantile_through(const simd::Kernels& table, std::array<std::uint64_t, 32> state,
+                               const Classes& classes, std::size_t rank_lo, std::size_t rank_hi,
+                               std::size_t steps) {
+  QuantileDraws draws{std::vector<std::size_t>(8 * steps, 9999),
+                      std::vector<std::size_t>(8 * steps, 9999), state, false};
+  draws.flagged = table.resampled_quantile(draws.state.data(), classes.of.data(), classes.count,
+                                           classes.of.size(), rank_lo, rank_hi, steps,
+                                           draws.lo.data(), draws.hi.data());
+  return draws;
+}
+
+/// n values i + 1/4, so that a resampled mean tells an index from its
+/// neighbours; the second sample is real-valued.
+std::vector<std::vector<double>> mean_samples(std::size_t n, std::size_t samples) {
+  std::vector<std::vector<double>> out(samples, std::vector<double>(n));
+  wu::Rng rng(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[0][i] = static_cast<double>(i) + 0.25;
+    if (samples > 1) out[1][i] = (rng.uniform01() - 0.4) * 1e3;
+  }
+  return out;
+}
+
+/// The class ranks of one resample, from its draws' classes: the classes
+/// holding the order statistics at ranks lo and hi.
+std::pair<std::size_t, std::size_t> naive_ranks(std::vector<std::size_t> drawn, std::size_t lo,
+                                                std::size_t hi) {
+  std::sort(drawn.begin(), drawn.end());
+  return {drawn[lo], drawn[hi]};
+}
+
+const std::size_t kResampleSizes[] = {2, 3, 16, 17, 32, 48, 63, 64, 65, 257};
+const std::size_t kClassCounts[] = {1, 2, 63, 64, 65};
+const std::size_t kSteps[] = {0, 1, 5, 250};
+/// Quantile positions p, as (rank lo, rank hi) = (⌊p(n − 1)⌋, min(lo + 1, n − 1)).
+const double kPositions[] = {0.0, 0.5, 0.95, 1.0};
+
+std::pair<std::size_t, std::size_t> spot_ranks(std::size_t n, double p) {
+  const auto lo = static_cast<std::size_t>(p * static_cast<double>(n - 1));
+  return {lo, std::min(lo + 1, n - 1)};
+}
+
+/// The first output of Xoshiro256ss is rotl(s1·5, 7)·9: the lane state
+/// whose next draw is x, with the other words taken from `state`.
+std::uint64_t inverse_odd(std::uint64_t a) {
+  std::uint64_t inverse = a;  // a·a ≡ 1 mod 8; each step doubles the bits
+  for (int i = 0; i < 5; ++i) inverse *= 2 - a * inverse;
+  return inverse;
+}
+
+void set_next_output(std::array<std::uint64_t, 32>& state, std::size_t lane, std::uint64_t x) {
+  state[8 + lane] = std::rotr(x * inverse_odd(9), 7) * inverse_odd(5);
+}
+
+/// For n not a power of two, with g the largest power of two dividing n:
+/// the xh whose A = xh·n has low half 2³² − g >= 2³² − n + 1, so that the
+/// index ⌊x·n / 2⁶⁴⌋ is not A >> 32 when xl·n carries into A.
+std::uint64_t rare_high_half(std::uint64_t n) {
+  const std::uint64_t g = n & (~n + 1);
+  const std::uint64_t modulus = (std::uint64_t{1} << 32) / g;
+  return ((std::uint64_t{1} << 32) - g) / g * inverse_odd(n / g) % modulus;
 }
 
 }  // namespace
 
-TEST(SimdKernels, DrawLanesScalarTwinMatchesUniform) {
+TEST(SimdKernels, ResampledMeansScalarTwinMatchesUniform) {
   const simd::Kernels& scalar = *scalar_and_best().scalar;
-  for (const std::uint64_t bound : kLaneBounds) {
-    const LaneDraws draws = draw_lanes_through(scalar, lane_states(bound), bound, 300);
-    // No flag: no draw of these streams is one uniform could reject.
-    ASSERT_FALSE(draws.flagged) << "bound " << bound;
-    for (std::size_t l = 0; l < 8; ++l) {
-      wu::Rng rng(bound + l);
-      for (std::size_t d = 0; d < 300; ++d) {
-        ASSERT_EQ(draws.out[8 * d + l], rng.uniform(bound)) << "bound " << bound << " lane " << l;
+  for (const std::size_t n : {std::size_t{2}, std::size_t{48}, std::size_t{65537}}) {
+    for (const std::size_t samples : {1u, 2u}) {
+      const auto values = mean_samples(n, samples);
+      const std::size_t steps = n > 1000 ? 2 : 40;
+      const MeanDraws draws = means_through(scalar, lane_states(n), values, steps);
+      // No flag: no draw of these streams is one uniform could reject.
+      ASSERT_FALSE(draws.flagged) << "n " << n;
+      for (std::size_t l = 0; l < 8; ++l) {
+        wu::Rng rng(n + l);
+        for (std::size_t step = 0; step < steps; ++step) {
+          std::vector<double> sum(samples, 0.0);
+          for (std::size_t d = 0; d < n; ++d) {
+            const std::size_t j = rng.uniform(n);
+            for (std::size_t k = 0; k < samples; ++k) sum[k] += values[k][j];
+          }
+          for (std::size_t k = 0; k < samples; ++k) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(draws.means[k][l * steps + step]),
+                      std::bit_cast<std::uint64_t>(sum[k] / static_cast<double>(n)))
+                << "n " << n << " lane " << l << " step " << step << " sample " << k;
+          }
+        }
+        for (std::size_t w = 0; w < 4; ++w) EXPECT_EQ(draws.state[8 * w + l], rng.state()[w]);
       }
-      wu::Xoshiro256ss stepped(bound + l);
-      for (std::size_t d = 0; d < 300; ++d) (void)stepped.next();
-      for (std::size_t w = 0; w < 4; ++w) EXPECT_EQ(draws.state[8 * w + l], stepped.state()[w]);
     }
   }
 }
 
-TEST(SimdKernels, DrawLanesAvx512MatchesScalarTwin) {
+TEST(SimdKernels, ResampledQuantileScalarTwinMatchesUniform) {
+  const simd::Kernels& scalar = *scalar_and_best().scalar;
+  for (const std::size_t n : {std::size_t{2}, std::size_t{48}, std::size_t{65537}}) {
+    for (const std::size_t count : {std::size_t{1}, std::size_t{2}, n}) {
+      const Classes classes = shuffled_classes(n, count, 3 * n + count);
+      const auto [rank_lo, rank_hi] = spot_ranks(n, 0.5);
+      const std::size_t steps = n > 1000 ? 2 : 40;
+      const QuantileDraws draws =
+          quantile_through(scalar, lane_states(n + count), classes, rank_lo, rank_hi, steps);
+      ASSERT_FALSE(draws.flagged) << "n " << n;
+      for (std::size_t l = 0; l < 8; ++l) {
+        wu::Rng rng(n + count + l);
+        for (std::size_t step = 0; step < steps; ++step) {
+          std::vector<std::size_t> drawn(n);
+          for (std::size_t d = 0; d < n; ++d) drawn[d] = classes.of[rng.uniform(n)];
+          const auto want = naive_ranks(std::move(drawn), rank_lo, rank_hi);
+          ASSERT_EQ(draws.lo[l * steps + step], want.first) << "n " << n << " lane " << l;
+          ASSERT_EQ(draws.hi[l * steps + step], want.second) << "n " << n << " lane " << l;
+        }
+        for (std::size_t w = 0; w < 4; ++w) EXPECT_EQ(draws.state[8 * w + l], rng.state()[w]);
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, ResampledMeansAvx512MatchesScalarTwin) {
   const Tables tables = scalar_and_best();
-  if (std::strcmp(tables.best->name, "avx512") != 0) {
-    GTEST_SKIP() << "AVX-512F/DQ rung not built or not supported here (dispatching "
+  if (tables.best->resampled_means == tables.scalar->resampled_means) {
+    GTEST_SKIP() << "no AVX-512 resampled_means built or supported here (dispatching "
                  << tables.best->name << ")";
   }
-  for (const std::uint64_t bound : kLaneBounds) {
-    for (const std::size_t rounds : {0, 1, 5, 300}) {
-      const auto state = lane_states(7 * bound + rounds);
-      const LaneDraws want = draw_lanes_through(*tables.scalar, state, bound, rounds);
-      const LaneDraws got = draw_lanes_through(*tables.best, state, bound, rounds);
-      EXPECT_EQ(got.out, want.out) << "bound " << bound << " rounds " << rounds;
-      EXPECT_EQ(got.state, want.state) << "bound " << bound << " rounds " << rounds;
-      EXPECT_EQ(got.flagged, want.flagged) << "bound " << bound << " rounds " << rounds;
+  for (const std::size_t n : kResampleSizes) {
+    for (const std::size_t samples : {1u, 2u}) {
+      const auto values = mean_samples(n, samples);
+      for (const std::size_t steps : kSteps) {
+        const auto state = lane_states(7 * n + steps + samples);
+        const MeanDraws want = means_through(*tables.scalar, state, values, steps);
+        const MeanDraws got = means_through(*tables.best, state, values, steps);
+        for (std::size_t k = 0; k < samples; ++k) {
+          for (std::size_t r = 0; r < 8 * steps; ++r) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got.means[k][r]),
+                      std::bit_cast<std::uint64_t>(want.means[k][r]))
+                << "n " << n << " samples " << samples << " steps " << steps << " at " << r;
+          }
+        }
+        EXPECT_EQ(got.state, want.state) << "n " << n << " steps " << steps;
+        EXPECT_EQ(got.flagged, want.flagged) << "n " << n << " steps " << steps;
+      }
     }
   }
 }
 
-TEST(SimdKernels, DrawLanesFlagsALowWordBelowTheBound) {
+TEST(SimdKernels, ResampledQuantileAvx512MatchesScalarTwin) {
+  const Tables tables = scalar_and_best();
+  if (tables.best->resampled_quantile == tables.scalar->resampled_quantile) {
+    GTEST_SKIP() << "no AVX-512BW/VBMI resampled_quantile built or supported here (dispatching "
+                 << tables.best->name << ")";
+  }
+  for (const std::size_t n : kResampleSizes) {
+    for (const std::size_t count : kClassCounts) {
+      if (count > n) continue;
+      const Classes classes = shuffled_classes(n, count, n + count);
+      for (const double p : kPositions) {
+        const auto [rank_lo, rank_hi] = spot_ranks(n, p);
+        for (const std::size_t steps : kSteps) {
+          const auto state = lane_states(11 * n + count + steps);
+          const QuantileDraws want =
+              quantile_through(*tables.scalar, state, classes, rank_lo, rank_hi, steps);
+          const QuantileDraws got =
+              quantile_through(*tables.best, state, classes, rank_lo, rank_hi, steps);
+          const std::string label = "n " + std::to_string(n) + " classes " +
+                                    std::to_string(count) + " p " + std::to_string(p) +
+                                    " steps " + std::to_string(steps);
+          EXPECT_EQ(got.lo, want.lo) << label;
+          EXPECT_EQ(got.hi, want.hi) << label;
+          EXPECT_EQ(got.state, want.state) << label;
+          EXPECT_EQ(got.flagged, want.flagged) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, ResampledEntriesFlagALowWordBelowTheBound) {
   // s1 = 0 makes a lane's next output rotl(0 · 5, 7) · 9 = 0, whose low
   // word 0 is below every bound: the draw Rng::uniform would reject.
   const Tables tables = scalar_and_best();
   for (const simd::Kernels* table : {tables.scalar, tables.best}) {
-    for (const std::uint64_t bound : kLaneBounds) {
-      auto state = lane_states(bound);
+    for (const std::size_t n : {std::size_t{3}, std::size_t{48}, std::size_t{65}}) {
+      const auto values = mean_samples(n, 2);
+      const Classes classes = shuffled_classes(n, std::min<std::size_t>(n, 40), n);
+      auto state = lane_states(n);
       state[8 * 1 + 5] = 0;  // lane 5's s1
-      const LaneDraws draws = draw_lanes_through(*table, state, bound, 3);
-      EXPECT_TRUE(draws.flagged) << table->name << " bound " << bound;
-      EXPECT_EQ(draws.out[5], 0u) << table->name << " bound " << bound;
+      const MeanDraws means = means_through(*table, state, values, 3);
+      EXPECT_TRUE(means.flagged) << table->name << " n " << n;
+      EXPECT_TRUE(quantile_through(*table, state, classes, n / 2, n / 2 + 1, 3).flagged)
+          << table->name << " n " << n;
+      EXPECT_EQ(means.means, means_through(*tables.scalar, state, values, 3).means);
       // The same lanes without the crafted state raise nothing.
-      EXPECT_FALSE(draw_lanes_through(*table, lane_states(bound), bound, 3).flagged);
+      EXPECT_FALSE(means_through(*table, lane_states(n), values, 3).flagged);
+      EXPECT_FALSE(quantile_through(*table, lane_states(n), classes, n / 2, n / 2 + 1, 3).flagged);
+    }
+  }
+}
+
+TEST(SimdKernels, ResampledEntriesResolveDrawsNearAProductCarry) {
+  // Lane 2's first draw has xh·n's low half at 2³² − g: with xl = 2³² − 1
+  // the index carries past (xh·n) >> 32 and uniform accepts it, and with
+  // xl = ⌈g·2³²/n⌉ its low word is below n, a draw uniform may reject.  Every
+  // table must give the exact index and flag exactly the second.
+  const Tables tables = scalar_and_best();
+  for (const std::uint64_t n : {3u, 48u, 63u}) {
+    const std::uint64_t xh = rare_high_half(n);
+    const std::uint64_t g = n & (~n + 1);
+    ASSERT_EQ(xh * n % (std::uint64_t{1} << 32), (std::uint64_t{1} << 32) - g) << "n " << n;
+    const auto values = mean_samples(n, 1);
+    const Classes classes = shuffled_classes(n, n, n);
+    for (const bool rejectable : {false, true}) {
+      const std::uint64_t xl =
+          rejectable ? ((g << 32) + n - 1) / n : (std::uint64_t{1} << 32) - 1;
+      const std::uint64_t x = (xh << 32) | xl;
+      auto state = lane_states(5 * n);
+      set_next_output(state, 2, x);
+      const auto index = static_cast<std::size_t>((static_cast<__uint128_t>(x) * n) >> 64);
+      ASSERT_EQ(index, ((xh * n) >> 32) + 1) << "n " << n;
+      const MeanDraws want = means_through(*tables.scalar, state, values, 1);
+      const QuantileDraws want_classes = quantile_through(*tables.scalar, state, classes, 0, 1, 1);
+      EXPECT_EQ(want.flagged, rejectable) << "n " << n;
+      // The scalar twin's first draw of lane 2 is the index above.
+      wu::Xoshiro256ss lane({state[2], state[10], state[18], state[26]});
+      ASSERT_EQ(lane.next(), x);
+      for (const simd::Kernels* table : {tables.scalar, tables.best}) {
+        const MeanDraws got = means_through(*table, state, values, 1);
+        EXPECT_EQ(got.means, want.means) << table->name << " n " << n;
+        EXPECT_EQ(got.flagged, rejectable) << table->name << " n " << n;
+        const QuantileDraws got_classes = quantile_through(*table, state, classes, 0, 1, 1);
+        EXPECT_EQ(got_classes.lo, want_classes.lo) << table->name << " n " << n;
+        EXPECT_EQ(got_classes.hi, want_classes.hi) << table->name << " n " << n;
+        EXPECT_EQ(got_classes.flagged, rejectable) << table->name << " n " << n;
+      }
     }
   }
 }

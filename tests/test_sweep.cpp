@@ -65,25 +65,6 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-/// Manifest record lines (header dropped), sorted — completion order is
-/// scheduling-dependent, the *set* of records is not.
-std::vector<std::string> sorted_manifest_records(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << path;
-  std::vector<std::string> lines;
-  std::string line;
-  bool header = true;
-  while (std::getline(in, line)) {
-    if (header) {
-      header = false;
-      continue;
-    }
-    lines.push_back(line);
-  }
-  std::sort(lines.begin(), lines.end());
-  return lines;
-}
-
 ws::SimResult trial_result(bool success, std::int64_t rounds, std::uint64_t collisions,
                            std::uint64_t silences) {
   ws::SimResult r;
@@ -636,8 +617,9 @@ TEST(SweepRunner, ResumeEqualsFreshByteIdentically) {
 
   EXPECT_EQ(slurp(full.csv_path), slurp(resumed.csv_path));
   EXPECT_EQ(slurp(full.json_path), slurp(resumed.json_path));
-  EXPECT_EQ(sorted_manifest_records(full.manifest_path),
-            sorted_manifest_records(resumed.manifest_path));
+  // Lines land in grid order at any thread count, and the capped run
+  // took the first cells of the grid, so the manifests match byte for byte.
+  EXPECT_EQ(slurp(full.manifest_path), slurp(resumed.manifest_path));
 }
 
 TEST(SweepRunner, ResumeRepairsATornManifestTail) {
@@ -722,6 +704,46 @@ TEST(SweepRunnerDeathTest, SigkilledSweepResumesToIdenticalReports) {
   // One inline pool runs the cells in grid order, so even the manifests
   // match byte for byte.
   EXPECT_EQ(slurp(fresh.manifest_path), slurp(resumed.manifest_path));
+}
+
+TEST(SweepRunner, ManifestLinesFollowTheGridAtAnyThreadCount) {
+  // A cell-sharded sweep finishes cells out of grid order (the first cell,
+  // k = 256 of n = 4096 stations waking at once, takes far longer than the
+  // k = 2 cells after it), but appends each line only once every earlier
+  // cell's is out: its manifest is byte-identical to the inline sweep's.
+  we::SweepSpec spec;
+  spec.protocols = {"wakeup_matrix"};
+  spec.ns = {4096, 64, 96, 128};
+  spec.ks = {256, 2};
+  spec.patterns = {we::PatternKind::kSimultaneous};
+  spec.trials = 48;
+  spec.base_seed = 11;
+  const auto run_with = [&spec](const std::string& dir, std::size_t workers) {
+    wu::ThreadPool pool(workers);
+    we::SweepOptions options;
+    options.out_dir = fresh_dir(dir);
+    options.ci_resamples = 100;
+    options.pool = &pool;
+    options.sharding = workers == 0 ? we::Sharding::kTrials : we::Sharding::kCells;
+    const auto outcome = we::run_sweep(spec, options);
+    EXPECT_TRUE(outcome.completed) << dir;
+    return outcome;
+  };
+  const auto inline_outcome = run_with("grid_order_inline", 0);
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    const auto sharded = run_with("grid_order_4_workers", 4);
+    EXPECT_EQ(slurp(inline_outcome.manifest_path), slurp(sharded.manifest_path))
+        << "repeat " << repeat;
+    EXPECT_EQ(slurp(inline_outcome.csv_path), slurp(sharded.csv_path));
+  }
+  // Grid order: the records' tags in the order expand() lists the cells.
+  std::ifstream in(inline_outcome.manifest_path);
+  std::string line;
+  std::getline(in, line);  // header
+  for (const we::Cell& cell : we::expand(spec)) {
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_NE(line.find("\"tag\":\"" + cell.tag + "\""), std::string::npos) << cell.tag;
+  }
 }
 
 TEST(SweepRunner, ZeroWorkerPoolStaysInlineOnTheCellShardedPath) {
@@ -1006,8 +1028,9 @@ TEST(SweepRunner, DynamicSweepResumeEqualsFreshByteIdentically) {
   EXPECT_EQ(resumed.cells_resumed, 2u);
   EXPECT_EQ(slurp(full.csv_path), slurp(resumed.csv_path));
   EXPECT_EQ(slurp(full.json_path), slurp(resumed.json_path));
-  EXPECT_EQ(sorted_manifest_records(full.manifest_path),
-            sorted_manifest_records(resumed.manifest_path));
+  // Lines land in grid order at any thread count, and the capped run
+  // took the first cells of the grid, so the manifests match byte for byte.
+  EXPECT_EQ(slurp(full.manifest_path), slurp(resumed.manifest_path));
 }
 
 TEST(SweepRunner, DynamicGridRejectsPerTrialCsv) {
