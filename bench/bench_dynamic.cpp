@@ -7,10 +7,13 @@
 /// backlogged station per slot, while the batch engine reads 64-slot
 /// schedule words — gated at >= 3x.  The other batch cells show the win
 /// across arrival shapes and the contended small-n regime where segments
-/// with live transmitters bound the word-level fast path.  The last rows
-/// are report-only interpreter rates of the per-packet re-contenders at the
-/// dynamic-throughput preset's shape (n = 256, k = 16, horizon 2048), which
-/// only the interpreter can run and which visit only their event slots.
+/// with live transmitters bound the word-level fast path; a report-only
+/// dense cell at the dynamic-throughput preset's shape (n = 256, k = 16,
+/// horizon 2048, its heaviest Poisson point) has many tiles put back more
+/// delivered rows than they have words, which restarts the tile ramp.  The
+/// last rows are report-only interpreter rates of the per-packet
+/// re-contenders at the same shape, which only the interpreter can run and
+/// which visit only their event slots.
 ///
 /// Usage: bench_dynamic [--quick]   (--quick shrinks horizons/trials for
 /// CI-sized runs; the gate then applies to the shrunk cells)
@@ -82,6 +85,8 @@ int main(int argc, char** argv) {
       {"wakeup_with_k", 4096, 64, "poisson:0.3", horizon, trials},
       // Contended small-n regime: every slot has live transmitters.
       {"wakeup_matrix", 512, 32, "poisson:0.6", horizon, trials},
+      // Dense refills at the dynamic-throughput preset's shape.
+      {"wakeup_with_k", 256, 16, "poisson:0.8", 2048, trials},
   };
   // Interpreter-only: the re-contenders at the dynamic-throughput preset's
   // shape, under its heaviest Poisson point and its bursty point.

@@ -26,8 +26,7 @@ class CwWindow {
   /// Returns true when slot t transmits; reopens (with doubling) on expiry.
   bool transmits(Slot t, unsigned penalty) {
     if (t >= window_end_) {
-      cw_ = std::min<std::uint64_t>(cw_ * 2, cw_max_);
-      open(window_end_, penalty);
+      expire(penalty);
       // Idle gaps (empty queue) can leave window_end_ far behind t.
       while (t >= window_end_) open(window_end_, penalty);
     }
@@ -38,11 +37,21 @@ class CwWindow {
 
   /// From slot t on, the first slot `transmits` must see: the pick if it is
   /// still ahead, else the window's end (which reopens); never before t.
-  [[nodiscard]] Slot next_event(Slot t) const {
+  /// When the pick has passed and the window ends at or after t, but no
+  /// later than `reopen_by`, the window reopens here, exactly as
+  /// `transmits` would at its end, and the new pick is the answer.
+  [[nodiscard]] Slot next_event(Slot t, unsigned penalty, Slot reopen_by) {
+    if (pick_ < t && t <= window_end_ && window_end_ <= reopen_by) expire(penalty);
     return std::max(t, pick_ >= t ? pick_ : window_end_);
   }
 
  private:
+  /// The window ended without an own delivery: double and reopen at its end.
+  void expire(unsigned penalty) {
+    cw_ = std::min<std::uint64_t>(cw_ * 2, cw_max_);
+    open(window_end_, penalty);
+  }
+
   std::uint32_t cw_min_;
   std::uint64_t cw_max_;
   std::uint64_t cw_;
@@ -76,11 +85,17 @@ class AdaptiveCwStation final : public DynamicStation {
   void packet_start(Slot start) override { window_.open(start, penalty_); }
 
   /// The window's next event, or the epoch's end, where feedback settles.
+  /// A passed window reopens ahead only up to the epoch's end: settling
+  /// may change the penalty a later reopening reads.
   [[nodiscard]] Slot next_event(Slot t, Slot limit) override {
-    return std::min({window_.next_event(t), std::max(t, epoch_end_), limit});
+    return std::min({window_.next_event(t, penalty_, epoch_end_), std::max(t, epoch_end_), limit});
   }
 
   [[nodiscard]] bool transmits(Slot t) override { return window_.transmits(t, penalty_); }
+
+  /// Skipped successes fall before the epoch's end, a visited slot: they
+  /// only add to the epoch's tally.
+  void heard_others(std::uint64_t n) override { heard_in_epoch_ += n; }
 
   void feedback(Slot t, ChannelFeedback fb, bool delivered) override {
     if (fb == ChannelFeedback::kSuccess) {

@@ -1,6 +1,7 @@
 #include "protocols/aloha.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/rng.hpp"
 
@@ -24,40 +25,83 @@ class AlohaRuntime final : public StationRuntime {
 /// Dynamic-traffic ALOHA: memoryless per slot, but one rng stream per
 /// station per trial — successive packets continue the stream instead of
 /// reseeding, which keeps the trial a deterministic function of (seed, u).
-/// `next_event` draws the per-slot coins ahead up to the next transmit
-/// slot; `drawn_to_` marks the first slot without a coin, so each visited
-/// slot draws exactly once, whichever call reaches it first.
+/// The coins are drawn 64 at a time into a word, each `next_u64() <
+/// bernoulli_threshold(p)` — `rng.bernoulli(p)`'s draw and outcome — and
+/// are spent in order, one per backlogged slot, so a coin drawn before an
+/// idle gap serves the first slot after it.  `next_event` spends the coins
+/// up to the next transmit slot, found by `countr_zero`; `at_` is the
+/// first slot without a spent coin, so each visited slot spends exactly
+/// one, whichever call reaches it first.
 class AlohaStation final : public DynamicStation {
  public:
-  AlohaStation(double p, util::Rng rng) : p_(p), rng_(rng) {}
+  AlohaStation(double p, util::Rng rng)
+      : threshold_(p < 1.0 ? util::bernoulli_threshold(p) : 0), always_(p >= 1.0), rng_(rng) {}
 
   void packet_start(Slot start) override { (void)start; }
 
   [[nodiscard]] Slot next_event(Slot t, Slot limit) override {
     if (hit_ >= t) return std::min(hit_, limit);
-    for (Slot s = std::max(t, drawn_to_); s < limit; ++s) {
-      drawn_to_ = s + 1;
-      if (rng_.bernoulli(p_)) return hit_ = s;
+    at_ = std::max(at_, t);
+    while (at_ < limit) {
+      if (left_ == 0) refill();
+      // Silent coins before the next transmit coin (all that are left when
+      // there is none); countr_zero(0) is 64 >= left_.
+      const int run = std::min(std::countr_zero(coins_), left_);
+      if (run >= limit - at_) {
+        spend(static_cast<int>(limit - at_));
+        return limit;
+      }
+      spend(run);
+      if (left_ > 0) {
+        hit_ = at_;
+        spend(1);
+        return hit_;
+      }
     }
     return limit;
   }
 
   [[nodiscard]] bool transmits(Slot t) override {
-    if (t < drawn_to_) return t == hit_;
-    drawn_to_ = t + 1;
-    if (!rng_.bernoulli(p_)) return false;
-    hit_ = t;
-    return true;
+    if (t < at_) return t == hit_;
+    at_ = t;
+    if (left_ == 0) refill();
+    const bool coin = (coins_ & 1) != 0;
+    spend(1);
+    if (coin) hit_ = t;
+    return coin;
   }
 
   /// Memoryless: no feedback changes a coin.
   [[nodiscard]] bool hears_others() const override { return false; }
 
  private:
-  double p_;
+  /// Draws the next 64 coins; p >= 1 draws none, every coin transmits.
+  void refill() {
+    left_ = 64;
+    if (always_) {
+      coins_ = ~std::uint64_t{0};
+      return;
+    }
+    coins_ = 0;
+    for (int j = 0; j < 64; ++j) {
+      coins_ |= static_cast<std::uint64_t>(rng_.next_u64() < threshold_) << j;
+    }
+  }
+
+  /// Spends `c` (<= left_) coins on slots at_, at_ + 1, ...
+  void spend(int c) {
+    coins_ = c >= 64 ? 0 : coins_ >> c;
+    left_ -= c;
+    at_ += c;
+  }
+
+  std::uint64_t threshold_;
+  bool always_;
   util::Rng rng_;
-  Slot drawn_to_ = 0;  ///< first slot whose coin is not drawn yet
-  Slot hit_ = -1;      ///< latest slot whose coin said "transmit"
+  std::uint64_t coins_ = 0;  ///< unspent coins, the next in bit 0
+  int left_ = 0;             ///< unspent coins in coins_
+  Slot at_ = 0;              ///< first slot whose coin is not spent yet
+  Slot hit_ = -1;            ///< latest slot whose coin said "transmit"
 };
 
 }  // namespace

@@ -61,15 +61,18 @@ class BackoffStation final : public DynamicStation {
 
   void packet_start(Slot start) override { open_window(start); }
 
-  /// The pick if it is still ahead, else the window's end (which reopens).
+  /// The pick if it is still ahead.  Once it has passed, the window
+  /// reopens here, exactly as `transmits` would at its end — nothing but an
+  /// own delivery, which needs a transmit, moves the window before then —
+  /// and the new pick is the answer.
   [[nodiscard]] Slot next_event(Slot t, Slot limit) override {
+    if (pick_ < t && t <= window_end_) expire();
     return std::min(std::max(t, pick_ >= t ? pick_ : window_end_), limit);
   }
 
   [[nodiscard]] bool transmits(Slot t) override {
     if (t >= window_end_) {
-      if (window_ < (std::uint64_t{1} << max_window_log2_)) window_ *= 2;
-      open_window(window_end_);
+      expire();
       // Idle gaps (empty queue) can leave window_end_ far behind t; those
       // skipped windows saw no traffic from us, so they do not double.
       while (t >= window_end_) open_window(window_end_);
@@ -90,6 +93,13 @@ class BackoffStation final : public DynamicStation {
   void open_window(Slot start) {
     window_end_ = start + static_cast<Slot>(window_);
     pick_ = start + static_cast<Slot>(rng_.uniform(window_));
+  }
+
+  /// A full window passed without an own delivery: double and reopen at
+  /// its end.
+  void expire() {
+    if (window_ < (std::uint64_t{1} << max_window_log2_)) window_ *= 2;
+    open_window(window_end_);
   }
 
   std::uint32_t initial_window_;

@@ -64,10 +64,10 @@ class StationRuntime {
 /// packet begins contending at slot s (including the first), then visits
 /// slots t >= s in strictly increasing order while the station is
 /// backlogged: `transmits(t)`, then `feedback(t, ...)`.  The owner may skip
-/// every slot before `next_event`: a skipped slot gets no `transmits` call,
-/// and its `feedback` only when the slot was a success (another station's,
-/// so `delivered` is false) — delivered to stations that hear others
-/// (`hears_others`), which the owner then asks `next_event` again.  While
+/// every slot before `next_event`: a skipped slot gets no call.  The
+/// successes (all other stations') among the backlogged slots a station
+/// skipped reach it as one count, `heard_others(n)`, at its next visit
+/// before `transmits` — only when it hears others (`hears_others`).  While
 /// the queue is empty no calls are made; the next `packet_start` resumes
 /// at a strictly later slot.
 class DynamicStation {
@@ -81,10 +81,13 @@ class DynamicStation {
   /// a `transmits` + `feedback(kNothing, false)` pair may change state, or
   /// `limit` when there is none (the owner visits no slot >= limit: it is
   /// the horizon or the station's crash cutoff).  Asking changes nothing
-  /// the station does: an answer may draw its randomness ahead, but every
-  /// later call behaves as if each slot had been visited.  The owner may
-  /// ask again from a slot it already asked from.  The default, `t`, asks
-  /// for every slot.
+  /// the station does: an answer may draw its randomness ahead, or apply
+  /// now what a skipped slot would have applied (a window reopened at its
+  /// end), but every later call behaves as if each slot had been visited.
+  /// The answer must hold whatever `heard_others` later brings: a skipped
+  /// success may change only state that a visited slot reads.  The owner
+  /// may ask again from a slot it already asked from.  The default, `t`,
+  /// asks for every slot.
   [[nodiscard]] virtual Slot next_event(Slot t, Slot limit) {
     (void)limit;
     return t;
@@ -94,10 +97,15 @@ class DynamicStation {
   [[nodiscard]] virtual bool transmits(Slot t) = 0;
 
   /// Can another station's success in a slot this station skipped change
-  /// its state or its next `next_event` answer?  Asked once, when the
-  /// station is made.  False lets the owner skip that `feedback` and the
-  /// `next_event` after it; the default, true, hears them all.
+  /// its state?  Asked once, when the station is made.  False lets the
+  /// owner stop counting them; the default, true, hears them all.
   [[nodiscard]] virtual bool hears_others() const { return true; }
+
+  /// `n` (> 0) successes of other stations fell in backlogged slots this
+  /// station skipped since its last visit: each is the `feedback(s,
+  /// kSuccess, false)` the skipped slot s would have brought.  Called at
+  /// the next visit, before `transmits`.
+  virtual void heard_others(std::uint64_t n) { (void)n; }
 
   /// What the station heard in slot t; `delivered` is true exactly when the
   /// slot's success was this station's own head-of-line packet (in which

@@ -198,9 +198,13 @@ TileTotals resolve_tiles(const proto::ObliviousSchedule& schedule, std::vector<T
   };
 
   bool halted = false;
+  // Rows the refetch rule put back in this tile: more than the tile has
+  // words start the ramp over at one word.
+  std::size_t refills = 0;
   std::size_t cur = 1;
-  for (tb = from / 64 * 64; tb < end && !halted;
-       tb += static_cast<mac::Slot>(64 * cur), cur = std::min(cur * 2, W)) {
+  for (tb = from / 64 * 64; tb < end && !halted; tb += static_cast<mac::Slot>(64 * cur),
+      cur = refills > tw ? 1 : std::min(cur * 2, W)) {
+    refills = 0;
     tile_end = std::min<mac::Slot>(tb + static_cast<mac::Slot>(64 * cur), end);
     tw = static_cast<std::size_t>((tile_end - tb + 63) / 64);
 
@@ -271,6 +275,7 @@ TileTotals resolve_tiles(const proto::ObliviousSchedule& schedule, std::vector<T
           }
           if (transmits != nullptr) charge(r, 64 * w + j);
           rows[r].start = next;
+          if (next != kNever) ++refills;
           fetch(r, false);
         }
         if (halted) break;

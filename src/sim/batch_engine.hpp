@@ -26,7 +26,12 @@
 ///  - zero: the full-resolution drain removes the winner and re-resolves
 ///    the rest of the tile without it;
 ///  - refetch: dynamic traffic restarts the row from the station's next
-///    head-of-line start and re-resolves the rest of the tile.
+///    head-of-line start and re-resolves the rest of the tile.  Each
+///    refill refetches its row to the tile's end and re-reduces every row
+///    from there, so a tile that put more rows back than it has words is
+///    followed by a one-word tile and the ramp starts over: dense traffic
+///    runs narrow tiles, sparse traffic (a refill every few words) keeps
+///    wide ones.
 ///
 /// Energy accounting counts each row's transmits from the words already
 /// fetched.  Produces bit-identical results to the slot-by-slot

@@ -1,13 +1,13 @@
 #include "sim/dynamic.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
 
 #include "mac/channel.hpp"
+#include "obs/metrics.hpp"
 #include "sim/impairment_engine.hpp"
 
 namespace wakeup::sim {
@@ -61,6 +61,11 @@ struct Active {
   mac::Slot end = 0;
   /// Start of the current backlogged span; kIdle while the queue is empty.
   mac::Slot busy_since = kIdle;
+  /// Does the station hear others' successes (`hears_others`)?
+  bool hears = false;
+  /// The loop's success count when the station last heard the channel:
+  /// the successes since then are the ones it skipped.
+  std::uint64_t heard = 0;
   std::unique_ptr<proto::DynamicStation> dyn;
 
   /// The slot to visit for an event at `event`: kNever from `end` on.
@@ -97,9 +102,6 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
   // next[i]: the next slot at which station i must be visited — its own
   // next_event, or the arrival into its empty queue.
   std::vector<mac::Slot> next(m);
-  // busy: bit i while station i is backlogged (busy_since != kIdle);
-  // hearing: bit i when station i hears others' successes.
-  std::vector<std::uint64_t> busy((m + 63) / 64, 0), hearing((m + 63) / 64, 0);
   for (std::size_t i = 0; i < m; ++i) {
     Active& st = stations[i];
     const mac::StationId id = result.stations[i];
@@ -114,7 +116,7 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
     }
     st.dyn = protocol.make_dynamic_station(id);
     if (st.dyn == nullptr) st.dyn = std::make_unique<PerPacketStation>(protocol, id);
-    if (st.dyn->hears_others()) hearing[i / 64] |= std::uint64_t{1} << (i % 64);
+    st.hears = st.dyn->hears_others();
     next[i] = st.next_arrival();
   }
 
@@ -129,6 +131,9 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
   mac::Slot quiet_from = 0;
   // Per visited slot: the stations due, then those asked to transmit.
   std::vector<std::size_t> due(m), asked(m);
+  // Successes resolved so far; per trial, the slots visited and the
+  // skipped successes told through heard_others (obs side-state).
+  std::uint64_t successes = 0, visits = 0, heard_total = 0;
 
   while (true) {
     mac::Slot t = kNever;
@@ -136,6 +141,7 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
     if (t >= horizon) break;
     charge_quiet(quiet_from, t);
     quiet_from = t + 1;
+    ++visits;
 
     std::size_t n_due = 0;
     for (std::size_t i = 0; i < m; ++i) {
@@ -144,17 +150,23 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
     }
 
     // An arrival into an empty queue starts its packet, which may transmit
-    // at once; the other due stations are mid-contention.
+    // at once; the other due stations are mid-contention, and first hear
+    // the successes they skipped.
     std::size_t n_asked = 0, transmitters = 0, sender = 0;
     for (std::size_t d = 0; d < n_due; ++d) {
       const std::size_t i = due[d];
       Active& st = stations[i];
       if (st.busy_since == kIdle) {
         st.busy_since = t;
-        busy[i / 64] |= std::uint64_t{1} << (i % 64);
+        st.heard = successes;
         st.dyn->packet_start(t);
         next[i] = st.next_visit(t);
         if (next[i] != t) continue;
+      }
+      if (st.hears && st.heard != successes) {
+        st.dyn->heard_others(successes - st.heard);
+        heard_total += successes - st.heard;
+        st.heard = successes;
       }
       asked[n_asked++] = i;
       if (st.dyn->transmits(t)) {
@@ -177,23 +189,15 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
       continue;
     }
 
-    // A success reaches the stations asked at t and every other
-    // backlogged, following station that hears others — adaptive stations
-    // count the successes they hear — and each asks again.
-    const auto hear_success = [&](std::size_t i) {
-      Active& st = stations[i];
-      st.dyn->feedback(t, mac::ChannelFeedback::kSuccess, i == sender);
-      if (i != sender) next[i] = st.next_visit(t + 1);
-    };
+    // A success reaches the stations asked at t; every other backlogged
+    // station skipped it, and hears it at its next visit.
+    ++successes;
     for (std::size_t a = 0; a < n_asked; ++a) {
       const std::size_t i = asked[a];
-      if ((hearing[i / 64] >> (i % 64) & 1) == 0) hear_success(i);
-    }
-    for (std::size_t w = 0; w < busy.size(); ++w) {
-      for (std::uint64_t bits = busy[w] & hearing[w]; bits != 0; bits &= bits - 1) {
-        const std::size_t i = 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
-        if (t < stations[i].end) hear_success(i);
-      }
+      Active& asked_st = stations[i];
+      asked_st.heard = successes;
+      asked_st.dyn->feedback(t, mac::ChannelFeedback::kSuccess, i == sender);
+      if (i != sender) next[i] = asked_st.next_visit(t + 1);
     }
 
     Active& st = stations[sender];
@@ -214,11 +218,16 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
       }
     } else {
       st.busy_since = kIdle;
-      busy[sender / 64] &= ~(std::uint64_t{1} << (sender % 64));
       next[sender] = st.next_arrival();
     }
   }
   charge_quiet(quiet_from, horizon);
+  if (obs::active()) {
+    static const auto c_visits = obs::Counter::get("dynamic.visits");
+    static const auto c_heard = obs::Counter::get("dynamic.heard");
+    c_visits.add(visits);
+    c_heard.add(heard_total);
+  }
 
   if (energy != EnergyModel::kOff) {
     // Listen components over spans.  listen:all keeps every following

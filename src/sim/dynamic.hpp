@@ -22,13 +22,16 @@
 ///    (`proto::DynamicStation`).  It jumps from event to event: a slot is
 ///    visited only when some station's `next_event` or an arrival into an
 ///    empty queue falls on it, and the skipped slots are charged in bulk.
-///    A success is told to the stations asked at its slot and to the
-///    backlogged ones that hear others (`hears_others`); the rest skip
-///    it.  Stations keeping the default `next_event` (every oblivious
-///    protocol, through its per-packet runtimes) are visited on every
-///    backlogged slot.  The test file keeps a per-slot loop, with per-slot
-///    copies of the re-contenders, as the reference the skipping is
-///    checked against.
+///    A success is told to the stations asked at its slot; the loop counts
+///    successes, and a backlogged station that hears others
+///    (`hears_others`) gets the number it skipped through `heard_others`
+///    at its next visit, before `transmits`.  Stations keeping the default
+///    `next_event` (every oblivious protocol, through its per-packet
+///    runtimes) are visited on every backlogged slot.  Per trial, the
+///    visited slots and the successes told through `heard_others` go to the
+///    `dynamic.visits` and `dynamic.heard` counters.  The test file keeps a
+///    per-slot loop, with per-slot copies of the re-contenders, as the
+///    reference the skipping is checked against.
 ///  - `run_dynamic_batch` — the word-parallel engine for oblivious
 ///    protocols: a thin driver over the word-matrix tile core of
 ///    sim/batch_engine.hpp, which static and C-lane runs share.  Each
@@ -37,8 +40,9 @@
 ///    core refetches the winner's row from its next head-of-line start —
 ///    a queued packet at the following slot, a later arrival at its slot,
 ///    nothing once the queue drains — and re-resolves the rest of the
-///    tile.  The driver owns the queues, the latencies, the fault rows and
-///    the listen spans.
+///    tile; a tile with more refills than words restarts the tile ramp.
+///    The queues, the latencies, the fault rows and the listen spans stay
+///    in `run_dynamic_batch` itself.
 ///
 /// Contention start of a packet: max(arrival slot, previous delivery + 1).
 /// Queue latency of a delivered packet: delivery - arrival + 1 (a packet

@@ -215,7 +215,7 @@ ImpairmentPlan compile_impairment(const mac::ImpairmentSpec& spec, std::uint64_t
   }
 
   if (spec.has_faults()) {
-    if (stations == nullptr || stations->empty()) {
+    if (stations == nullptr) {
       throw std::invalid_argument(
           "compile_impairment: crash/byzantine clauses need the participating-station "
           "list (fault models are dynamic-layer features)");

@@ -54,9 +54,10 @@ struct ImpairmentPlan;
 /// Compiles `spec` over slots [0, horizon) from the trial seed.
 ///
 /// `stations` is the participating-station population fault clauses draw
-/// from (the dynamic scenario's station list); passing nullptr while the
-/// spec has crash/byzantine clauses throws — the static layer validates
-/// faults away before ever compiling.  `jam_override`, when non-null,
+/// from (the dynamic scenario's station list; an empty one, a trial without
+/// arrivals, draws no faults); passing nullptr while the spec has
+/// crash/byzantine clauses throws — the static layer validates faults away
+/// before ever compiling.  `jam_override`, when non-null,
 /// replaces the spec's jam schedule with an explicit slot list (the
 /// adversarial search's resolved placement); required when jam_sched is
 /// kAdversarial.

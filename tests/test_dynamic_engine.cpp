@@ -223,6 +223,23 @@ TEST(DynamicEngine, BatchMatchesInterpreterAcrossProtocolsAndArrivals) {
       expect_identical(reference, scalar, name + "/" + spec.name() + "/scalar");
     }
   }
+  // The dense refill shape of the dynamic-throughput preset: many tiles put
+  // back more delivered rows than they have words, so every width keeps
+  // restarting its ramp.
+  const auto energy = wu::sim::EnergyModel::kListenUntilWoken;
+  for (const std::string& name : {std::string("wakeup_with_k"), std::string("round_robin")}) {
+    const auto protocol = make_named(name, 256, 16, 7);
+    const DynamicScenario scenario =
+        make_scenario(ArrivalSpec::parse("poisson:0.8"), 256, 16, 2048, 29);
+    const auto reference = wu::sim::run_dynamic_interpreter(*protocol, scenario, nullptr, energy);
+    expect_invariants(reference, scenario, name + "/dense");
+    for (std::size_t tile = 1; tile <= wu::sim::kMaxTileWords; ++tile) {
+      wu::sim::set_tile_words(tile);
+      EXPECT_EQ(wu::sim::run_dynamic_batch(*protocol, scenario, nullptr, energy), reference)
+          << name << "/dense/tile=" << tile;
+    }
+    wu::sim::set_tile_words(0);
+  }
 }
 
 TEST(DynamicEngine, EmptyAndSinglePacketScenarios) {
@@ -628,10 +645,13 @@ class EverySlotProtocol final : public wu::proto::Protocol {
 TEST(DynamicEngine, RecontendersMatchPerSlotReference) {
   const std::vector<std::string> arrivals = {"poisson:0.05", "poisson:0.9", "bursty:0.4:0.05",
                                              "pareto:1.5:0.3"};
+  // crash:0.5:300 cuts stations off between adaptive_cw's epoch ends at
+  // 256 and 384, after successes they skipped and never get to hear.
   const std::vector<std::string> impairments = {
       "none",           "noise:iid:0.05",  "jam:budget:16:random",
       "crash:0.25:100", "byzantine:0.125",
-      "noise:iid:0.05+jam:budget:16:random+crash:0.25:100+byzantine:0.125"};
+      "noise:iid:0.05+jam:budget:16:random+crash:0.25:100+byzantine:0.125",
+      "crash:0.5:300"};
   const std::vector<wu::sim::EnergyModel> energies = {wu::sim::EnergyModel::kOff,
                                                       wu::sim::EnergyModel::kListenAll,
                                                       wu::sim::EnergyModel::kListenUntilWoken};
@@ -639,9 +659,10 @@ TEST(DynamicEngine, RecontendersMatchPerSlotReference) {
     std::uint32_t n, k;
   };
   // k = 1 runs ALOHA at p = 1; short horizons make its draw-ahead hit the
-  // limit, where a later heard success must not draw again.
+  // limit, where a later heard success must not draw again.  63, 64 and 65
+  // end inside ALOHA's first 64-coin word, on its boundary and just past.
   const std::vector<Shape> shapes = {{8, 1}, {64, 6}, {256, 16}};
-  const std::vector<wu::mac::Slot> horizons = {2048, 777, 130};
+  const std::vector<wu::mac::Slot> horizons = {2048, 777, 130, 65, 64, 63};
 
   std::size_t configs = 0;
   for (const std::string& name :
@@ -682,7 +703,7 @@ TEST(DynamicEngine, RecontendersMatchPerSlotReference) {
       }
     }
   }
-  EXPECT_EQ(configs, 3u * 3u * 3u * 4u * 6u * 3u);
+  EXPECT_EQ(configs, 3u * 3u * 6u * 4u * 7u * 3u);
 }
 
 /// Forwards every call to a real station but claims not to hear others'

@@ -168,8 +168,13 @@ TEST(ImpairmentEngine, FaultDrawsAreExactAndDisjoint) {
   EXPECT_EQ(fixed.crashes.size(), 32u);
   for (const auto& [station, cutoff] : fixed.crashes) EXPECT_EQ(cutoff, 77) << station;
 
-  // Fault clauses without a station population are a contract violation.
+  // Fault clauses without a station population are a contract violation;
+  // an empty population (a dynamic trial without arrivals) draws no faults.
   EXPECT_THROW((void)wu::sim::compile_impairment(spec, 11, 2048), std::invalid_argument);
+  const std::vector<wu::mac::StationId> nobody;
+  const auto empty = wu::sim::compile_impairment(spec, 11, 2048, &nobody);
+  EXPECT_TRUE(empty.crashes.empty());
+  EXPECT_TRUE(empty.byzantine.empty());
 }
 
 TEST(ImpairmentEngine, EffectiveOutcomeMatchesWordAlgebra) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,7 +23,9 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "protocols/multichannel.hpp"
+#include "protocols/protocol.hpp"
 #include "protocols/round_robin.hpp"
+#include "sim/dynamic.hpp"
 #include "sim/run.hpp"
 #include "util/thread_pool.hpp"
 
@@ -344,26 +347,106 @@ TEST(ObsInstrumentation, BatchEngineCountsEveryFetchedWord) {
   }
 
   // Dynamic traffic: round_robin at n = 128 (station u sends at slots
-  // u mod 128) over a 300-slot horizon, so the tiles are [0, 64), [64, 192)
-  // and [192, 300) — 1, 2 and 2 words.  Station 5 delivers its packets at
-  // slots 5 and 133, station 70 its one at 198.  Tile 1 fetches station
-  // 5's word, and after the delivery at 5 refetches it for the packet
-  // arriving at 10 (2 words); tile 2 fetches 2 words for each station;
-  // station 5's queue drains at 133, so tile 3 fetches station 70's 2.
+  // u mod 128) over a 300-slot horizon.  Station 5 delivers its packets at
+  // slots 5 and 133, station 70 its one at 198.  Tile 1, [0, 64), fetches
+  // station 5's word, and after the delivery at 5 refetches it for the
+  // packet arriving at 10 (2 words).  One refill is not more than the
+  // tile's one word, so the ramp goes on: tile 2, [64, 192), fetches 2
+  // words for each station (4); station 5's queue drains at 133, so tile
+  // 3, [192, 300), fetches station 70's 2.  3 tiles, 2 + 4 + 2 words.
   obs::reset();
   const wu::proto::RoundRobinProtocol rr(128);
+  const auto run_dynamic = [&](const wu::mac::DynamicScenario& scenario) {
+    return wu::sim::Run({.protocol = &rr,
+                         .horizon = 300,
+                         .scenario = &scenario,
+                         .sim = {.engine = wu::sim::Engine::kBatch}})
+        .dynamic;
+  };
   const wu::mac::DynamicScenario scenario(128, 300, {{5, 0}, {5, 10}, {70, 100}});
-  const auto dyn = wu::sim::Run({.protocol = &rr,
-                                 .horizon = 300,
-                                 .scenario = &scenario,
-                                 .sim = {.engine = wu::sim::Engine::kBatch}})
-                       .dynamic;
+  const auto dyn = run_dynamic(scenario);
   EXPECT_EQ(dyn.delivered, 3u);
   EXPECT_EQ(dyn.latency, (std::vector<double>{6.0, 124.0, 99.0}));
   const auto dyn_snap = obs::snapshot();
   if (obs::kCompiled) {
     EXPECT_EQ(obs::snapshot_value(dyn_snap, "batch.tiles"), 3u);
     EXPECT_EQ(obs::snapshot_value(dyn_snap, "batch.words_fetched"), 2u + 4u + 2u);
+  }
+
+  // The same with station 7 sending packets at 0 and 1: tile 1 fetches
+  // stations 5's and 7's words and refetches both, after the deliveries at
+  // 5 and 7 (4 words).  Two refills in a one-word tile restart the ramp, so
+  // tile 2 is one word again, [64, 128): a word for each of the three
+  // stations (3), and no solo (station 70's slot 70 is before its
+  // arrival).  Tile 3 doubles to [128, 256), 2 words for each station (6),
+  // where every queue drains (133, 135, 198), which puts no row back; tile
+  // 4, [256, 300), fetches nothing.  4 tiles, 4 + 3 + 6 words.
+  obs::reset();
+  const wu::mac::DynamicScenario dense(128, 300, {{5, 0}, {5, 10}, {7, 0}, {7, 1}, {70, 100}});
+  const auto restarted = run_dynamic(dense);
+  EXPECT_EQ(restarted.latency, (std::vector<double>{6.0, 8.0, 124.0, 135.0, 99.0}));
+  const auto restart_snap = obs::snapshot();
+  if (obs::kCompiled) {
+    EXPECT_EQ(obs::snapshot_value(restart_snap, "batch.tiles"), 4u);
+    EXPECT_EQ(obs::snapshot_value(restart_snap, "batch.words_fetched"), 4u + 3u + 6u);
+  }
+}
+
+/// Station u transmits at the slots congruent to u mod 8 and says so
+/// through next_event; the even stations hear others' successes.
+class EveryEighthStation final : public wu::proto::DynamicStation {
+ public:
+  explicit EveryEighthStation(wu::mac::StationId u) : u_(u) {}
+
+  void packet_start(wu::mac::Slot start) override { (void)start; }
+  [[nodiscard]] wu::mac::Slot next_event(wu::mac::Slot t, wu::mac::Slot limit) override {
+    return std::min(t + (static_cast<wu::mac::Slot>(u_) - t % 8 + 8) % 8, limit);
+  }
+  [[nodiscard]] bool transmits(wu::mac::Slot t) override {
+    return t % 8 == static_cast<wu::mac::Slot>(u_);
+  }
+  [[nodiscard]] bool hears_others() const override { return u_ % 2 == 0; }
+
+ private:
+  wu::mac::StationId u_;
+};
+
+class EveryEighthProtocol final : public wu::proto::Protocol {
+ public:
+  [[nodiscard]] std::string name() const override { return "every_eighth"; }
+  [[nodiscard]] std::unique_ptr<wu::proto::StationRuntime> make_runtime(
+      wu::mac::StationId u, wu::mac::Slot wake) const override {
+    (void)u;
+    (void)wake;
+    return nullptr;
+  }
+  [[nodiscard]] std::unique_ptr<wu::proto::DynamicStation> make_dynamic_station(
+      wu::mac::StationId u) const override {
+    return std::make_unique<EveryEighthStation>(u);
+  }
+};
+
+TEST(ObsInstrumentation, DynamicInterpreterCountsVisitsAndHeardSuccesses) {
+  // Station 1 has two packets at slot 0, station 3 one at 2, station 6 one
+  // at 0.  The loop visits slot 0 (the arrivals; nobody is due to send), 1
+  // (station 1 delivers; its next packet waits for slot 9), 2 (station 3's
+  // arrival), 3 (station 3 delivers), 6 and 9: 6 visits.  Station 6 skipped
+  // the successes at 1 and 3 and hears them at 6; station 1 skipped those
+  // at 3 and 6 but is deaf to them.  heard = 2.
+  ObsReset guard;
+  obs::set_enabled(true);
+  const EveryEighthProtocol protocol;
+  const wu::mac::DynamicScenario scenario(8, 40, {{1, 0}, {1, 0}, {3, 2}, {6, 0}});
+  const auto result = wu::sim::run_dynamic_interpreter(protocol, scenario);
+  EXPECT_EQ(result.delivered, 4u);
+  EXPECT_EQ(result.latency, (std::vector<double>{2.0, 2.0, 7.0, 10.0}));
+
+  const auto snap = obs::snapshot();
+  if (obs::kCompiled) {
+    EXPECT_EQ(obs::snapshot_value(snap, "dynamic.visits"), 6u);
+    EXPECT_EQ(obs::snapshot_value(snap, "dynamic.heard"), 2u);
+  } else {
+    EXPECT_TRUE(snap.empty());
   }
 }
 

@@ -188,6 +188,17 @@ std::int64_t bounded_flag(const util::Args& args, const char* key, std::int64_t 
   return v;
 }
 
+/// --horizon, shared by run/sweep: a dynamic trial's slot count, >= 1.
+mac::Slot horizon_flag(const util::Args& args) {
+  return bounded_flag(args, "horizon", 2048, 1, std::numeric_limits<std::int64_t>::max());
+}
+
+/// --max-slots, shared by run/sweep: a static trial's slot budget; 0 (the
+/// default) is the auto budget.
+mac::Slot max_slots_flag(const util::Args& args) {
+  return bounded_flag(args, "max-slots", 0, 0, std::numeric_limits<std::int64_t>::max());
+}
+
 /// The --threads flag, shared by run/sweep: builds a dedicated pool
 /// (0 = inline).  Returns nullptr when the flag is absent — callers fall
 /// back to the process-wide shared pool.
@@ -310,11 +321,7 @@ int cmd_sweep(const util::Args& args) {
       }
     }
   }
-  if (args.has("horizon")) {
-    const std::int64_t horizon = args.get_int("horizon", 2048);
-    if (horizon < 1) throw std::invalid_argument("--horizon must be >= 1");
-    spec.horizon = horizon;
-  }
+  if (args.has("horizon")) spec.horizon = horizon_flag(args);
   if (args.has("trials")) {
     spec.trials = static_cast<std::uint64_t>(bounded_flag(args, "trials", 64, 1, 1'000'000'000));
   }
@@ -322,7 +329,7 @@ int cmd_sweep(const util::Args& args) {
   if (args.has("s")) {
     spec.s = bounded_flag(args, "s", 0, 0, std::numeric_limits<std::int64_t>::max());
   }
-  if (args.has("max-slots")) spec.sim.max_slots = args.get_int("max-slots", 0);
+  if (args.has("max-slots")) spec.sim.max_slots = max_slots_flag(args);
 
   exp::SweepOptions options;
   options.out_dir = args.get("out", "sweep_out");
@@ -460,19 +467,20 @@ int cmd_run_dynamic(const util::Args& args) {
   spec.impairment = parse_impairment_flags(args);
   spec.make_protocol = [&args](std::uint64_t seed) { return build_protocol(args, seed); };
 
-  const std::int64_t horizon_flag = args.get_int("horizon", 0);
-  if (horizon_flag < 0) throw std::invalid_argument("--horizon must be >= 1");
+  // An absent --horizon is 2048, or the trace's tightest horizon (0 asks
+  // load_arrivals_csv for it).
+  const mac::Slot horizon = args.has("horizon") ? horizon_flag(args) : 0;
   mac::DynamicScenario replay;
   mac::ArrivalSpec arrival;
   if (args.has("arrival-file")) {
-    replay = mac::load_arrivals_csv(args.get("arrival-file"), n, horizon_flag);
+    replay = mac::load_arrivals_csv(args.get("arrival-file"), n, horizon);
     arrival.kind = mac::ArrivalKind::kReplay;
     spec.scenario = &replay;
     spec.horizon = replay.horizon();
   } else {
     arrival = mac::ArrivalSpec::parse(args.get("arrival"));
     spec.arrival = arrival;
-    spec.horizon = horizon_flag > 0 ? horizon_flag : 2048;
+    spec.horizon = horizon > 0 ? horizon : 2048;
     spec.dynamic_n = n;
     spec.dynamic_k = k;
   }
@@ -556,7 +564,7 @@ int cmd_run(const util::Args& args) {
   spec.base_seed = base_seed;
   spec.trial_csv = csv.get();
   spec.impairment = parse_impairment_flags(args);
-  spec.sim.max_slots = args.get_int("max-slots", 0);
+  spec.sim.max_slots = max_slots_flag(args);
   spec.sim.engine = exp::parse_engine(args.get("engine", "auto"));
   spec.sim.energy = parse_energy_flag(args);
   spec.sim.record_trace = trace_print || !trace_path.empty();
